@@ -146,13 +146,15 @@ def result_envelope(spec: AnySpec, result: Any) -> dict[str, Any]:
     (:func:`repro.service.client.hydrate_digest_result`) without the
     server ever shipping an event log.
     """
+    # as_dict() folds the trace digest; take it from there, not twice.
+    payload = result.as_dict()
     envelope: dict[str, Any] = {
         "version": SERVICE_VERSION,
         "kind": "sweep" if isinstance(spec, SweepSpec) else "experiment",
         "spec_digest": spec.digest(),
         "seed": spec_seed(spec),
-        "digest": result.digest(),
-        "result": result.as_dict(),
+        "digest": payload["digest"],
+        "result": payload,
     }
     if isinstance(spec, ExperimentSpec):
         envelope["collection"] = spec.runtime.collection

@@ -164,9 +164,12 @@ class EventColumns:
         return self._times[-1] if self._times else 0.0
 
     # ------------------------------------------------------------------
-    # Pickling: one buffer per column; the id index is derived state.
+    # The raw columns — for read-only one-pass folds (digest, metrics) and,
+    # as the pickled state, one buffer each; the id index is derived state.
     # ------------------------------------------------------------------
-    def __getstate__(self):
+    def arrays(self) -> tuple:
+        """``(times, kind codes, node indices, peer indices, payloads,
+        details, ids)`` in the encodings of the module docstring."""
         return (
             self._times,
             self._kinds,
@@ -176,6 +179,8 @@ class EventColumns:
             self._details,
             self._ids,
         )
+
+    __getstate__ = arrays
 
     def __setstate__(self, state) -> None:
         (

@@ -41,6 +41,28 @@ by the determinism suite's full event-list equality assertions
 (``tests/integration/test_partitioned_determinism.py``), and any
 single-node reordering, dropped event, or changed payload still flips
 the digest.
+
+One renderer, two feeders, and the memo rules
+---------------------------------------------
+Every event line comes from one renderer (``_event_line`` over
+``_text``).  :meth:`StreamingTraceDigest.update` feeds it one event at a
+time; :meth:`StreamingTraceDigest.fold_columns` (the batch digest of a
+full trace) feeds it straight from the ``EventColumns`` arrays without
+rebuilding events.  Traces share most of their values (one message object
+per multicast and per SENT/DELIVERED pair, one tuple per node id), so the
+renderer memoises — under rules that keep every byte of the output:
+
+* a memo key is an **identity with a keep-alive reference** (``id(value)``
+  while the memo holds ``value``) or an **interned column index**, never
+  ``==``/``hash`` alone: ``1 == 1.0 == True`` and ``(1, 2) == (1.0, 2.0)``
+  hash equal and render differently;
+* only exact ``tuple`` and ``frozenset`` instances and ``frozen=True``
+  dataclass instances are kept — never a ``dict``, ``list`` or ``set``
+  (event ``detail``, ``RoundMessage.opinions``), which can change;
+* a memo lives for one fold or one stream and is cleared at
+  :data:`_MEMO_CAP` entries, so a digest-only recorder keeps no payload
+  log; it is never state of a ``TraceRecorder`` or ``EventColumns``
+  (pickled traces do not change, the batch fold's tables die with it).
 """
 
 from __future__ import annotations
@@ -51,8 +73,29 @@ import hashlib
 from collections.abc import Iterable, Mapping, Set
 from typing import TYPE_CHECKING, Any, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (recorder imports us)
+from .columns import _KIND_INDEX, _KINDS, EventColumns
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.events import EventKind, TraceEvent
+
+#: Exact types rendered by ``repr`` (subclasses take the fallback chain).
+_ATOMS = frozenset({type(None), bool, int, float, str, bytes})
+#: Entries an identity memo may hold before it is cleared.
+_MEMO_CAP = 4096
+#: class -> (form, memoisable): how the exact-type dispatch renders an
+#: instance — ``"seq"``, ``"set"``, ``"map"`` or a dataclass's field
+#: names; ``None`` leaves the class to the ``isinstance`` chain.
+_SHAPES: dict[type, tuple[Any, bool]] = {
+    tuple: ("seq", True), list: ("seq", False), dict: ("map", False),
+    frozenset: ("set", True), set: ("set", False),
+}
+
+
+def _shape(cls: type) -> tuple[Any, bool]:
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, (enum.Enum, type)):
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        return names, cls.__dataclass_params__.frozen
+    return None, False
 
 
 def canonical_text(value: Any) -> str:
@@ -66,27 +109,61 @@ def canonical_text(value: Any) -> str:
     payload type in this repository either is a handled shape or defines
     a canonical ``__repr__``).
     """
+    return _text(value, None)
+
+
+def _text(value: Any, memo: Optional[dict[int, tuple[Any, str]]]) -> str:
+    """:func:`canonical_text` by exact-type dispatch, memoising immutable
+    values by identity in ``memo`` (see the module docstring's rules)."""
+    cls = type(value)
+    if cls in _ATOMS:
+        return repr(value)
+    shape = _SHAPES.get(cls)
+    if shape is None:
+        shape = _SHAPES[cls] = _shape(cls)
+    form, frozen = shape
+    if form is None:
+        return _fallback_text(value, memo)
+    keep = frozen and memo is not None
+    if keep:
+        hit = memo.get(id(value))
+        if hit is not None:
+            return hit[1]
+    if form == "seq":
+        text = "(" + ", ".join([_text(item, memo) for item in value]) + ")"
+    elif form == "set":
+        text = "{" + ", ".join(sorted([_text(item, memo) for item in value])) + "}"
+    elif form == "map":
+        items = sorted([(_text(key, memo), _text(item, memo)) for key, item in value.items()])
+        text = "{" + ", ".join([f"{key}: {item}" for key, item in items]) + "}"
+    else:
+        fields = [f"{name}={_text(getattr(value, name), memo)}" for name in form]
+        text = f"{cls.__name__}(" + ", ".join(fields) + ")"
+    if keep:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        # Holding ``value`` keeps its id from being reused while cached.
+        memo[id(value)] = (value, text)
+    return text
+
+
+def _fallback_text(value: Any, memo: Optional[dict]) -> str:
+    """The ``isinstance`` chain, for every type the exact dispatch skips
+    (``namedtuple``, ``str``/``int`` enums, ``Mapping``/``Set`` ABCs, …;
+    dataclass instances never get here)."""
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return repr(value)
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = ", ".join(
-            f"{field.name}={canonical_text(getattr(value, field.name))}"
-            for field in dataclasses.fields(value)
-        )
-        return f"{type(value).__name__}({fields})"
     if isinstance(value, Mapping):
-        items = sorted(
-            (canonical_text(key), canonical_text(item)) for key, item in value.items()
-        )
+        items = sorted((_text(key, memo), _text(item, memo)) for key, item in value.items())
         inner = ", ".join(f"{key}: {item}" for key, item in items)
         return f"{{{inner}}}"
     if isinstance(value, (Set, frozenset, set)):
-        inner = ", ".join(sorted(canonical_text(item) for item in value))
+        inner = ", ".join(sorted(_text(item, memo) for item in value))
         return f"{{{inner}}}"
     if isinstance(value, (tuple, list)):
-        inner = ", ".join(canonical_text(item) for item in value)
+        inner = ", ".join(_text(item, memo) for item in value)
         return f"({inner})"
     return repr(value)
 
@@ -125,11 +202,27 @@ def combine_partials(partials: Iterable[int]) -> int:
     return total
 
 
+#: ``kind=EventKind.X`` by column kind code.
+_KIND_TEXT = tuple(f"kind=EventKind.{kind.name}" for kind in _KINDS)
+
+
+def _event_line(time, code, node_text, peer_text, payload, detail, memo) -> bytes:
+    """The hashed bytes of one event — ``event_line(event)`` plus a newline
+    — from raw fields: the kind as its column code, node and peer already
+    rendered, ``detail`` possibly ``None`` (the columns' empty dict)."""
+    detail_text = "{}" if detail is None else _text(detail, memo)
+    return (
+        f"TraceEvent(time={time!r}, {_KIND_TEXT[code]}, node={node_text}, "
+        f"peer={peer_text}, payload={_text(payload, memo)}, detail={detail_text})\n"
+    ).encode("utf-8")
+
+
 class StreamingTraceDigest:
     """Fold the canonical trace digest incrementally, event by event.
 
-    Feed events with :meth:`update` in emission order; :meth:`partial`
-    yields the composable integer state (what partition workers ship),
+    Feed events with :meth:`update` in emission order (or a whole columnar
+    trace with :meth:`fold_columns`); :meth:`partial` yields the
+    composable integer state (what partition workers ship),
     :meth:`hexdigest` the finished digest.  Both are non-destructive, so
     a digest can be inspected mid-stream.
 
@@ -137,60 +230,54 @@ class StreamingTraceDigest:
     ``TraceRecorder.digest(*kinds)``.
     """
 
-    __slots__ = ("_wanted", "_hashers", "_payload_cache")
+    __slots__ = ("_wanted", "_hashers", "_memo")
 
     def __init__(self, kinds: Optional[Iterable["EventKind"]] = None) -> None:
-        self._wanted = frozenset(kinds) if kinds is not None else None
+        #: Wanted kinds as column codes (``None``: every kind).
+        self._wanted = (
+            frozenset(_KIND_INDEX[kind] for kind in kinds) if kinds is not None else None
+        )
         #: node id -> (canonical key bytes, running SHA-256 of its events)
         self._hashers: dict[Any, tuple[bytes, Any]] = {}
-        #: id(payload) -> (payload, canonical text).  Payload rendering
-        #: dominates the digest cost and payload objects are heavily
-        #: shared (a multicast reuses one message for every target, and
-        #: each SENT/DELIVERED pair shares one), so rendering each object
-        #: once is a multiple-times win.  The cached reference keeps the
-        #: object alive, so its id cannot be reused while cached.
-        self._payload_cache: dict[int, tuple[Any, str]] = {}
+        #: The renderer's identity memo (module docstring), one per stream.
+        self._memo: dict[int, tuple[Any, str]] = {}
 
-    def _payload_text(self, payload: Any) -> str:
-        if payload is None:
-            return "None"
-        key = id(payload)
-        hit = self._payload_cache.get(key)
-        if hit is not None and hit[0] is payload:
-            return hit[1]
-        text = canonical_text(payload)
-        self._payload_cache[key] = (payload, text)
-        return text
-
-    def _line(self, event: "TraceEvent") -> str:
-        # Equal to event_line(event) — canonical_text renders a dataclass
-        # as ClassName(field=..., ...) in declaration order — but with the
-        # payload rendering cached by identity.  The equivalence is pinned
-        # by the trace-equivalence property suite.
-        return (
-            "TraceEvent("
-            f"time={event.time!r}, "
-            f"kind=EventKind.{event.kind.name}, "
-            f"node={canonical_text(event.node)}, "
-            f"peer={canonical_text(event.peer)}, "
-            f"payload={self._payload_text(event.payload)}, "
-            f"detail={canonical_text(event.detail)})"
-        )
+    def _hasher(self, node: Any, node_text: str) -> Any:
+        entry = self._hashers.get(node)
+        if entry is None:
+            entry = self._hashers[node] = (node_text.encode("utf-8"), hashlib.sha256())
+        return entry[1]
 
     def update(self, event: "TraceEvent") -> None:
         """Fold one event (a no-op if its kind is filtered out)."""
-        if self._wanted is not None and event.kind not in self._wanted:
+        code = _KIND_INDEX[event.kind]
+        if self._wanted is not None and code not in self._wanted:
             return
-        entry = self._hashers.get(event.node)
-        if entry is None:
-            entry = (
-                canonical_text(event.node).encode("utf-8"),
-                hashlib.sha256(),
+        memo = self._memo
+        node_text = _text(event.node, memo)
+        self._hasher(event.node, node_text).update(
+            _event_line(
+                event.time, code, node_text, _text(event.peer, memo),
+                event.payload, event.detail, memo,
             )
-            self._hashers[event.node] = entry
-        hasher = entry[1]
-        hasher.update(self._line(event).encode("utf-8"))
-        hasher.update(b"\n")
+        )
+
+    def fold_columns(self, columns: EventColumns) -> None:
+        """Fold every row of a columnar trace, reading the arrays directly
+        (equal to ``update(event)`` for each event of ``columns``)."""
+        times, kinds, nodes, peers, payloads, details, ids = columns.arrays()
+        memo, wanted = self._memo, self._wanted
+        # One text per interned id; the extra last slot is ``None``, which
+        # the columns encode as index -1.
+        ids = [*ids, None]
+        id_text = [_text(identity, memo) for identity in ids]
+        for time, code, node, peer, payload, detail in zip(
+            times, kinds, nodes, peers, payloads, details
+        ):
+            if wanted is None or code in wanted:
+                self._hasher(ids[node], id_text[node]).update(
+                    _event_line(time, code, id_text[node], id_text[peer], payload, detail, memo)
+                )
 
     def partial(self) -> int:
         """The composable partial sum over the nodes folded so far."""

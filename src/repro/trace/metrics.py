@@ -15,6 +15,7 @@ from typing import Optional
 
 from ..graph import NodeId
 from ..sim.events import EventKind, TraceEvent, payload_size
+from .columns import _KINDS, EventColumns
 from .recorder import TraceRecorder
 
 
@@ -109,23 +110,32 @@ class StreamingRunMetrics:
 
     def observe(self, event: TraceEvent) -> None:
         """Fold one event (events must arrive in trace order)."""
-        self.end_time = event.time
-        kind = event.kind
+        self._observe(event.time, event.kind, event.node, event.payload)
+
+    def observe_columns(self, columns: EventColumns) -> None:
+        """Fold a whole columnar trace in one pass over its arrays
+        (equal to :meth:`observe` for each event, without building any)."""
+        times, kinds, nodes, _, payloads, _, ids = columns.arrays()
+        for time, code, node, payload in zip(times, kinds, nodes, payloads):
+            self._observe(time, _KINDS[code], ids[node] if node >= 0 else None, payload)
+
+    def _observe(self, time: float, kind: EventKind, node: Optional[NodeId], payload) -> None:
+        self.end_time = time
         if kind is EventKind.MESSAGE_SENT:
             self.messages_sent += 1
-            self.bytes_sent += payload_size(event.payload)
-            if event.node is not None:
-                self.per_node_messages[event.node] += 1
+            self.bytes_sent += payload_size(payload)
+            if node is not None:
+                self.per_node_messages[node] += 1
         elif kind is EventKind.MESSAGE_DELIVERED:
             self.messages_delivered += 1
         elif kind is EventKind.DECIDED:
             self.decisions += 1
-            self.deciding_nodes.add(event.node)
-            self.decided_views.add(event.payload)
-            if self.first_decision_time is None or event.time < self.first_decision_time:
-                self.first_decision_time = event.time
-            if self.last_decision_time is None or event.time > self.last_decision_time:
-                self.last_decision_time = event.time
+            self.deciding_nodes.add(node)
+            self.decided_views.add(payload)
+            if self.first_decision_time is None or time < self.first_decision_time:
+                self.first_decision_time = time
+            if self.last_decision_time is None or time > self.last_decision_time:
+                self.last_decision_time = time
         elif kind is EventKind.VIEW_PROPOSED:
             self.proposals += 1
         elif kind is EventKind.VIEW_REJECTED:
@@ -133,7 +143,7 @@ class StreamingRunMetrics:
         elif kind is EventKind.INSTANCE_FAILED:
             self.failed_instances += 1
         elif kind is EventKind.CRASH_NOTIFIED:
-            self.notified_nodes.add(event.node)
+            self.notified_nodes.add(node)
 
     def merge(self, other: "StreamingRunMetrics") -> None:
         """Fold another shard's accumulator into this one (in place)."""
@@ -184,43 +194,11 @@ class StreamingRunMetrics:
 def collect_metrics(trace: TraceRecorder) -> RunMetrics:
     """Compute :class:`RunMetrics` from a finished trace.
 
-    Digest-only recorders keep no event log but fold a
-    :class:`StreamingRunMetrics` as events fire; for those this finalizes
-    the streamed state instead of iterating (the two paths agree — see
-    the trace-equivalence property suite).
+    One :class:`StreamingRunMetrics` fold either way: digest-only
+    recorders fed it as events fired, full traces feed it their columns in
+    one pass (the trace-equivalence property suite pins that they agree).
     """
-    if getattr(trace, "collection", "trace") == "digest":
-        return trace.streamed_metrics()
-    sent = trace.of_kind(EventKind.MESSAGE_SENT)
-    delivered = trace.of_kind(EventKind.MESSAGE_DELIVERED)
-    decisions = trace.decisions()
-    proposals = trace.of_kind(EventKind.VIEW_PROPOSED)
-    rejections = trace.of_kind(EventKind.VIEW_REJECTED)
-    failures = trace.of_kind(EventKind.INSTANCE_FAILED)
-    notifications = trace.of_kind(EventKind.CRASH_NOTIFIED)
-
-    per_node = Counter(event.node for event in sent if event.node is not None)
-    deciding_nodes = {event.node for event in decisions}
-    decided_views = {event.payload for event in decisions}
-    decision_times = [event.time for event in decisions]
-
-    return RunMetrics(
-        messages_sent=len(sent),
-        messages_delivered=len(delivered),
-        bytes_sent=sum(payload_size(event.payload) for event in sent),
-        speaking_nodes=len(per_node),
-        notified_nodes=len({event.node for event in notifications}),
-        decisions=len(decisions),
-        deciding_nodes=len(deciding_nodes),
-        decided_views=len(decided_views),
-        proposals=len(proposals),
-        rejections=len(rejections),
-        failed_instances=len(failures),
-        first_decision_time=min(decision_times) if decision_times else None,
-        last_decision_time=max(decision_times) if decision_times else None,
-        end_time=trace.end_time(),
-        per_node_messages=dict(per_node),
-    )
+    return trace.streamed_metrics()
 
 
 def communicating_nodes(trace: TraceRecorder) -> frozenset[NodeId]:

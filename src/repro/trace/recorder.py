@@ -192,13 +192,15 @@ class TraceRecorder:
         return None
 
     def streamed_metrics(self) -> "RunMetrics":
-        """The metrics folded so far (digest-only recorders)."""
-        if self._metrics_stream is None:
-            raise TraceUnavailableError(
-                "streamed_metrics() is the digest-mode accessor; full "
-                "traces compute metrics with collect_metrics(trace)"
-            )
-        return self._metrics_stream.finalize()
+        """The metrics of everything recorded so far: the fold kept as
+        events fired (digest-only recorders) or one pass over the columns."""
+        stream = self._metrics_stream
+        if stream is None:
+            from .metrics import StreamingRunMetrics
+
+            stream = StreamingRunMetrics()
+            stream.observe_columns(self._columns)
+        return stream.finalize()
 
     # ------------------------------------------------------------------
     # Queries
@@ -301,11 +303,13 @@ class TraceRecorder:
         filters over the retained kinds recompute from the retained
         events, other filters raise.
         """
-        from .digest import trace_digest
+        from .digest import StreamingTraceDigest, trace_digest
 
         columns = self._columns
         if columns is not None:
-            return trace_digest(columns, kinds=kinds if kinds else None)
+            stream = StreamingTraceDigest(kinds=kinds if kinds else None)
+            stream.fold_columns(columns)
+            return stream.hexdigest()
         if not kinds:
             if self._sealed_digest is not None:
                 return self._sealed_digest

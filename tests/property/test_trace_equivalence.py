@@ -11,9 +11,11 @@ hypothesis-generated event streams:
   must replay them equal, in order, with the same digest — including
   after a pickle round-trip of the columns (the worker wire format);
 * streaming == batch: folding events one at a time through
-  :class:`StreamingTraceDigest` equals digesting the finished list, for
-  every kind-filter combination, and the streaming fast path produces
-  byte-identical event lines to the canonical encoder;
+  :class:`StreamingTraceDigest` equals digesting the finished list and
+  equals the column walk behind ``TraceRecorder.digest()``, for every
+  kind-filter combination, and the one renderer they share produces
+  byte-identical event lines to the canonical encoder (the memo-free
+  ``isinstance`` chain kept in ``tests/support.py``);
 * compositionality: splitting a stream by node, folding each part
   separately and summing the partials equals the whole-trace digest, for
   any interleaving of the per-node subsequences;
@@ -30,6 +32,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import EventKind, TraceEvent
+from repro.trace import digest as digest_module
 from repro.trace import (
     DIGEST_RETAINED_KINDS,
     EventColumns,
@@ -43,8 +46,10 @@ from repro.trace import (
     hex_of_partial,
     trace_digest,
 )
+from tests.support import record_all, reference_canonical_text, reference_trace_digest
 
-NODES = ["a", "b", "c", (0, 1), (1, 2), 7]
+#: ``None`` is the node of a global event (column index -1).
+NODES = ["a", "b", "c", (0, 1), (1, 2), 7, None]
 KINDS = list(EventKind)
 
 #: Hashable payload values (DECIDED payloads land in a set) covering the
@@ -110,13 +115,6 @@ kind_filters = st.one_of(
 )
 
 
-def record_all(events, collection="trace"):
-    recorder = TraceRecorder(collection=collection)
-    for event in events:
-        recorder.record(event)
-    return recorder
-
-
 class TestColumnarRoundTrip:
     @given(event_streams())
     @settings(max_examples=60, deadline=None)
@@ -164,15 +162,47 @@ class TestStreamingDigestEqualsBatch:
         filtered = [e for e in events if kinds is None or e.kind in kinds]
         assert stream.hexdigest() == trace_digest(filtered)
 
+    @given(event_streams(), kind_filters)
+    @settings(max_examples=60, deadline=None)
+    def test_column_fold_equals_event_fold_equals_streamed(self, events, kinds):
+        """The renderer's two feeders agree with each other and with the
+        reference, also on a recorder rebuilt from pickled columns (what
+        the partitioned backend's merge digests)."""
+        wanted = tuple(kinds) if kinds is not None else ()
+        expected = reference_trace_digest(events, kinds)
+        recorder = record_all(events)
+        assert recorder.digest(*wanted) == expected  # column walk
+        assert trace_digest(events, kinds=kinds) == expected  # streamed updates
+        assert trace_digest(iter(recorder), kinds=kinds) == expected  # rebuilt events
+        columns = EventColumns()
+        for event in events:
+            columns.append(event)
+        rebuilt = TraceRecorder.from_columns(pickle.loads(pickle.dumps(columns)))
+        assert rebuilt.digest(*wanted) == expected
+        assert collect_metrics(rebuilt) == collect_metrics(record_all(events, "digest"))
+
     @given(event_streams(min_size=1))
     @settings(max_examples=60, deadline=None)
     def test_fast_line_matches_canonical_encoding(self, events):
-        """The identity-cached line builder must be byte-identical to the
-        canonical dataclass encoding — including when one payload object
-        recurs (cache hit) and when equal-but-distinct objects appear."""
-        stream = StreamingTraceDigest()
+        """The memoising renderer must be byte-identical to the canonical
+        dataclass encoding — including when one payload object recurs
+        (memo hit) and when equal-but-distinct objects appear."""
+        memo = {}
+
+        def line(event):
+            return digest_module._event_line(
+                event.time,
+                digest_module._KIND_INDEX[event.kind],
+                digest_module._text(event.node, memo),
+                digest_module._text(event.peer, memo),
+                event.payload,
+                event.detail,
+                memo,
+            ).decode("utf-8")
+
         for event in events:
-            assert stream._line(event) == event_line(event)
+            assert line(event) == event_line(event) + "\n"
+            assert event_line(event) == reference_canonical_text(event)
         # Equal payloads behind distinct objects must also agree.
         first = events[0]
         if first.payload is not None:
@@ -181,7 +211,7 @@ class TestStreamingDigestEqualsBatch:
                 peer=first.peer, payload=pickle.loads(pickle.dumps(first.payload)),
                 detail=dict(first.detail),
             )
-            assert stream._line(clone) == event_line(first)
+            assert line(clone) == event_line(first) + "\n"
 
     @given(event_streams())
     @settings(max_examples=40, deadline=None)
@@ -254,7 +284,10 @@ class TestDigestModeRecorder:
     def test_streamed_metrics_equal_collected_metrics(self, events):
         full = record_all(events, collection="trace")
         lean = record_all(events, collection="digest")
-        assert collect_metrics(lean) == collect_metrics(full)
+        streamed, collected = collect_metrics(lean), collect_metrics(full)
+        assert streamed == collected
+        # dict equality ignores order; table printers do not.
+        assert list(streamed.per_node_messages) == list(collected.per_node_messages)
 
     @given(event_streams(), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)

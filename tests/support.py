@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import hashlib
+from collections.abc import Mapping, Set
 from typing import Any
 
 from repro.graph import KnowledgeGraph, NodeId
@@ -87,3 +91,63 @@ def deliver_own_multicast(node, ctx: FakeContext, index: int = -1) -> None:
     targets, message = ctx.multicasts[index]
     if ctx.node_id in targets:
         node.on_message(ctx, ctx.node_id, message)
+
+
+def record_all(events, collection: str = "trace"):
+    """A :class:`TraceRecorder` of ``collection`` that recorded ``events``."""
+    from repro.trace import TraceRecorder
+
+    recorder = TraceRecorder(collection=collection)
+    for event in events:
+        recorder.record(event)
+    return recorder
+
+
+def reference_canonical_text(value: Any) -> str:
+    """The ``isinstance``-chain definition of ``canonical_text``.
+
+    Kept verbatim as the memo-free, dispatch-free reference that
+    :func:`repro.trace.digest.canonical_text` (exact-type dispatch) and the
+    digest renderer (identity memos) must reproduce byte for byte.
+    """
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return repr(value)
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ", ".join(
+            f"{field.name}={reference_canonical_text(getattr(value, field.name))}"
+            for field in dataclasses.fields(value)
+        )
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, Mapping):
+        items = sorted(
+            (reference_canonical_text(key), reference_canonical_text(item))
+            for key, item in value.items()
+        )
+        inner = ", ".join(f"{key}: {item}" for key, item in items)
+        return f"{{{inner}}}"
+    if isinstance(value, (Set, frozenset, set)):
+        inner = ", ".join(sorted(reference_canonical_text(item) for item in value))
+        return f"{{{inner}}}"
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(reference_canonical_text(item) for item in value)
+        return f"({inner})"
+    return repr(value)
+
+
+def reference_trace_digest(events, kinds=None) -> str:
+    """The node-composed trace digest straight from its definition
+    (``repro.trace.digest`` module docstring), on the reference renderer."""
+    hashers: dict[Any, Any] = {}
+    for event in events:
+        if kinds is not None and event.kind not in kinds:
+            continue
+        hasher = hashers.setdefault(event.node, hashlib.sha256())
+        hasher.update(reference_canonical_text(event).encode("utf-8") + b"\n")
+    total = 0
+    for node, hasher in hashers.items():
+        key = reference_canonical_text(node).encode("utf-8")
+        leaf = hashlib.sha256(b"node\x1f" + key + b"\x1f" + hasher.digest()).digest()
+        total = (total + int.from_bytes(leaf, "big")) % (1 << 256)
+    return format(total, "064x")

@@ -82,6 +82,22 @@ class TestProtocol:
         assert envelope["digest"] == envelope["result"]["digest"]
         verify_envelope(envelope)
 
+    def test_envelope_folds_the_trace_digest_once(self, monkeypatch):
+        """The digest fold is most of a job's execute time: `digest` and
+        `result.digest` must come from one fold, not two."""
+        from repro.trace import TraceRecorder
+
+        spec = small_spec()
+        result = run_spec(spec)
+        folds = []
+        fold = TraceRecorder.digest
+        monkeypatch.setattr(
+            TraceRecorder, "digest", lambda self, *kinds: folds.append(kinds) or fold(self, *kinds)
+        )
+        envelope = result_envelope(spec, result)
+        assert folds == [()]
+        assert envelope["digest"] == envelope["result"]["digest"] == fold(result.trace)
+
     def test_verify_rejects_missing_digest(self):
         with pytest.raises(ServiceError):
             verify_envelope({"kind": "experiment", "result": {}})
