@@ -199,7 +199,7 @@ class CliffEdgeNode(Process):
         # Lines 8-11: recompute the highest-ranked locally crashed region.
         components = ctx.graph.connected_components(self.locally_crashed)
         regions = [Region(component) for component in components]
-        best = self.ranking.max_ranked(ctx.graph, regions)  # type: ignore[attr-defined]
+        best = self.ranking.max_ranked(ctx.graph, regions)
         if self.max_view is None or self.ranking.precedes(ctx.graph, self.max_view, best):
             self.max_view = best
             # In the static model this node borders *every* component of
@@ -227,7 +227,7 @@ class CliffEdgeNode(Process):
         ]
         if not bordered:
             return None
-        return self.ranking.max_ranked(ctx.graph, bordered)  # type: ignore[attr-defined]
+        return self.ranking.max_ranked(ctx.graph, bordered)
 
     def on_message(self, ctx: ProcessContext, sender: NodeId, message: Any) -> None:
         """Lines 18-25: updating opinions for a (possibly conflicting) view."""
@@ -310,7 +310,7 @@ class CliffEdgeNode(Process):
                 and self.proposed is None
                 and self.candidate_view is None
                 and self.node_id in message.border
-                and view.members <= frozenset(self.locally_crashed)
+                and view.members <= self.locally_crashed
             ):
                 # Re-arm so this node re-enters the fresh attempt; a
                 # pending candidate (picked by view construction, which
@@ -339,9 +339,7 @@ class CliffEdgeNode(Process):
                 vector[self.node_id] = REJECT
                 ctx.send(
                     sender,
-                    RoundMessage(
-                        1, view, frozenset(border), vector, attempt=message.attempt
-                    ),
+                    RoundMessage(1, view, border, vector, attempt=message.attempt),
                 )
             return
         if view not in self.received:
@@ -351,7 +349,7 @@ class CliffEdgeNode(Process):
             # borders can only happen across membership epochs (within an
             # epoch the border is a function of the static graph).  Decide
             # which side is stale by asking the current graph.
-            current_border = frozenset(ctx.graph.border(view.members))
+            current_border = ctx.graph.border(view.members)
             if message.border != current_border or view == self.decided_view:
                 # The *message* is the leftover of a closed epoch (or we
                 # already decided on this view); ignore it.
@@ -377,7 +375,7 @@ class CliffEdgeNode(Process):
         rejectors = {
             node for node, opinion in message.opinions.items() if is_reject(opinion)
         }
-        self.waiting[view][message.round] -= {sender}
+        self.waiting[view][message.round].discard(sender)
         if message.round > 1:
             # A round-r message proves the sender sent every earlier round
             # of this instance.  With FIFO channels those messages already
@@ -394,7 +392,7 @@ class CliffEdgeNode(Process):
                     continue
                 if sender_opinion is not None and earlier_vector.get(sender) is None:
                     earlier_vector.set(sender, sender_opinion)
-                self.waiting[view][earlier_round] -= {sender}
+                self.waiting[view][earlier_round].discard(sender)
         if (
             self.epoch_changed
             and view == self.current_view
@@ -681,7 +679,7 @@ class CliffEdgeNode(Process):
         if self.locally_crashed:
             components = ctx.graph.connected_components(self.locally_crashed)
             regions = [Region(component) for component in components]
-            self.max_view = self.ranking.max_ranked(ctx.graph, regions)  # type: ignore[attr-defined]
+            self.max_view = self.ranking.max_ranked(ctx.graph, regions)
             # As in on_crash: the proposable candidate is the best region
             # this node *borders* — after recoveries fragment the local
             # knowledge, the globally best component may belong to some
@@ -763,7 +761,7 @@ class CliffEdgeNode(Process):
         """Line 26: reject a received view ranked strictly below ``Vp``."""
         if not self.arbitration_enabled or self.current_view is None:
             return False
-        for view in sorted(self.received, key=lambda v: self.ranking.key(ctx.graph, v)):  # type: ignore[attr-defined]
+        for view in sorted(self.received, key=lambda v: self.ranking.key(ctx.graph, v)):
             if view != self.current_view and self.ranking.precedes(
                 ctx.graph, view, self.current_view
             ):

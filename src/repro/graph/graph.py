@@ -19,6 +19,13 @@ from typing import Optional
 
 NodeId = Hashable
 
+#: Most border answers one snapshot remembers.  ``api.cache`` shares a
+#: snapshot across runs and service worker threads for the life of the
+#: process, so the table is bounded (a few MB at most); a run asks about a
+#: few hundred node sets and any answer can be recomputed, so reaching the
+#: bound empties the table.
+_BORDER_MEMO_CAP = 1024
+
 
 class GraphError(ValueError):
     """Raised when a graph is constructed or queried inconsistently."""
@@ -51,7 +58,7 @@ class KnowledgeGraph:
     2
     """
 
-    __slots__ = ("_adjacency", "_edge_count", "_frozen_nodes")
+    __slots__ = ("_adjacency", "_edge_count", "_frozen_nodes", "_border_memo")
 
     def __init__(
         self,
@@ -76,6 +83,23 @@ class KnowledgeGraph:
         }
         self._edge_count = edge_count
         self._frozen_nodes = frozenset(self._adjacency)
+        #: ``border`` answers of this snapshot, by node set.  Derived state:
+        #: a derived snapshot starts empty, and the table is left out of
+        #: pickles, copies, ``==`` and ``hash``.
+        self._border_memo: dict[frozenset[NodeId], frozenset[NodeId]] = {}
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        # The slot-state pair ``object`` would build, minus the memo.
+        return None, {
+            "_adjacency": self._adjacency,
+            "_edge_count": self._edge_count,
+            "_frozen_nodes": self._frozen_nodes,
+        }
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self._border_memo = {}
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -139,12 +163,29 @@ class KnowledgeGraph:
 
         ``border(S) = {q in Pi \\ S | exists p in S : (p, q) in E}`` — the
         nodes *outside* ``S`` with at least one neighbour *inside* ``S``.
+
+        Computed once per snapshot and node set.  Every caller of an equal
+        set receives the same frozenset, so it is built from the set's
+        canonical layout (members inserted in ``repr`` order, as
+        :class:`~repro.graph.regions.Region` lays out its members): its
+        iteration order — which multicast fan-out makes observable — is
+        that of a fresh computation on a region, whoever asked first.
         """
         node_set = frozenset(nodes)
-        result: set[NodeId] = set()
-        for node in node_set:
-            result.update(self.neighbours(node))
-        return frozenset(result - node_set)
+        memo = self._border_memo
+        border = memo.get(node_set)
+        if border is None:
+            result: set[NodeId] = set()
+            for node in frozenset(sorted(node_set, key=repr)):
+                result.update(self.neighbours(node))
+            border = frozenset(result - node_set)
+            # Plain dict operations, each atomic under the interpreter lock:
+            # racing threads store equal values, and an unknown node raised
+            # above, before anything was stored.
+            if len(memo) >= _BORDER_MEMO_CAP:
+                memo.clear()
+            memo[node_set] = border
+        return border
 
     def closed_neighbourhood(self, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
         """``S ∪ border(S)`` — the locality scope of CD3."""

@@ -15,26 +15,18 @@ The ordering therefore *subsumes set inclusion*: a strict superset always
 outranks its subsets, a fact the progress proof (Theorem 4) relies on.
 
 This module provides the canonical ranking plus two deliberately weaker
-variants used by the ranking ablation experiment (EXP-A2).
+variants used by the ranking ablation experiment (EXP-A2); the variants
+subclass it for ``max_ranked`` and the key they share.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 from typing import Protocol
 
-from .graph import KnowledgeGraph, NodeId
+from .graph import KnowledgeGraph
 from .regions import Region
-
-
-def _lexicographic_key(members: Iterable[NodeId]) -> tuple[str, ...]:
-    """A deterministic, type-agnostic total order on node sets.
-
-    Node identifiers may be ints, strings or any hashable; sorting their
-    ``repr`` strings gives every node set a canonical tuple that compares
-    lexicographically, which is all the paper requires of the tie-break.
-    """
-    return tuple(sorted(repr(node) for node in members))
 
 
 class RegionRanking(Protocol):
@@ -50,18 +42,24 @@ class RegionRanking(Protocol):
         """``lower ≺ higher`` (strictly lower ranked)."""
         ...
 
+    def max_ranked(self, graph: KnowledgeGraph, regions: Iterable[Region]) -> Region:
+        """``maxRankedRegion(C)`` — the highest ranked region of a set."""
+        ...
+
 
 class CanonicalRanking:
-    """The paper's ranking: size, then border size, then lexicographic."""
+    """The paper's ranking: size, then border size, then lexicographic.
+
+    Every part of the key is a read: the border is the snapshot's
+    memoised answer and the lexicographic part was laid out when the
+    region was built.
+    """
 
     name = "canonical"
 
     def key(self, graph: KnowledgeGraph, region: Region) -> tuple:
-        return (
-            len(region),
-            len(region.border(graph)),
-            _lexicographic_key(region.members),
-        )
+        members = region.members
+        return (len(members), len(graph.border(members)), region.lexicographic_key())
 
     def precedes(self, graph: KnowledgeGraph, lower: Region, higher: Region) -> bool:
         if lower == higher:
@@ -69,14 +67,13 @@ class CanonicalRanking:
         return self.key(graph, lower) < self.key(graph, higher)
 
     def max_ranked(self, graph: KnowledgeGraph, regions: Iterable[Region]) -> Region:
-        """``maxRankedRegion(C)`` — the highest ranked region of a set."""
         candidates = list(regions)
         if not candidates:
             raise ValueError("maxRankedRegion of an empty collection")
-        return max(candidates, key=lambda region: self.key(graph, region))
+        return max(candidates, key=partial(self.key, graph))
 
 
-class SizeOnlyRanking:
+class SizeOnlyRanking(CanonicalRanking):
     """Ablation variant: rank by region size only (not a total order).
 
     Ties between distinct, equally sized regions are broken by the
@@ -89,44 +86,27 @@ class SizeOnlyRanking:
     name = "size-only"
 
     def key(self, graph: KnowledgeGraph, region: Region) -> tuple:
-        return (len(region), _lexicographic_key(region.members))
+        return (len(region), region.lexicographic_key())
 
     def precedes(self, graph: KnowledgeGraph, lower: Region, higher: Region) -> bool:
         if lower == higher:
             return False
         return len(lower) < len(higher)
 
-    def max_ranked(self, graph: KnowledgeGraph, regions: Iterable[Region]) -> Region:
-        candidates = list(regions)
-        if not candidates:
-            raise ValueError("maxRankedRegion of an empty collection")
-        return max(candidates, key=lambda region: self.key(graph, region))
 
+class SizeBorderRanking(CanonicalRanking):
+    """Ablation variant: size then border size, no lexicographic tie-break.
 
-class SizeBorderRanking:
-    """Ablation variant: size then border size, no lexicographic tie-break."""
+    ``max`` uses the full canonical key, so it stays deterministic; only
+    ``precedes`` stops at the border size.
+    """
 
     name = "size-border"
-
-    def key(self, graph: KnowledgeGraph, region: Region) -> tuple:
-        return (
-            len(region),
-            len(region.border(graph)),
-            _lexicographic_key(region.members),
-        )
 
     def precedes(self, graph: KnowledgeGraph, lower: Region, higher: Region) -> bool:
         if lower == higher:
             return False
-        lower_key = (len(lower), len(lower.border(graph)))
-        higher_key = (len(higher), len(higher.border(graph)))
-        return lower_key < higher_key
-
-    def max_ranked(self, graph: KnowledgeGraph, regions: Iterable[Region]) -> Region:
-        candidates = list(regions)
-        if not candidates:
-            raise ValueError("maxRankedRegion of an empty collection")
-        return max(candidates, key=lambda region: self.key(graph, region))
+        return self.key(graph, lower)[:2] < self.key(graph, higher)[:2]
 
 
 #: The ranking used everywhere unless an experiment overrides it.
@@ -155,4 +135,4 @@ def max_ranked_region(
     ranking: RegionRanking = DEFAULT_RANKING,
 ) -> Region:
     """Convenience wrapper for ``maxRankedRegion``."""
-    return ranking.max_ranked(graph, regions)  # type: ignore[attr-defined]
+    return ranking.max_ranked(graph, regions)

@@ -53,13 +53,32 @@ class Region:
         # process sharing the hash seed (the partitioned backend's
         # process workers fork, and downstream border computations
         # iterate regions into behaviour-observable orders).
-        object.__setattr__(
-            self, "members", frozenset(sorted(self.members, key=repr))
-        )
+        ordered = tuple(sorted(self.members, key=repr))
+        store = object.__setattr__
+        store(self, "members", frozenset(ordered))
+        # Derived from ``members`` once, here: the repr order, the
+        # lexicographic rank key and the hash are asked for on every
+        # arbitration pass.
+        store(self, "_sorted", ordered)
+        store(self, "_lexicographic", tuple(map(repr, ordered)))
+        # The value the generated dataclass hash had: it fixes the
+        # iteration order of every ``set[Region]``.
+        store(self, "_hash", hash((self.members,)))
 
     def __reduce__(self):
-        # Unpickle through __init__ so the canonical layout is restored.
+        # Unpickle through __init__ so the canonical layout is restored
+        # and the derived state is rebuilt rather than shipped.
         return (type(self), (self.members,))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Region):
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, graph: KnowledgeGraph, nodes: Iterable[NodeId]) -> "Region":
@@ -108,11 +127,20 @@ class Region:
 
     def sorted_members(self) -> tuple[NodeId, ...]:
         """Members sorted by ``repr`` — a stable, type-agnostic order."""
-        return tuple(sorted(self.members, key=repr))
+        return self._sorted
+
+    def lexicographic_key(self) -> tuple[str, ...]:
+        """The ``repr`` of every member, sorted: a total order on node sets.
+
+        Node identifiers may be ints, strings or any hashable; their
+        ``repr`` strings give every node set a canonical tuple that
+        compares lexicographically, which is all the paper requires of
+        the ranking's tie-break (§3.1).
+        """
+        return self._lexicographic
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(node) for node in self.sorted_members())
-        return f"Region({{{inner}}})"
+        return "Region({" + ", ".join(self._lexicographic) + "})"
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import KnowledgeGraph, Region, faulty_clusters, faulty_domains
+from repro.graph import (
+    GraphError,
+    KnowledgeGraph,
+    Region,
+    faulty_clusters,
+    faulty_domains,
+)
+from repro.graph.graph import _BORDER_MEMO_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +82,78 @@ class TestBorderProperties:
         scope = graph.closed_neighbourhood(subset)
         assert subset <= scope
         assert graph.border(subset) <= scope
+
+
+def reference_border(graph: KnowledgeGraph, nodes) -> set:
+    """The paper's definition, computed here: no memo, no shared code."""
+    inside = set(nodes)
+    return {q for p in inside for q in graph.neighbours(p)} - inside
+
+
+class TestBorderMemo:
+    """``border`` answers from a per-snapshot table; the table is invisible."""
+
+    @given(graph_and_subset())
+    @settings(max_examples=80, deadline=None)
+    def test_memoised_answers_equal_reference_for_every_spelling(self, data):
+        graph, subset = data
+        expected = reference_border(graph, subset)
+        spellings = (
+            subset,
+            sorted(subset),
+            set(subset),
+            frozenset(sorted(subset, reverse=True)),
+            iter(sorted(subset)),
+        )
+        for nodes in spellings:  # the first call fills, the rest hit
+            assert graph.border(nodes) == expected
+        for nodes in (subset, sorted(subset), set(subset)):
+            assert graph.closed_neighbourhood(nodes) == expected | subset
+        if subset:
+            assert Region(subset).border(graph) == expected
+
+    @given(graph_and_subset())
+    @settings(max_examples=60, deadline=None)
+    def test_derived_snapshots_start_empty_and_answer_for_their_own_edges(self, data):
+        graph, subset = data
+        graph.border(subset)
+        new = len(graph)
+        derived = [
+            graph.with_node(new, neighbours=sorted(graph.nodes)[:2]),
+            graph.with_edges([(0, new)]),
+            graph.without([0]),
+        ]
+        for snapshot in derived:
+            assert snapshot._border_memo == {}
+            nodes = subset & snapshot.nodes
+            assert snapshot.border(nodes) == reference_border(snapshot, nodes)
+        # The parent still answers for its own edges.
+        assert graph.border(subset) == reference_border(graph, subset)
+
+    @given(graph_and_subset())
+    @settings(max_examples=40, deadline=None)
+    def test_unknown_node_raises_on_every_call(self, data):
+        graph, subset = data
+        nodes = subset | {"nowhere"}
+        for _ in range(3):
+            with pytest.raises(GraphError):
+                graph.border(nodes)
+        assert nodes not in graph._border_memo
+
+    def test_table_never_exceeds_its_cap(self):
+        side = 50  # 49 + 48 + ... intervals of a ring: more than the cap
+        ring = KnowledgeGraph([(i, (i + 1) % side) for i in range(side)])
+        queries = [
+            frozenset(range(start, stop))
+            for start in range(side)
+            for stop in range(start + 1, side)
+        ]
+        assert len(queries) > _BORDER_MEMO_CAP
+        for nodes in queries:
+            assert ring.border(nodes) == reference_border(ring, nodes)
+            assert len(ring._border_memo) <= _BORDER_MEMO_CAP
+        for nodes in queries[::37]:  # after the wholesale clear, same answers
+            assert ring.border(nodes) == reference_border(ring, nodes)
 
 
 class TestComponentProperties:

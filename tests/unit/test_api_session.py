@@ -4,6 +4,8 @@ unified Result protocol."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.api import (
     figure_spec,
     quickstart_spec,
     run_spec,
+    run_spec_json,
     topology_cache_info,
 )
 from repro.churn.runner import ChurnRunResult
@@ -84,6 +87,35 @@ class TestTopologyCache:
         direct = spec.build_uncached()
         assert cached.nodes == direct.nodes
         assert cached.edge_count == direct.edge_count
+
+    def test_threads_sharing_the_cached_graph_reproduce_the_pinned_digest(self):
+        """Service workers share one cached snapshot, hence one border memo:
+        racing fills must store equal values."""
+        spec = quickstart_spec(side=8, seed=0)
+        document = spec.to_json()
+        graph = build_topology(spec.topology)
+        digests: list[str] = []
+        start = threading.Barrier(4)
+
+        def worker():
+            start.wait(timeout=30)
+            digests.append(run_spec_json(document).digest())
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [
+            "41aa48f9a129dce03f7cad063ac435e50abfee4af1ded5e10f2ae6d2c79c2ecb"
+        ] * 4
+        assert build_topology(spec.topology) is graph and graph._border_memo
 
 
 class TestSessionEquivalence:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.graph import GraphError, KnowledgeGraph
@@ -110,6 +113,42 @@ class TestBorder:
     def test_closed_neighbourhood(self, diamond_graph):
         scope = diamond_graph.closed_neighbourhood(["c1"])
         assert scope == frozenset({"c1", "n1", "n2", "c2"})
+
+
+class TestBorderMemoIsInvisible:
+    """The memo is derived state: never pickled, copied, compared or hashed."""
+
+    def test_pickle_and_deepcopy_do_not_change_with_use(self, small_grid):
+        fresh = (pickle.dumps(small_grid), pickle.dumps(copy.deepcopy(small_grid)))
+        small_grid.border([(1, 1), (1, 2)])
+        small_grid.closed_neighbourhood([(0, 0)])
+        assert small_grid._border_memo
+        assert (
+            pickle.dumps(small_grid),
+            pickle.dumps(copy.deepcopy(small_grid)),
+        ) == fresh
+
+    def test_clones_start_empty_and_answer(self, small_grid):
+        expected = small_grid.border([(1, 1)])
+        for clone in (pickle.loads(pickle.dumps(small_grid)), copy.deepcopy(small_grid)):
+            assert clone._border_memo == {}
+            assert clone == small_grid and hash(clone) == hash(small_grid)
+            assert clone.border([(1, 1)]) == expected
+
+    def test_equal_sets_share_one_answer(self, line_graph):
+        first = line_graph.border(["b", "c"])
+        assert line_graph.border(frozenset({"c", "b"})) is first
+        assert line_graph.border(["b"]) is not first
+
+    def test_empty_border_is_remembered_too(self, line_graph):
+        assert line_graph.border(line_graph.nodes) == frozenset()
+        assert line_graph.nodes in line_graph._border_memo
+
+    def test_unknown_node_is_never_remembered(self, line_graph):
+        for _ in range(2):
+            with pytest.raises(GraphError):
+                line_graph.border(["a", "zzz"])
+        assert line_graph._border_memo == {}
 
 
 class TestConnectivity:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.api import build_topology, load_spec
 from repro.graph import (
     DEFAULT_RANKING,
     RANKINGS,
@@ -101,6 +105,28 @@ class TestCanonicalRanking:
         for lower, higher in zip(ordered, ordered[1:]):
             assert ranking.precedes(ranking_graph, lower, higher)
 
+    def test_key_is_a_function_of_the_region_value(self, ranking_graph):
+        ranking = CanonicalRanking()
+        forward = Region(frozenset(["a1", "a2"]))
+        backward = Region(frozenset(["a2", "a1"]))
+        first = ranking.key(ranking_graph, forward)  # fills the border memo
+        assert ranking.key(ranking_graph, backward) == first
+        assert ranking.key(ranking_graph, forward) == first == (2, 3, ("'a1'", "'a2'"))
+
+    def test_key_on_the_golden_scenario_is_pinned(self):
+        """The value the pre-memo implementation returned for the crashed
+        block of ``tests/data/golden_spec.json`` (6x6 torus)."""
+        golden = Path(__file__).resolve().parents[1] / "data" / "golden_spec.json"
+        experiment = json.loads(golden.read_text())["experiment"]
+        graph = build_topology(load_spec(json.dumps(experiment)).topology)
+        block = [tuple(node) for node in experiment["failure"]["params"]["members"]]
+        for members in (block, block[::-1]):
+            assert CanonicalRanking().key(graph, Region(frozenset(members))) == (
+                4,
+                8,
+                ("(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)"),
+            )
+
 
 class TestAblationRankings:
     def test_registry_contains_all_variants(self):
@@ -127,6 +153,13 @@ class TestAblationRankings:
         # identical size and border size -> incomparable under this variant
         assert not ranking.precedes(ranking_graph, first, second)
         assert not ranking.precedes(ranking_graph, second, first)
+
+    def test_size_border_max_uses_the_full_canonical_key(self, ranking_graph):
+        region = Region(frozenset({"a1"}))
+        assert SizeBorderRanking().key(ranking_graph, region) == CanonicalRanking().key(
+            ranking_graph, region
+        )
+        assert SizeOnlyRanking().key(ranking_graph, region) == (1, ("'a1'",))
 
     def test_ablation_max_ranked_is_deterministic(self, ranking_graph):
         regions = [Region(frozenset({"c1"})), Region(frozenset({"c2"}))]

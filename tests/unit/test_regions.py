@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.graph import (
@@ -79,6 +82,50 @@ class TestRegion:
         assert first == second
         assert hash(first) == hash(second)
         assert len({first, second}) == 1
+        assert first == first  # identity fast path
+        assert first != Region(frozenset({"a"}))
+        assert first != frozenset({"a", "b"})
+
+
+class TestRegionWireStability:
+    """Derived state (repr order, rank key, hash) is rebuilt, never shipped."""
+
+    NODES = [(2, 1), (1, 2), (1, 1), (10, 1)]
+
+    def test_hash_keeps_the_generated_dataclass_value(self):
+        # ``hash((members,))``, not ``hash(members)``: the value fixes the
+        # iteration order of every ``set[Region]`` (decided views, received).
+        for nodes in (self.NODES, ["a", "b"], [3]):
+            assert hash(Region(frozenset(nodes))) == hash((frozenset(nodes),))
+
+    def test_derived_state_is_a_function_of_the_value(self):
+        forward = Region(frozenset(self.NODES))
+        backward = Region(frozenset(reversed(self.NODES)))
+        assert forward.sorted_members() == backward.sorted_members() == (
+            (1, 1), (1, 2), (10, 1), (2, 1)
+        )
+        assert forward.lexicographic_key() == backward.lexicographic_key() == (
+            "(1, 1)", "(1, 2)", "(10, 1)", "(2, 1)"
+        )
+        assert repr(forward) == "Region({(1, 1), (1, 2), (10, 1), (2, 1)})"
+        assert list(forward.members) == list(backward.members)
+
+    def test_pickle_and_deepcopy_do_not_change_with_use(self, small_grid):
+        region = Region(frozenset({(1, 1), (1, 2)}))
+        fresh = (pickle.dumps(region), pickle.dumps(copy.deepcopy(region)))
+        region.sorted_members(), region.lexicographic_key(), hash(region), repr(region)
+        region.border(small_grid)
+        assert (pickle.dumps(region), pickle.dumps(copy.deepcopy(region))) == fresh
+        assert fresh[0] == pickle.dumps(Region(frozenset({(1, 2), (1, 1)})))
+
+    def test_round_trip_rebuilds_the_derived_state(self):
+        region = Region(frozenset(self.NODES))
+        for clone in (pickle.loads(pickle.dumps(region)), copy.deepcopy(region)):
+            assert clone == region and clone is not region
+            assert clone.sorted_members() == region.sorted_members()
+            assert clone.lexicographic_key() == region.lexicographic_key()
+            assert hash(clone) == hash(region)
+            assert list(clone.members) == list(region.members)
 
 
 @pytest.fixture
