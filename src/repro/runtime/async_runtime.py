@@ -1,11 +1,16 @@
 """Asyncio runtime.
 
 The discrete-event simulator is the reference substrate (deterministic,
-fast, exhaustively checkable).  This module runs the *same*
-:class:`~repro.sim.process.Process` classes on top of ``asyncio`` with one
-task and one FIFO inbox per node, providing real concurrency: messages are
-delivered in send order per channel but interleaving across nodes is up to
-the event loop, exactly like the paper's asynchronous model.
+fast, exhaustively checkable).  :class:`AsyncRuntime` is the
+:class:`~repro.sim.substrate.Substrate` adapter over an asyncio event
+loop: the kernel owns the processes, failure detection and the
+membership control plane; this module adds one task and one FIFO inbox
+per node, the scaled clock, and the zero-latency message path.  Messages
+are delivered in send order per channel but interleaving across nodes is
+up to the event loop, exactly like the paper's asynchronous model.  The
+loop may be the stock wall-clock one or
+:class:`~repro.vtime.loop.VirtualClockEventLoop`; nothing here knows
+which.
 
 It exists for two reasons:
 
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -31,12 +36,9 @@ from ..graph import KnowledgeGraph, NodeId
 from ..sim.events import EventKind
 from ..sim.failure_detector import FailureDetectorPolicy
 from ..sim.faults import FaultModel
-from ..sim.process import MembershipChange, Process, resolve_attachment
+from ..sim.process import Process
+from ..sim.substrate import SimulationError, Substrate
 from ..trace import RunMetrics, TraceRecorder, collect_metrics
-
-
-class RuntimeError_(RuntimeError):
-    """Raised on asyncio-runtime misuse."""
 
 
 @dataclass
@@ -60,55 +62,7 @@ class AsyncRunResult:
         return frozenset(decision.node for decision in self.decisions)
 
 
-class _Inbox:
-    """One node's FIFO inbox."""
-
-    def __init__(self) -> None:
-        self.queue: asyncio.Queue = asyncio.Queue()
-
-
-class _AsyncContext:
-    """ProcessContext implementation backed by the asyncio runtime."""
-
-    __slots__ = ("_runtime", "node_id")
-
-    def __init__(self, runtime: "AsyncRuntime", node_id: NodeId) -> None:
-        self._runtime = runtime
-        self.node_id = node_id
-
-    @property
-    def graph(self) -> KnowledgeGraph:
-        return self._runtime.graph
-
-    def now(self) -> float:
-        return self._runtime.now()
-
-    def send(self, target: NodeId, message: Any) -> None:
-        self._runtime._send(self.node_id, target, message)
-
-    def multicast(self, targets: Iterable[NodeId], message: Any) -> None:
-        for target in targets:
-            self._runtime._send(self.node_id, target, message)
-
-    def monitor_crash(self, targets: Iterable[NodeId]) -> None:
-        self._runtime._monitor(self.node_id, targets)
-
-    def set_timer(self, delay: float, tag: Any = None) -> None:
-        self._runtime._set_timer(self.node_id, delay, tag)
-
-    def record(
-        self,
-        kind: EventKind,
-        payload: Any = None,
-        peer: NodeId | None = None,
-        **detail: Any,
-    ) -> None:
-        self._runtime.trace.emit(
-            self._runtime.now(), kind, node=self.node_id, peer=peer, payload=payload, **detail
-        )
-
-
-class AsyncRuntime:
+class AsyncRuntime(Substrate):
     """Runs processes over asyncio tasks and queues.
 
     Parameters
@@ -146,58 +100,19 @@ class AsyncRuntime:
         failure_detector: Optional[FailureDetectorPolicy] = None,
         faults: Optional[FaultModel] = None,
     ) -> None:
-        self.graph = graph
+        super().__init__(graph, failure_detector, seed=seed, faults=faults)
         self.detection_delay = detection_delay
-        self.failure_detector = failure_detector
-        self.faults = faults
         self.time_scale = time_scale
-        self.trace = TraceRecorder()
-        self._processes: dict[NodeId, Process] = {}
-        self._contexts: dict[NodeId, _AsyncContext] = {}
-        self._inboxes: dict[NodeId, _Inbox] = {}
+        self._inboxes: dict[NodeId, asyncio.Queue] = {}
         self._tasks: dict[NodeId, asyncio.Task] = {}
-        self._crashed: set[NodeId] = set()
-        self._subscriptions: dict[NodeId, set[NodeId]] = {}
-        self._notified: set[tuple[NodeId, NodeId]] = set()
         self._pending_callbacks = 0
         self._activity = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._start_time = 0.0
-        # --- dynamic-membership state (mirrors the simulator) -------------
-        self._base_graph = graph
-        self._rng = random.Random(seed)
         #: Dedicated stream for detector-policy jitter, so attachment
-        #: resolution and detection delays never perturb each other.
+        #: resolution (the kernel's ``_rng``) and detection delays never
+        #: perturb each other.
         self._detector_rng = random.Random(seed)
-        # Fault decisions never touch self._rng either: they come from
-        # per-message keyed RNGs (repro.sim.faults.message_rng), and the
-        # per-channel send counters below supply the message-identity
-        # half of the key — exactly as in the simulator, so the fault
-        # pattern agrees across substrates.
-        self._fault_seed = seed
-        self._fault_seq: dict[tuple[NodeId, NodeId], int] = {}
-        self._incarnation: dict[NodeId, int] = {}
-        self._departed: set[NodeId] = set()
-        self._epoch = 0
-        self._process_factory: Optional[Callable[[NodeId], Process]] = None
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-    def add_process(self, node_id: NodeId, process: Process) -> None:
-        if node_id not in self.graph:
-            raise RuntimeError_(f"node {node_id!r} is not in the graph")
-        self._processes[node_id] = process
-        self._contexts[node_id] = _AsyncContext(self, node_id)
-
-    def populate(self, factory: Callable[[NodeId], Process]) -> None:
-        self._process_factory = factory
-        for node in self.graph.nodes:
-            if node not in self._processes:
-                self.add_process(node, factory(node))
-
-    def process(self, node_id: NodeId) -> Process:
-        return self._processes[node_id]
 
     # ------------------------------------------------------------------
     # Execution
@@ -206,6 +121,8 @@ class AsyncRuntime:
         if self._loop is None:
             return 0.0
         return self._loop.time() - self._start_time
+
+    _now = now
 
     async def run(
         self,
@@ -227,87 +144,95 @@ class AsyncRuntime:
             membership.validate(self.graph, schedule)
         missing = self.graph.nodes - self._processes.keys()
         if missing:
-            raise RuntimeError_(
+            raise SimulationError(
                 f"{len(missing)} graph nodes have no process installed"
             )
         self._loop = asyncio.get_running_loop()
         self._start_time = self._loop.time()
 
-        for node in sorted(self._processes, key=repr):
-            self._inboxes[node] = _Inbox()
-        for node in sorted(self._processes, key=repr):
-            self._tasks[node] = asyncio.create_task(self._node_loop(node))
-        for node in sorted(self._processes, key=repr):
-            self.trace.emit(self.now(), EventKind.NODE_STARTED, node=node)
-            self._processes[node].on_start(self._contexts[node])
+        nodes = sorted(self._processes, key=repr)
+        for node in nodes:
+            self._wire(node)
+        crash_task: Optional[asyncio.Task] = None
+        try:
+            for node in nodes:
+                self.trace.emit(self.now(), EventKind.NODE_STARTED, node=node)
+                self._processes[node].on_start(self._contexts[node])
+            crash_task = asyncio.create_task(self._apply_schedule(schedule, membership))
+            quiescent = await self._wait_for_quiescence(crash_task, timeout, settle_time)
+            if crash_task.done() and not crash_task.cancelled():
+                schedule_error = crash_task.exception()
+                if schedule_error is not None:
+                    # A crash/membership event failed to apply (bad
+                    # attachment, impossible recovery, ...).  Swallowing it
+                    # would report a quiescent-looking run that silently
+                    # truncated the scenario; surface it like the
+                    # simulator does.
+                    raise schedule_error
+        finally:
+            # However the run ends — a handler raising in on_start
+            # included — no node task outlives it.
+            tasks = [crash_task] if crash_task is not None else []
+            tasks.extend(self._tasks.values())
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
 
-        crash_task = asyncio.create_task(self._apply_schedule(schedule, membership))
-        quiescent = await self._wait_for_quiescence(crash_task, timeout, settle_time)
-
-        schedule_error = (
-            crash_task.exception()
-            if crash_task.done() and not crash_task.cancelled()
-            else None
-        )
-        crash_task.cancel()
-        for task in self._tasks.values():
-            task.cancel()
-        await asyncio.gather(*self._tasks.values(), crash_task, return_exceptions=True)
-        if schedule_error is not None:
-            # A crash/membership event failed to apply (bad attachment,
-            # impossible recovery, ...).  Swallowing it would report a
-            # quiescent-looking run that silently truncated the scenario;
-            # surface it like the simulator does.
-            raise schedule_error
-
-        metrics = collect_metrics(self.trace)
         return AsyncRunResult(
             graph=self.graph,
             schedule=schedule,
             trace=self.trace,
-            metrics=metrics,
+            metrics=collect_metrics(self.trace),
             decisions=extract_decisions(self.trace),
             quiescent=quiescent,
         )
 
     # ------------------------------------------------------------------
-    # Internal plumbing
+    # The seam
+    # ------------------------------------------------------------------
+    def _defer(self, delay: float, callback: Callable[[], None], fanout: Any = None) -> None:
+        self._pending_callbacks += 1
+        self._loop.call_later(delay, self._fire, callback)
+
+    def _fire(self, callback: Callable[[], None]) -> None:
+        self._pending_callbacks -= 1
+        callback()
+
+    def _dispatch(self, node: NodeId, kind: str, payload: Any) -> None:
+        self._inboxes[node].put_nowait((kind, payload))
+
+    def _detector_delay(self, observer: NodeId, subject: NodeId) -> float:
+        if self.failure_detector is None:
+            return self.detection_delay
+        return self.failure_detector.delay(observer, subject, self._detector_rng) * self.time_scale
+
+    def _wire(self, node: NodeId) -> None:
+        old_task = self._tasks.get(node)
+        if old_task is not None:
+            old_task.cancel()
+        self._inboxes[node] = asyncio.Queue()
+        self._tasks[node] = asyncio.create_task(self._node_loop(node))
+
+    def _notifiable(self, subscriber: NodeId, kind: EventKind) -> bool:
+        # A crash here has always scheduled (guard-dropped) notifications
+        # for stopped subscribers too.  Each is one call_later, and the
+        # perf ledger pins vtime_churn256's ``vtime.loop.callbacks`` at
+        # exactly 15 168 — 8 of them these — so the kernel's skip applies
+        # to leaves only.  Nothing is drawn for them when no jittered
+        # policy is set, and no digest moves either way.
+        return kind is EventKind.NODE_CRASHED or super()._notifiable(subscriber, kind)
+
+    # ------------------------------------------------------------------
+    # Node tasks and the schedule
     # ------------------------------------------------------------------
     async def _node_loop(self, node: NodeId) -> None:
         inbox = self._inboxes[node]
-        context = self._contexts[node]
-        process = self._processes[node]
         while True:
-            kind, payload = await inbox.queue.get()
+            kind, payload = await inbox.get()
             self._activity += 1
             if node in self._crashed or node in self._departed:
                 continue
-            if kind == "message":
-                sender, message = payload
-                self.trace.emit(
-                    self.now(),
-                    EventKind.MESSAGE_DELIVERED,
-                    node=node,
-                    peer=sender,
-                    payload=message,
-                )
-                process.on_message(context, sender, message)
-            elif kind == "crash":
-                self.trace.emit(
-                    self.now(), EventKind.CRASH_NOTIFIED, node=node, peer=payload
-                )
-                process.on_crash(context, payload)
-            elif kind == "timer":
-                process.on_timer(context, payload)
-            elif kind == "membership":
-                self.trace.emit(
-                    self.now(),
-                    EventKind.MEMBERSHIP_NOTIFIED,
-                    node=node,
-                    peer=payload.node,
-                    payload=payload.kind,
-                )
-                process.on_membership(context, payload)
+            self._handle(node, kind, payload)
 
     async def _apply_schedule(
         self, schedule: CrashSchedule, membership: Any = None
@@ -337,78 +262,48 @@ class AsyncRuntime:
             elif kind == "leave":
                 self._leave(node)
 
-    def _crash(self, node: NodeId) -> None:
-        if node in self._crashed or node in self._departed:
-            return
-        self._crashed.add(node)
-        self.trace.emit(self.now(), EventKind.NODE_CRASHED, node=node)
-        for subscriber in sorted(self._subscriptions.get(node, ()), key=repr):
-            self._schedule_notification(subscriber, node)
-
+    # ------------------------------------------------------------------
+    # The message path (zero latency: straight into the target's inbox)
+    # ------------------------------------------------------------------
     def _send(self, source: NodeId, target: NodeId, message: Any) -> None:
         if source in self._crashed or source in self._departed:
             return
         if target not in self._inboxes:
-            raise RuntimeError_(f"message addressed to unknown node {target!r}")
+            raise SimulationError(f"message addressed to unknown node {target!r}")
+        now = self.now()
         self.trace.emit(
-            self.now(), EventKind.MESSAGE_SENT, node=source, peer=target, payload=message
+            now, EventKind.MESSAGE_SENT, node=source, peer=target, payload=message
         )
         # Fault layer first: in the simulator the fault decision happens
         # at the send site (a lost message never reaches the delivery
         # drop-check), and the per-channel counter advances for *every*
         # send, so the decision stream lines up across substrates.
         offsets: tuple[float, ...] = (0.0,)
-        faults = self.faults
-        if faults is not None:
-            channel = (source, target)
-            sequence = self._fault_seq.get(channel, 0)
-            self._fault_seq[channel] = sequence + 1
-            offsets = faults.deliveries(source, target, sequence, self._fault_seed)
+        if self.faults is not None:
+            offsets = self._fault_offsets(source, target, message, now)
             if not offsets:
-                self.trace.emit(
-                    self.now(),
-                    EventKind.MESSAGE_LOST,
-                    node=source,
-                    peer=target,
-                    payload=message,
-                )
                 return
         if target in self._crashed or target in self._departed:
             self.trace.emit(
-                self.now(),
-                EventKind.MESSAGE_DROPPED,
-                node=target,
-                peer=source,
-                payload=message,
+                now, EventKind.MESSAGE_DROPPED, node=target, peer=source, payload=message
             )
             return
         if len(offsets) > 1:
-            self.trace.emit(
-                self.now(),
-                EventKind.MESSAGE_DUPLICATED,
-                node=source,
-                peer=target,
-                payload=message,
-                copies=len(offsets),
-            )
+            self._record_duplication(source, target, message, now, len(offsets))
         inbox = self._inboxes[target]
         for offset in offsets:
             if offset <= 0.0:
-                inbox.queue.put_nowait(("message", (source, message)))
+                inbox.put_nowait(("message", (source, message)))
             else:
-                # Reorder delay: offset is in simulated-time units, like
-                # the crash schedule, so scale it to loop seconds.
                 self._enqueue_later(offset * self.time_scale, source, target, message)
 
     def _enqueue_later(
         self, delay: float, source: NodeId, target: NodeId, message: Any
     ) -> None:
         """Deliver one fault-delayed copy after ``delay`` loop seconds."""
-        self._pending_callbacks += 1
         incarnation = self._inc(target)
 
         def deliver() -> None:
-            self._pending_callbacks -= 1
             if target in self._crashed or target in self._departed:
                 self.trace.emit(
                     self.now(),
@@ -417,216 +312,19 @@ class AsyncRuntime:
                     peer=source,
                     payload=message,
                 )
-                return
-            if self._inc(target) != incarnation or target not in self._inboxes:
-                return
-            self._inboxes[target].queue.put_nowait(("message", (source, message)))
+            elif self._inc(target) == incarnation:
+                self._inboxes[target].put_nowait(("message", (source, message)))
 
-        assert self._loop is not None
-        self._loop.call_later(delay, deliver)
-
-    def _monitor(self, subscriber: NodeId, targets: Iterable[NodeId]) -> None:
-        target_list = list(targets)
-        if not target_list:
-            return
-        self.trace.emit(
-            self.now(),
-            EventKind.CRASH_MONITORED,
-            node=subscriber,
-            payload=tuple(sorted(map(repr, target_list))),
-        )
-        for target in target_list:
-            self._subscriptions.setdefault(target, set()).add(subscriber)
-            if target in self._crashed or target in self._departed:
-                self._schedule_notification(subscriber, target)
-
-    def _inc(self, node: NodeId) -> int:
-        return self._incarnation.get(node, 0)
-
-    def _schedule_notification(self, subscriber: NodeId, crashed: NodeId) -> None:
-        key = (subscriber, crashed)
-        if key in self._notified:
-            return
-        self._notified.add(key)
-        self._pending_callbacks += 1
-        subscriber_incarnation = self._inc(subscriber)
-
-        def deliver() -> None:
-            self._pending_callbacks -= 1
-            if subscriber in self._crashed or subscriber in self._departed:
-                return
-            if self._inc(subscriber) != subscriber_incarnation:
-                return
-            if crashed not in self._crashed and crashed not in self._departed:
-                # Recovered before the notification fired.
-                return
-            self._inboxes[subscriber].queue.put_nowait(("crash", crashed))
-
-        assert self._loop is not None
-        if self.failure_detector is not None:
-            delay = (
-                self.failure_detector.delay(subscriber, crashed, self._detector_rng)
-                * self.time_scale
-            )
-        else:
-            delay = self.detection_delay
-        self._loop.call_later(delay, deliver)
-
-    def _set_timer(self, node: NodeId, delay: float, tag: Any) -> None:
-        self._pending_callbacks += 1
-        incarnation = self._inc(node)
-
-        def fire() -> None:
-            self._pending_callbacks -= 1
-            if node in self._crashed or node in self._departed:
-                return
-            if self._inc(node) != incarnation:
-                return
-            self._inboxes[node].queue.put_nowait(("timer", tag))
-
-        assert self._loop is not None
-        self._loop.call_later(delay * self.time_scale, fire)
-
-    # ------------------------------------------------------------------
-    # Membership mechanics (churn) — mirrors Simulator
-    # ------------------------------------------------------------------
-    def _resolve_attachment(self, node: NodeId, attachment: Any) -> frozenset[NodeId]:
-        return resolve_attachment(
-            node,
-            attachment,
-            current=self.graph,
-            base=self._base_graph,
-            crashed=frozenset(self._crashed | self._departed),
-            rng=self._rng,
-            error_cls=RuntimeError_,
-        )
-
-    def _spawn_node(self, node: NodeId) -> Process:
-        if self._process_factory is None:
-            raise RuntimeError_(
-                "no process factory installed; call populate() before "
-                "running membership events"
-            )
-        old_task = self._tasks.get(node)
-        if old_task is not None:
-            old_task.cancel()
-        process = self._process_factory(node)
-        seed_incarnation = getattr(process, "set_incarnation", None)
-        if callable(seed_incarnation):
-            # Same contract as the simulator: a reincarnated process
-            # mints instance generations above its previous life's.
-            seed_incarnation(self._inc(node))
-        self._processes[node] = process
-        self._contexts[node] = _AsyncContext(self, node)
-        self._inboxes[node] = _Inbox()
-        self._tasks[node] = asyncio.create_task(self._node_loop(node))
-        return process
-
-    def _join(self, node: NodeId, attachment: Any) -> None:
-        if node in self.graph:
-            raise RuntimeError_(f"joining node {node!r} is already in the graph")
-        neighbours = self._resolve_attachment(node, attachment)
-        if not neighbours:
-            raise RuntimeError_(f"joining node {node!r} attaches to nothing")
-        self.graph = self.graph.with_node(node, neighbours)
-        self._epoch += 1
-        self._incarnation[node] = self._inc(node) + 1
-        self.trace.emit(
-            self.now(),
-            EventKind.NODE_JOINED,
-            node=node,
-            payload=tuple(sorted(neighbours, key=repr)),
-            epoch=self._epoch,
-        )
-        process = self._spawn_node(node)
-        self.trace.emit(self.now(), EventKind.NODE_STARTED, node=node)
-        process.on_start(self._contexts[node])
-        self._announce(MembershipChange("join", node, neighbours, incarnation=self._inc(node)))
-
-    def _recover(self, node: NodeId, attachment: Any) -> None:
-        if node not in self.graph:
-            raise RuntimeError_(f"cannot recover unknown node {node!r}")
-        if node not in self._crashed:
-            raise RuntimeError_(f"cannot recover live node {node!r}")
-        neighbours = self._resolve_attachment(node, attachment)
-        if not neighbours:
-            raise RuntimeError_(f"recovering node {node!r} attaches to nothing")
-        if neighbours != self.graph.neighbours(node):
-            self.graph = self.graph.without([node]).with_node(node, neighbours)
-        self._crashed.discard(node)
-        self._epoch += 1
-        self._incarnation[node] = self._inc(node) + 1
-        self._notified = {
-            (subscriber, crashed)
-            for subscriber, crashed in self._notified
-            if crashed != node and subscriber != node
-        }
-        old_watchers = frozenset(self._subscriptions.pop(node, set()))
-        for subscribers in self._subscriptions.values():
-            subscribers.discard(node)
-        self.trace.emit(
-            self.now(),
-            EventKind.NODE_RECOVERED,
-            node=node,
-            payload=tuple(sorted(neighbours, key=repr)),
-            epoch=self._epoch,
-        )
-        process = self._spawn_node(node)
-        self.trace.emit(self.now(), EventKind.NODE_STARTED, node=node)
-        process.on_start(self._contexts[node])
-        self._announce(
-            MembershipChange("recover", node, neighbours, incarnation=self._inc(node)),
-            extra=old_watchers,
-        )
-
-    def _leave(self, node: NodeId) -> None:
-        # Announced fail-stop: same semantics as the simulator's _leave.
-        if node not in self.graph:
-            raise RuntimeError_(f"cannot remove unknown node {node!r}")
-        if node in self._crashed or node in self._departed:
-            return
-        self._departed.add(node)
-        self.trace.emit(self.now(), EventKind.NODE_LEFT, node=node)
-        for subscriber in sorted(self._subscriptions.get(node, ()), key=repr):
-            if subscriber not in self._crashed and subscriber not in self._departed:
-                self._schedule_notification(subscriber, node)
-
-    def _announce(
-        self, change: MembershipChange, extra: frozenset[NodeId] = frozenset()
-    ) -> None:
-        targets = set(self._subscriptions.get(change.node, set())) | set(extra)
-        if change.node in self.graph:
-            targets |= self.graph.neighbours(change.node)
-        for target in sorted(targets, key=repr):
-            if (
-                target == change.node
-                or target in self._crashed
-                or target in self._departed
-            ):
-                continue
-            self._pending_callbacks += 1
-            incarnation = self._inc(target)
-
-            def deliver(t: NodeId = target, i: int = incarnation) -> None:
-                self._pending_callbacks -= 1
-                if t in self._crashed or t in self._departed:
-                    return
-                if self._inc(t) != i or t not in self._inboxes:
-                    return
-                self._inboxes[t].queue.put_nowait(("membership", change))
-
-            assert self._loop is not None
-            self._loop.call_later(self.detection_delay, deliver)
+        self._defer(delay, deliver)
 
     async def _wait_for_quiescence(
         self, crash_task: asyncio.Task, timeout: float, settle_time: float
     ) -> bool:
-        assert self._loop is not None
         deadline = self._loop.time() + timeout
         last_activity = -1
         while self._loop.time() < deadline:
             await asyncio.sleep(settle_time)
-            inboxes_empty = all(inbox.queue.empty() for inbox in self._inboxes.values())
+            inboxes_empty = all(inbox.empty() for inbox in self._inboxes.values())
             idle = (
                 crash_task.done()
                 and inboxes_empty

@@ -1,5 +1,9 @@
 """Deterministic discrete-event simulation substrate.
 
+:mod:`~repro.sim.substrate` is the kernel every execution substrate
+shares (processes, failure detection, membership, the fault decision);
+:mod:`~repro.sim.network` is the simulator adapter over it.
+
 Determinism invariants (what every module in this package preserves):
 
 * a run is a pure function of ``(topology, processes, schedules, latency

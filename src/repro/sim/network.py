@@ -1,10 +1,11 @@
 """The deterministic discrete-event simulator.
 
-:class:`Simulator` ties together the knowledge graph, the per-node
-processes, reliable FIFO channels with a pluggable latency model, a crash
-schedule, and a perfect failure detector.  Every observable action is
-recorded into a :class:`~repro.trace.recorder.TraceRecorder` so that
-property checkers and metrics can be computed after the run.
+:class:`Simulator` is the :class:`~repro.sim.substrate.Substrate` adapter
+over an :class:`~repro.sim.scheduler.EventScheduler`: the kernel owns the
+processes, the perfect failure detector and the membership control
+plane; this module adds the simulated clock, the public ``schedule_*`` /
+``start`` / ``run`` surface, and the message path — reliable FIFO
+channels with a pluggable latency model.
 
 Model guarantees (matching §2.2 of the paper):
 
@@ -19,7 +20,6 @@ Model guarantees (matching §2.2 of the paper):
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable, Iterable
 from typing import Any, Optional
 
@@ -29,8 +29,9 @@ from .events import EventKind
 from .failure_detector import FailureDetectorPolicy, PerfectFailureDetector
 from .faults import FaultModel
 from .latency import ConstantLatency, LatencyModel
-from .process import MembershipChange, Process, ProcessContext, resolve_attachment
+from .process import Process
 from .scheduler import EventScheduler
+from .substrate import SimulationError, Substrate
 
 #: Minimal spacing between two deliveries on the same FIFO channel; keeps
 #: delivery order equal to send order even under jittered latencies.
@@ -41,53 +42,7 @@ _FIFO_EPSILON = 1e-9
 DEFAULT_MAX_EVENTS = 5_000_000
 
 
-class SimulationError(RuntimeError):
-    """Raised on simulator misuse (unknown nodes, missing processes, ...)."""
-
-
-class _SimContext:
-    """The :class:`ProcessContext` handed to processes by the simulator."""
-
-    __slots__ = ("_sim", "node_id")
-
-    def __init__(self, sim: "Simulator", node_id: NodeId) -> None:
-        self._sim = sim
-        self.node_id = node_id
-
-    @property
-    def graph(self) -> KnowledgeGraph:
-        return self._sim.graph
-
-    def now(self) -> float:
-        return self._sim.now
-
-    def send(self, target: NodeId, message: Any) -> None:
-        self._sim._send(self.node_id, target, message)
-
-    def multicast(self, targets: Iterable[NodeId], message: Any) -> None:
-        # The paper's best-effort multicast: a plain loop of sends.
-        for target in targets:
-            self._sim._send(self.node_id, target, message)
-
-    def monitor_crash(self, targets: Iterable[NodeId]) -> None:
-        self._sim._monitor(self.node_id, targets)
-
-    def set_timer(self, delay: float, tag: Any = None) -> None:
-        self._sim._set_timer(self.node_id, delay, tag)
-
-    def record(
-        self,
-        kind: EventKind,
-        payload: Any = None,
-        peer: NodeId | None = None,
-        **detail: Any,
-    ) -> None:
-        self._sim.trace.emit(
-            self._sim.now, kind, node=self.node_id, peer=peer, payload=payload, **detail
-        )
-
-
-class Simulator:
+class Simulator(Substrate):
     """Discrete-event execution of processes on a knowledge graph.
 
     Parameters
@@ -113,31 +68,8 @@ class Simulator:
         FIFO channels and the exact fault-free event stream.
     """
 
-    __slots__ = (
-        "graph",
-        "latency",
-        "failure_detector",
-        "faults",
-        "trace",
-        "_rng",
-        "_fault_seed",
-        "_fault_seq",
-        "_scheduler",
-        "_processes",
-        "_contexts",
-        "_crashed",
-        "_crash_times",
-        "_subscriptions",
-        "_notification_scheduled",
-        "_channel_clock",
-        "_started",
-        "_base_graph",
-        "_incarnation",
-        "_departed",
-        "_pending_joins",
-        "_epoch",
-        "_process_factory",
-    )
+    # Substrate declares the kernel's slots; these are the adapter's own.
+    __slots__ = ("latency", "_scheduler", "_channel_clock", "_started", "_pending_joins")
 
     def __init__(
         self,
@@ -149,76 +81,33 @@ class Simulator:
         scheduler: EventScheduler | None = None,
         faults: FaultModel | None = None,
     ) -> None:
-        self.graph = graph
-        self.latency = latency if latency is not None else ConstantLatency(1.0)
-        self.failure_detector = (
-            failure_detector if failure_detector is not None else PerfectFailureDetector(1.0)
+        super().__init__(
+            graph,
+            failure_detector if failure_detector is not None else PerfectFailureDetector(1.0),
+            seed=seed,
+            trace=trace,
+            faults=faults,
         )
-        self.faults = faults
-        self.trace = trace if trace is not None else TraceRecorder()
-        self._rng = random.Random(seed)
-        # Fault decisions never touch self._rng: they come from dedicated
-        # per-message keyed RNGs (repro.sim.faults.message_rng) so the
-        # shared latency/detector stream stays in lockstep with fault-free
-        # and partitioned runs.  The per-channel send counters below are
-        # the message-identity half of that key.
-        self._fault_seed = seed
-        self._fault_seq: dict[tuple[NodeId, NodeId], int] = {}
+        self.latency = latency if latency is not None else ConstantLatency(1.0)
         self._scheduler = scheduler if scheduler is not None else EventScheduler()
-        self._processes: dict[NodeId, Process] = {}
-        self._contexts: dict[NodeId, _SimContext] = {}
-        self._crashed: set[NodeId] = set()
-        self._crash_times: dict[NodeId, float] = {}
-        self._subscriptions: dict[NodeId, set[NodeId]] = {}
-        self._notification_scheduled: set[tuple[NodeId, NodeId]] = set()
         self._channel_clock: dict[tuple[NodeId, NodeId], float] = {}
         self._started = False
-        # --- dynamic-membership state (repro.churn) -----------------------
-        #: The topology before any membership event (attachment policies
-        #: consult it, e.g. to restore a recovering node's old edges).
-        self._base_graph = graph
-        #: Per-node incarnation counter; bumped on join/recover so stale
-        #: deliveries, timers and notifications aimed at a previous life of
-        #: the node can be recognised and dropped.
-        self._incarnation: dict[NodeId, int] = {}
-        #: Nodes that left gracefully (messages to them are dropped).
-        self._departed: set[NodeId] = set()
-        #: Nodes with a scheduled join (crashes may be scheduled for them).
+        #: Nodes a join was scheduled for (crashes, recoveries and leaves
+        #: may be scheduled for them before they exist).
         self._pending_joins: set[NodeId] = set()
-        #: Membership epoch counter (0 = the initial static epoch).
-        self._epoch = 0
-        self._process_factory: Optional[Callable[[NodeId], Process]] = None
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
     def add_process(self, node_id: NodeId, process: Process) -> None:
-        """Install the behaviour of one node."""
-        if node_id not in self.graph:
-            raise SimulationError(f"node {node_id!r} is not in the graph")
+        """Install the behaviour of one node (before :meth:`start`)."""
         if self._started:
             raise SimulationError("cannot add processes after start()")
-        self._processes[node_id] = process
-        self._contexts[node_id] = _SimContext(self, node_id)
+        super().add_process(node_id, process)
 
-    def populate(self, factory: Callable[[NodeId], Process]) -> None:
-        """Install ``factory(node)`` on every graph node lacking a process.
-
-        The factory is kept so that nodes joining or recovering later (see
-        :meth:`schedule_join` / :meth:`schedule_recover`) can be given a
-        fresh process of the same kind.
-        """
-        self._process_factory = factory
-        for node in self.graph.nodes:
-            if node not in self._processes:
-                self.add_process(node, factory(node))
-
-    def process(self, node_id: NodeId) -> Process:
-        """The process installed at ``node_id`` (for inspection in tests)."""
-        try:
-            return self._processes[node_id]
-        except KeyError:
-            raise SimulationError(f"no process installed at {node_id!r}") from None
+    # The perf ledger wraps vars(Simulator)["populate"] (and ["run"]), so
+    # both must stay defined on this class, not only on the kernel.
+    populate = Substrate.populate
 
     def schedule_crash(self, node: NodeId, time: float) -> None:
         """Crash ``node`` at absolute simulated time ``time``."""
@@ -274,37 +163,10 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
+    def _now(self) -> float:
         return self._scheduler.now
 
-    @property
-    def crashed_nodes(self) -> frozenset[NodeId]:
-        """Nodes that have crashed so far."""
-        return frozenset(self._crashed)
-
-    @property
-    def departed_nodes(self) -> frozenset[NodeId]:
-        """Nodes that left gracefully so far."""
-        return frozenset(self._departed)
-
-    @property
-    def membership_epoch(self) -> int:
-        """Number of membership events applied so far (0 = static run)."""
-        return self._epoch
-
-    @property
-    def base_graph(self) -> KnowledgeGraph:
-        """The topology before any membership event."""
-        return self._base_graph
-
-    def is_crashed(self, node: NodeId) -> bool:
-        return node in self._crashed
-
-    def crash_time(self, node: NodeId) -> Optional[float]:
-        """When ``node`` crashed, or ``None`` if it has not."""
-        return self._crash_times.get(node)
+    now = property(_now, doc="Current simulated time.")
 
     def start(self) -> None:
         """Deliver the ``init`` event to every process at time 0."""
@@ -345,33 +207,33 @@ class Simulator:
         return self._scheduler.processed_events
 
     # ------------------------------------------------------------------
-    # Internal mechanics
+    # The seam
     # ------------------------------------------------------------------
-    # Every internal scheduling action funnels through these two hooks
-    # (message deliveries through :meth:`_schedule_delivery`) so that
-    # :class:`repro.sim.partition.PartitionSimulator`
-    # can stamp each event with a genealogical order key.  ``fanout``
-    # identifies replicated fan-out sites (crash notifications, membership
-    # announcements) whose sequential tie order is "sorted by target
-    # repr"; the base simulator ignores it.
+    # Every scheduling action funnels through _schedule_event_at / _defer
+    # (message deliveries through _schedule_delivery) so that
+    # :class:`repro.sim.partition.PartitionSimulator` can stamp each event
+    # with a genealogical order key.  ``fanout`` identifies replicated
+    # fan-out sites (crash notifications, membership announcements) whose
+    # sequential tie order is "sorted by target repr"; the sequential
+    # simulator ignores it.
     def _schedule_event_at(
         self, time: float, callback: Callable[[], None], fanout: Any = None
     ) -> None:
         self._scheduler.schedule_at(time, callback)
 
-    def _schedule_event_after(
-        self, delay: float, callback: Callable[[], None], fanout: Any = None
-    ) -> None:
+    def _defer(self, delay: float, callback: Callable[[], None], fanout: Any = None) -> None:
         self._scheduler.schedule(delay, callback)
 
-    def _delivers_to(self, node: NodeId) -> bool:
-        """Whether this simulator runs the handlers of ``node`` (always,
-        for the sequential simulator; an ownership test for partitions)."""
-        return True
+    #: A guarded item runs its handler inline, inside the firing event.
+    _dispatch = Substrate._handle
 
-    def _inc(self, node: NodeId) -> int:
-        return self._incarnation.get(node, 0)
+    def _detector_delay(self, observer: NodeId, subject: NodeId) -> float:
+        # Latency, detector jitter and attachment share the one stream.
+        return self.failure_detector.delay(observer, subject, self._rng)
 
+    # ------------------------------------------------------------------
+    # The message path
+    # ------------------------------------------------------------------
     def _send(self, source: NodeId, target: NodeId, message: Any) -> None:
         # Hot path: every local/bound name below is touched once per
         # protocol message, so attribute lookups are hoisted to locals.
@@ -400,8 +262,7 @@ class Simulator:
             delivery_time = earliest
         channel_clock[channel] = delivery_time
         target_incarnation = self._incarnation.get(target, 0)
-        faults = self.faults
-        if faults is None:
+        if self.faults is None:
             self._schedule_delivery(
                 delivery_time, source, target, message, target_incarnation
             )
@@ -409,26 +270,10 @@ class Simulator:
         # Fault layer: the base delivery above (latency sample, FIFO clamp,
         # channel-clock advance) is computed identically with faults on or
         # off, so the fault-free path stays byte-stable and a dropped
-        # message still consumes its FIFO slot.  The decision is keyed by
-        # the channel's send counter — pure message identity.
-        fault_seq = self._fault_seq
-        sequence = fault_seq.get(channel, 0)
-        fault_seq[channel] = sequence + 1
-        offsets = faults.deliveries(source, target, sequence, self._fault_seed)
-        if not offsets:
-            self.trace.emit(
-                now, EventKind.MESSAGE_LOST, node=source, peer=target, payload=message
-            )
-            return
+        # message still consumes its FIFO slot.
+        offsets = self._fault_offsets(source, target, message, now)
         if len(offsets) > 1:
-            self.trace.emit(
-                now,
-                EventKind.MESSAGE_DUPLICATED,
-                node=source,
-                peer=target,
-                payload=message,
-                copies=len(offsets),
-            )
+            self._record_duplication(source, target, message, now, len(offsets))
         for offset in offsets:
             self._schedule_delivery(
                 delivery_time + offset, source, target, message, target_incarnation
@@ -481,274 +326,3 @@ class Simulator:
             payload=message,
         )
         self._processes[target].on_message(self._contexts[target], source, message)
-
-    def _monitor(self, subscriber: NodeId, targets: Iterable[NodeId]) -> None:
-        target_list = [t for t in targets]
-        for target in target_list:
-            if target not in self.graph:
-                raise SimulationError(f"cannot monitor unknown node {target!r}")
-        if not target_list:
-            return
-        self.trace.emit(
-            self.now,
-            EventKind.CRASH_MONITORED,
-            node=subscriber,
-            payload=tuple(sorted(map(repr, target_list))),
-        )
-        for target in target_list:
-            self._subscriptions.setdefault(target, set()).add(subscriber)
-            if target in self._crashed or target in self._departed:
-                self._schedule_notification(subscriber, target)
-
-    def _schedule_notification(
-        self, subscriber: NodeId, crashed: NodeId, fanout: Any = None
-    ) -> None:
-        key = (subscriber, crashed)
-        if key in self._notification_scheduled:
-            return
-        self._notification_scheduled.add(key)
-        delay = self.failure_detector.delay(subscriber, crashed, self._rng)
-        if delay < 0:
-            raise SimulationError("failure detector produced a negative delay")
-        subscriber_incarnation = self._inc(subscriber)
-        self._schedule_event_after(
-            delay,
-            lambda: self._notify_crash(subscriber, crashed, subscriber_incarnation),
-            fanout=fanout,
-        )
-
-    def _notify_crash(
-        self, subscriber: NodeId, crashed: NodeId, subscriber_incarnation: int = 0
-    ) -> None:
-        if subscriber in self._crashed or subscriber in self._departed:
-            return
-        if self._inc(subscriber) != subscriber_incarnation:
-            # The subscriber recovered in the meantime; its fresh
-            # incarnation re-subscribes and is notified separately.
-            return
-        if crashed not in self._crashed and crashed not in self._departed:
-            # The crashed node recovered before the notification fired;
-            # the membership announcement supersedes it.
-            return
-        self.trace.emit(
-            self.now, EventKind.CRASH_NOTIFIED, node=subscriber, peer=crashed
-        )
-        self._processes[subscriber].on_crash(self._contexts[subscriber], crashed)
-
-    def _set_timer(self, node: NodeId, delay: float, tag: Any) -> None:
-        if delay < 0:
-            raise SimulationError("timer delay must be non-negative")
-        incarnation = self._inc(node)
-        self._schedule_event_after(
-            delay, lambda: self._fire_timer(node, tag, incarnation)
-        )
-
-    def _fire_timer(self, node: NodeId, tag: Any, incarnation: int = 0) -> None:
-        if node in self._crashed or node in self._departed:
-            return
-        if self._inc(node) != incarnation:
-            return
-        self._processes[node].on_timer(self._contexts[node], tag)
-
-    def _crash(self, node: NodeId) -> None:
-        if node in self._crashed or node in self._departed:
-            return
-        if node not in self.graph:
-            raise SimulationError(f"cannot crash unknown node {node!r}")
-        self._crashed.add(node)
-        self._crash_times[node] = self.now
-        self.trace.emit(self.now, EventKind.NODE_CRASHED, node=node)
-        for subscriber in sorted(self._subscriptions.get(node, ()), key=repr):
-            if subscriber not in self._crashed:
-                self._schedule_notification(subscriber, node, fanout=subscriber)
-
-    # ------------------------------------------------------------------
-    # Membership mechanics (churn)
-    # ------------------------------------------------------------------
-    def _resolve_attachment(self, node: NodeId, attachment: Any) -> frozenset[NodeId]:
-        return resolve_attachment(
-            node,
-            attachment,
-            current=self.graph,
-            base=self._base_graph,
-            # Departed nodes are as dead as crashed ones for attachment
-            # purposes: a policy must never hand out edges to them.
-            crashed=frozenset(self._crashed | self._departed),
-            rng=self._rng,
-            error_cls=SimulationError,
-        )
-
-    def _spawn_process(self, node: NodeId) -> Process:
-        if self._process_factory is None:
-            raise SimulationError(
-                "no process factory installed; call populate() before "
-                "scheduling membership events"
-            )
-        process = self._process_factory(node)
-        seed_incarnation = getattr(process, "set_incarnation", None)
-        if callable(seed_incarnation):
-            # Let the fresh process mint instance generations that can
-            # never collide with its previous life's (see
-            # CliffEdgeNode.set_incarnation).
-            seed_incarnation(self._inc(node))
-        self._processes[node] = process
-        self._contexts[node] = _SimContext(self, node)
-        return process
-
-    def _activate(self, node: NodeId) -> None:
-        """Spawn and start the fresh process of a joined/recovered node.
-
-        The partitioned subclass runs this only on the node's owning
-        partition; the trace order (NODE_JOINED/NODE_RECOVERED, then
-        NODE_STARTED, then the handler's own emissions) is part of the
-        determinism contract.
-        """
-        process = self._spawn_process(node)
-        self.trace.emit(self.now, EventKind.NODE_STARTED, node=node)
-        process.on_start(self._contexts[node])
-
-    def _admit(self, node: NodeId, neighbours: frozenset[NodeId]) -> None:
-        """Hook: a brand-new node is about to enter the graph (partition
-        ownership assignment); the sequential simulator needs nothing."""
-
-    def _join(self, node: NodeId, attachment: Any) -> None:
-        self._pending_joins.discard(node)
-        if node in self.graph:
-            raise SimulationError(f"joining node {node!r} is already in the graph")
-        neighbours = self._resolve_attachment(node, attachment)
-        if not neighbours:
-            raise SimulationError(f"joining node {node!r} attaches to nothing")
-        self._admit(node, neighbours)
-        self.graph = self.graph.with_node(node, neighbours)
-        self._epoch += 1
-        self._incarnation[node] = self._inc(node) + 1
-        self.trace.emit(
-            self.now,
-            EventKind.NODE_JOINED,
-            node=node,
-            payload=tuple(sorted(neighbours, key=repr)),
-            epoch=self._epoch,
-        )
-        self._activate(node)
-        self._announce(MembershipChange("join", node, neighbours, incarnation=self._inc(node)))
-
-    def _recover(self, node: NodeId, attachment: Any) -> None:
-        if node not in self.graph:
-            raise SimulationError(f"cannot recover unknown node {node!r}")
-        if node not in self._crashed:
-            raise SimulationError(f"cannot recover live node {node!r}")
-        neighbours = self._resolve_attachment(node, attachment)
-        if not neighbours:
-            raise SimulationError(f"recovering node {node!r} attaches to nothing")
-        if neighbours != self.graph.neighbours(node):
-            self.graph = self.graph.without([node]).with_node(node, neighbours)
-        self._crashed.discard(node)
-        self._crash_times.pop(node, None)
-        self._epoch += 1
-        self._incarnation[node] = self._inc(node) + 1
-        # A future re-crash must be notifiable again, and pending
-        # notifications aimed at the dead incarnation must not leak into
-        # the fresh one (the incarnation guard catches in-flight ones).
-        self._notification_scheduled = {
-            (subscriber, crashed)
-            for subscriber, crashed in self._notification_scheduled
-            if crashed != node and subscriber != node
-        }
-        # The fresh incarnation starts with no subscriptions of its own,
-        # and nobody is subscribed to it: monitorCrash relationships are
-        # per-incarnation on both sides.  Interested neighbours re-monitor
-        # through the membership announcement, and more distant border
-        # nodes re-learn it transitively (line 7 of Algorithm 1), which
-        # restores the static model's adjacency-ordered notifications.
-        # The announcement must still reach everyone who was watching the
-        # *old* incarnation — including non-neighbour border nodes — so
-        # the audience is captured before the subscription wipe.
-        old_watchers = frozenset(self._subscriptions.pop(node, set()))
-        for subscribers in self._subscriptions.values():
-            subscribers.discard(node)
-        self.trace.emit(
-            self.now,
-            EventKind.NODE_RECOVERED,
-            node=node,
-            payload=tuple(sorted(neighbours, key=repr)),
-            epoch=self._epoch,
-        )
-        self._activate(node)
-        self._announce(
-            MembershipChange("recover", node, neighbours, incarnation=self._inc(node)),
-            extra=old_watchers,
-        )
-
-    def _leave(self, node: NodeId) -> None:
-        """A graceful leave: an *announced* fail-stop.
-
-        The node stops executing instantly (exactly like a crash), stays
-        in the graph snapshot — the topology service keeps answering
-        queries about it, as it does for crashed nodes — and subscribers
-        are notified through the ordinary failure-detector channel, so the
-        border runs the same agreement it would run for a crash.  This is
-        what overlay maintenance does for departures in practice; the
-        ground truth (NODE_LEFT vs NODE_CRASHED) stays distinguishable for
-        the epoch-quotiented property checkers.  Leaves are permanent: a
-        departed node never recovers.
-        """
-        if node not in self.graph:
-            raise SimulationError(f"cannot remove unknown node {node!r}")
-        if node in self._crashed or node in self._departed:
-            return
-        self._departed.add(node)
-        self._crash_times[node] = self.now
-        self.trace.emit(self.now, EventKind.NODE_LEFT, node=node)
-        for subscriber in sorted(self._subscriptions.get(node, ()), key=repr):
-            if subscriber not in self._crashed and subscriber not in self._departed:
-                self._schedule_notification(subscriber, node, fanout=subscriber)
-
-    def _announce(
-        self, change: MembershipChange, extra: frozenset[NodeId] = frozenset()
-    ) -> None:
-        """Announce a membership change to the nodes that care.
-
-        The announcement reaches current subscribers of the node, its
-        (new) neighbours, and any ``extra`` audience the caller captured
-        (recoveries pass the previous incarnation's watchers), after the
-        same per-pair delay the failure detector would impose — the
-        membership service is assumed to be exactly as timely as crash
-        detection.
-        """
-        targets = set(self._subscriptions.get(change.node, set())) | set(extra)
-        if change.node in self.graph:
-            targets |= self.graph.neighbours(change.node)
-        for target in sorted(targets, key=repr):
-            if target == change.node or target in self._crashed or target in self._departed:
-                continue
-            if not self._delivers_to(target):
-                # A partition announces only to the targets it runs; the
-                # other partitions replay the same membership event and
-                # announce to theirs, so the union over partitions is
-                # exactly this loop's sequential target set.
-                continue
-            delay = self.failure_detector.delay(target, change.node, self._rng)
-            if delay < 0:
-                raise SimulationError("failure detector produced a negative delay")
-            incarnation = self._inc(target)
-            self._schedule_event_after(
-                delay,
-                lambda t=target, i=incarnation: self._notify_membership(t, i, change),
-                fanout=target,
-            )
-
-    def _notify_membership(
-        self, subscriber: NodeId, incarnation: int, change: MembershipChange
-    ) -> None:
-        if subscriber in self._crashed or subscriber in self._departed:
-            return
-        if self._inc(subscriber) != incarnation or subscriber not in self._processes:
-            return
-        self.trace.emit(
-            self.now,
-            EventKind.MEMBERSHIP_NOTIFIED,
-            node=subscriber,
-            peer=change.node,
-            payload=change.kind,
-        )
-        self._processes[subscriber].on_membership(self._contexts[subscriber], change)

@@ -460,7 +460,7 @@ class PartitionSimulator(Simulator):
     def _schedule_event_at(self, time, callback, fanout=None) -> None:
         self._schedule_keyed(time, self._mint_key(fanout), callback)
 
-    def _schedule_event_after(self, delay, callback, fanout=None) -> None:
+    def _defer(self, delay, callback, fanout=None) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._schedule_event_at(self._scheduler.now + delay, callback, fanout)
@@ -527,11 +527,6 @@ class PartitionSimulator(Simulator):
     def _activate(self, node: NodeId) -> None:
         if node in self._owned:
             super()._activate(node)
-
-    def _spawn_process(self, node: NodeId):
-        if self._owner_of.get(node) != self._pid:
-            raise PartitionError(f"cannot spawn a process for foreign node {node!r}")
-        return super()._spawn_process(node)
 
     # -- the message hot path ------------------------------------------
     # The send path itself (latency sample, FIFO clamp, channel-clock

@@ -13,7 +13,9 @@ own.  We mirror that model with two small abstractions:
 The same :class:`Process` subclass (e.g.
 :class:`repro.core.protocol.CliffEdgeNode`) runs unchanged on the
 deterministic simulator (:mod:`repro.sim.network`) and on the asyncio
-runtime (:mod:`repro.runtime`).
+runtime (:mod:`repro.runtime`); both are adapters over the one kernel in
+:mod:`repro.sim.substrate`, whose ``SubstrateContext`` is the only
+:class:`ProcessContext` implementation.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .events import EventKind
 class MembershipChange:
     """A membership event as announced to a live process.
 
-    The churn runtimes (:mod:`repro.sim.network`, :mod:`repro.runtime`)
-    deliver one of these through :meth:`Process.on_membership` whenever a
-    node the process is connected to joins, recovers or leaves.  The
+    The substrate kernel (:mod:`repro.sim.substrate`) delivers one of
+    these through :meth:`Process.on_membership` whenever a node the
+    process is connected to joins, recovers or leaves.  The
     announcement plays the role of the underlying membership service the
     paper's topology-service assumption implies; like crash notifications
     it arrives after a detector-dependent delay.
@@ -55,39 +57,6 @@ class MembershipChange:
     def alive(self) -> bool:
         """True when the change (re)introduces a live node."""
         return self.kind in ("join", "recover")
-
-
-def resolve_attachment(
-    node: NodeId,
-    attachment: Any,
-    *,
-    current: KnowledgeGraph,
-    base: KnowledgeGraph,
-    crashed: frozenset[NodeId],
-    rng: Any,
-    error_cls: type[Exception] = ValueError,
-) -> frozenset[NodeId]:
-    """Resolve a join/recover attachment into a concrete neighbour set.
-
-    Shared by both runtimes so their semantics cannot drift:
-    ``attachment`` is ``None`` (keep the node's current edges — only
-    meaningful for recoveries), an attachment policy (any object with a
-    ``neighbours_for`` method, see :mod:`repro.churn.attachment`), or an
-    explicit iterable of neighbour ids.
-    """
-    if attachment is None:
-        if node in current:
-            return current.neighbours(node)
-        raise error_cls(
-            f"joining node {node!r} needs an attachment policy or edge list"
-        )
-    if hasattr(attachment, "neighbours_for"):
-        resolved = attachment.neighbours_for(
-            node, current=current, base=base, crashed=crashed, rng=rng
-        )
-    else:
-        resolved = attachment
-    return frozenset(resolved)
 
 
 @runtime_checkable

@@ -17,12 +17,14 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro import CliffEdgeNode, region_crash, run_cliff_edge
 from repro.api import ExperimentSession, ExperimentSpec
-from repro.churn import run_churn_virtual
+from repro.churn import MembershipSchedule, recover, run_churn_virtual
 from repro.experiments.scenarios import churn_recovery_race_scenario
 from repro.graph.generators import grid
-from repro.sim import ScriptedFailureDetector
+from repro.sim import EventKind, ScriptedFailureDetector
 from repro.vtime import run_cliff_edge_virtual
 
 
@@ -124,6 +126,40 @@ class TestVirtualMatchesSimulator:
         elapsed = time.perf_counter() - start
         assert result.quiescent
         assert elapsed < 10.0  # wall-clock; generous for slow CI
+
+
+class TestMembershipAnnouncementTiming:
+    """The membership service is exactly as timely as crash detection —
+    on asyncio too: an announcement waits the detector policy's per-pair
+    delay (scaled), and the flat ``detection_delay`` only without a policy."""
+
+    @pytest.mark.parametrize(
+        "detector, expected",
+        [
+            (ScriptedFailureDetector({((1, 2), (1, 1)): 7.0}, default_delay=1.0), 13.5),
+            (None, 10.25),
+        ],
+        ids=["policy", "flat"],
+    )
+    def test_recover_is_announced_after_the_detector_delay(self, detector, expected):
+        graph = grid(4, 4)
+        time_scale = 0.5  # every time below is an exact binary fraction
+        result = run_churn_virtual(
+            graph,
+            region_crash(graph, [(1, 1)], at=1.0),
+            MembershipSchedule((recover((1, 1), 20.0),)),
+            detection_delay=0.25,
+            time_scale=time_scale,
+            failure_detector=detector,
+        )
+        recovered = [e.time for e in result.trace.of_kind(EventKind.NODE_RECOVERED)]
+        assert recovered == [20.0 * time_scale]
+        heard = [
+            event.time
+            for event in result.trace.of_kind(EventKind.MEMBERSHIP_NOTIFIED)
+            if event.node == (1, 2) and event.peer == (1, 1)
+        ]
+        assert heard == [expected]
 
 
 class TestSweepAndServiceIntegration:

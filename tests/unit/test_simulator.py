@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.failures import CrashSchedule
 from repro.graph import KnowledgeGraph
 from repro.sim import (
     ConstantLatency,
@@ -16,6 +17,7 @@ from repro.sim import (
     Simulator,
     UniformLatency,
 )
+from repro.vtime import VirtualRuntime
 
 
 class RecorderProcess(Process):
@@ -90,11 +92,6 @@ class TestSetup:
         sim.populate(IdleProcess)
         assert sim.process("a") is special
         assert isinstance(sim.process("b"), IdleProcess)
-
-    def test_process_lookup_unknown(self, pair_graph):
-        sim = Simulator(pair_graph)
-        with pytest.raises(SimulationError):
-            sim.process("a")
 
     def test_start_triggers_on_start_for_all(self, pair_graph):
         sim = make_sim(pair_graph)
@@ -255,18 +252,6 @@ class TestCrashesAndFailureDetector:
         assert sim.process("q").crashes_seen == [(2.0, "x")]
         assert sim.process("p").crashes_seen == [(11.0, "x")]
 
-    def test_monitor_unknown_node_rejected(self, pair_graph):
-        class BadMonitor(RecorderProcess):
-            def on_start(self, ctx):
-                ctx.monitor_crash({"zzz"})
-
-        sim = Simulator(pair_graph)
-        sim.add_process("a", BadMonitor("a"))
-        sim.add_process("b", RecorderProcess("b"))
-        sim.add_process("c", RecorderProcess("c"))
-        with pytest.raises(SimulationError):
-            sim.run()
-
 
 class TestTimersAndScheduling:
     def test_timer_fires(self, pair_graph):
@@ -325,3 +310,50 @@ class TestTimersAndScheduling:
             ]
 
         assert build() == build()
+
+
+def _simulator(graph):
+    sim = Simulator(graph)
+    return sim, sim.run
+
+
+def _virtual_runtime(graph):
+    runtime = VirtualRuntime(graph)
+    return runtime, lambda: runtime.run(CrashSchedule())
+
+
+@pytest.fixture(params=[_simulator, _virtual_runtime], ids=["Simulator", "VirtualRuntime"])
+def substrate(request, pair_graph):
+    """``(substrate, run)`` — the same misuse must fail the same way on both."""
+    return request.param(pair_graph)
+
+
+class TestMisuseIsUniform:
+    def _run_with(self, substrate, process_at_a):
+        runtime, run = substrate
+        runtime.add_process("a", process_at_a)
+        runtime.add_process("b", RecorderProcess("b"))
+        runtime.add_process("c", RecorderProcess("c"))
+        run()
+
+    def test_process_lookup_unknown(self, substrate):
+        runtime, _run = substrate
+        with pytest.raises(SimulationError):
+            runtime.process("a")
+
+    def test_monitor_unknown_node_rejected(self, substrate):
+        class BadMonitor(RecorderProcess):
+            def on_start(self, ctx):
+                ctx.monitor_crash({"zzz"})
+
+        with pytest.raises(SimulationError):
+            self._run_with(substrate, BadMonitor("a"))
+
+    def test_negative_timer_rejected(self, substrate):
+        class BadTimer(RecorderProcess):
+            def on_start(self, ctx):
+                ctx.set_timer(-1.0, "never")
+
+        with pytest.raises(SimulationError):
+            self._run_with(substrate, BadTimer("a"))
+        assert substrate[0].process("a").timers == []
