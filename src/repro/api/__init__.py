@@ -7,9 +7,10 @@
   :class:`RuntimeSpec`, :class:`ExperimentSpec`, :class:`SweepSpec`) with
   canonical digests;
 * :mod:`repro.api.cache` — the spec-keyed topology build cache;
-* :mod:`repro.api.result` — the unified :class:`Result` protocol that
-  ``RunResult``, ``ChurnRunResult`` and ``SweepReport`` all implement,
-  plus the shared decision-bookkeeping mixin;
+* :mod:`repro.api.result` — :class:`RunResult`, the one outcome every
+  substrate returns (``RunResult.from_trace`` is the only place a
+  finished trace is packaged), and the :class:`Result` protocol it
+  shares with ``SweepReport``;
 * :mod:`repro.api.session` — :class:`ExperimentSession`, which resolves a
   spec to the right runtime/runner and executes it;
 * :mod:`repro.api.presets` — the classic CLI entry points expressed as
@@ -36,11 +37,16 @@ Determinism invariants:
   insertion order, field spelling (collections are normalised at
   construction) and the process computing them; they key the topology
   build cache and fingerprint sweep documents;
-* resolving and running the same spec document always produces the same
-  result digest, whichever execution path the session picks — sequential
-  simulator, churn runner, or the partitioned backend selected by
-  ``RuntimeSpec.partitions`` (serialized only when it differs from 1, so
-  pre-partitioning documents and their digests are unchanged);
+* resolving and running the same spec document in one process always
+  produces the same result digest, whichever execution path the session
+  picks — sequential simulator with or without a membership schedule,
+  or the partitioned backend selected by ``RuntimeSpec.partitions``
+  (serialized only when it differs from 1, so pre-partitioning documents
+  and their digests are unchanged).  Across processes that holds for
+  int and tuple-of-int node ids (every generated topology); the figure
+  documents' ``str`` ids make their run digest depend on
+  ``PYTHONHASHSEED`` (docs/ARCHITECTURE.md, "Determinism and the hash
+  seed");
 * ``Result.digest()`` is a pure function of the run's trace, never of
   labels, timing, or which worker/backend produced it.
 """
@@ -66,7 +72,7 @@ from .presets import (
     repair_spec,
     torus_sweep_spec,
 )
-from .result import AggregateSpecification, DecisionResultMixin, Result, json_safe
+from .result import AggregateSpecification, DecisionResultMixin, Result, RunResult, json_safe
 from .session import ExperimentSession, run_spec, run_spec_json
 from .specs import (
     SPEC_VERSION,
@@ -103,6 +109,7 @@ __all__ = [
     "run_spec_json",
     # Results
     "Result",
+    "RunResult",
     "DecisionResultMixin",
     "AggregateSpecification",
     "json_safe",

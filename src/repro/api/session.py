@@ -3,10 +3,9 @@
 :class:`ExperimentSession` is the single funnel through which every run
 in the repository can be driven.  It resolves a declarative
 :class:`~repro.api.specs.ExperimentSpec` to the right runtime and runner
-(static simulator run, churn simulator run, or asyncio run), builds the
-topology through the spec-keyed cache, and returns the familiar result
-objects — all of which implement the unified
-:class:`~repro.api.result.Result` protocol.
+(asyncio, partitioned simulator, or sequential simulator), builds the
+topology through the spec-keyed cache, and returns the one
+:class:`~repro.api.result.RunResult` whichever of them ran.
 
 Sweeps go the same way: :meth:`ExperimentSession.run_sweep` turns a
 :class:`~repro.api.specs.SweepSpec` into picklable-by-spec tasks for the
@@ -14,22 +13,19 @@ sharded sweep engine (:mod:`repro.scale`) and merges the outcomes into a
 :class:`~repro.scale.SweepReport`.
 
 Imports of the runner modules happen lazily: the runners themselves
-import :mod:`repro.api.result` for the shared mixin, and the session must
-stay importable from both directions.
+import :mod:`repro.api.result` for the result class, and the session
+must stay importable from both directions.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Union
 
+from .result import RunResult
 from .specs import ExperimentSpec, RuntimeSpec, SpecError, SweepSpec, load_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..churn.runner import ChurnRunResult
-    from ..experiments.runner import RunResult
     from ..scale.sweep import SweepReport
-
-RunOutcome = Union["RunResult", "ChurnRunResult"]
 
 
 class ExperimentSession:
@@ -85,13 +81,13 @@ class ExperimentSession:
         return graph, schedule, membership
 
     # ------------------------------------------------------------------
-    def run(self, spec: ExperimentSpec) -> RunOutcome:
+    def run(self, spec: ExperimentSpec) -> RunResult:
         """Execute one experiment spec on its requested runtime.
 
-        Returns a :class:`~repro.experiments.runner.RunResult` for static
-        simulator runs and a :class:`~repro.churn.runner.ChurnRunResult`
-        for churn or asyncio runs — both satisfy the unified
-        :class:`~repro.api.Result` protocol.
+        Every runtime returns the one :class:`~repro.api.result.RunResult`:
+        the paper's static report for a static simulator run, the churn
+        report (epochs, epoch-quotiented checkers) for churn and asyncio
+        runs.
         """
         graph, schedule, membership = self.resolve(spec)
         runtime = spec.runtime
@@ -151,7 +147,7 @@ class ExperimentSession:
                 )
             from ..churn.runner import run_churn_asyncio
 
-            result: RunOutcome = run_churn_asyncio(
+            result = run_churn_asyncio(
                 graph,
                 schedule,
                 membership,
@@ -165,81 +161,54 @@ class ExperimentSession:
                 max_events=runtime.max_events if virtual else None,
                 faults=runtime.resolve_faults(),
             )
-        elif runtime.partitions > 1:
-            from ..sim.partition import run_partitioned
-
-            if not runtime.batched:
+        else:
+            # One engine, the simulator; ``partitions`` only picks how it
+            # is executed, so both paths take the same knobs.
+            partitioned = runtime.partitions > 1
+            if partitioned and not runtime.batched:
                 raise SpecError(
                     "the partitioned backend uses the keyed scheduler; "
                     "batched=False selects the sequential reference loop "
                     "and cannot be combined with partitions > 1"
                 )
-            if not spec.membership.is_static and (
-                not spec.arbitration or spec.early_termination
-            ):
+            static = spec.membership.is_static
+            if not static and (not spec.arbitration or spec.early_termination):
                 raise SpecError(
                     "the churn runner has no arbitration/early-termination "
                     "ablation knobs; use a static membership spec"
                 )
-            result = run_partitioned(
-                graph,
-                schedule,
-                membership,
-                partitions=runtime.partitions,
-                latency=runtime.resolve_latency(),
-                failure_detector=runtime.resolve_failure_detector(),
-                seed=spec.seed,
-                arbitration_enabled=spec.arbitration,
-                early_termination=spec.early_termination,
-                check=spec.check,
-                max_events=runtime.max_events,
-                until=runtime.until,
-                collection=runtime.collection,
-                faults=runtime.resolve_faults(),
-            )
-        elif spec.membership.is_static:
-            from ..experiments.runner import run_cliff_edge
+            knobs = {
+                "latency": runtime.resolve_latency(),
+                "failure_detector": runtime.resolve_failure_detector(),
+                "seed": spec.seed,
+                "arbitration_enabled": spec.arbitration,
+                "early_termination": spec.early_termination,
+                "check": spec.check,
+                "max_events": runtime.max_events,
+                "until": runtime.until,
+                "collection": runtime.collection,
+                "faults": runtime.resolve_faults(),
+            }
+            if partitioned:
+                from ..sim.partition import run_partitioned
 
-            policy_kwargs = (
-                {} if decision_policy is None else {"decision_policy": decision_policy}
-            )
-            result = run_cliff_edge(
-                graph,
-                schedule,
-                **policy_kwargs,
-                latency=runtime.resolve_latency(),
-                failure_detector=runtime.resolve_failure_detector(),
-                seed=spec.seed,
-                arbitration_enabled=spec.arbitration,
-                early_termination=spec.early_termination,
-                check=spec.check,
-                max_events=runtime.max_events,
-                until=runtime.until,
-                batch_dispatch=runtime.batched,
-                collection=runtime.collection,
-                faults=runtime.resolve_faults(),
-            )
-        else:
-            if not spec.arbitration or spec.early_termination:
-                raise SpecError(
-                    "the churn runner has no arbitration/early-termination "
-                    "ablation knobs; use a static membership spec"
+                result = run_partitioned(
+                    graph, schedule, membership, partitions=runtime.partitions, **knobs
                 )
-            from ..churn.runner import run_churn
+            else:
+                from ..experiments.runner import run_cliff_edge
 
-            result = run_churn(
-                graph,
-                schedule,
-                membership,
-                latency=runtime.resolve_latency(),
-                failure_detector=runtime.resolve_failure_detector(),
-                seed=spec.seed,
-                check=spec.check,
-                max_events=runtime.max_events,
-                until=runtime.until,
-                batch_dispatch=runtime.batched,
-                faults=runtime.resolve_faults(),
-            )
+                if decision_policy is not None:
+                    knobs["decision_policy"] = decision_policy
+                # None, not the empty schedule: the tie order differs
+                # (see build_simulator), and so would the digest.
+                result = run_cliff_edge(
+                    graph,
+                    schedule,
+                    None if static else membership,
+                    batch_dispatch=runtime.batched,
+                    **knobs,
+                )
         result.labels.update(dict(spec.labels))
         if spec.name:
             result.labels.setdefault("scenario", spec.name)

@@ -217,7 +217,7 @@ def build_ground_truth(
     """Scan the trace once and precompute the churn ground truth.
 
     ``epochs`` may be passed when the caller already reconstructed them
-    (e.g. :class:`~repro.churn.runner.ChurnRunResult`), avoiding a second
+    (e.g. :class:`~repro.api.result.RunResult`), avoiding a second
     trace scan and per-event graph rebuild.
     """
     history: dict[NodeId, list[tuple[int, str]]] = {}

@@ -1,150 +1,32 @@
-"""High-level harness for churn scenarios on both runtimes.
+"""Churn-scenario entry points on both runtimes.
 
-Mirrors :mod:`repro.experiments.runner` for dynamic-membership workloads:
-:func:`run_churn` executes a ``(CrashSchedule, MembershipSchedule)`` pair
-on the deterministic simulator, :func:`run_churn_asyncio` on the asyncio
-runtime — wall-clock by default, or deterministically on the
-virtual-time loop with ``virtual=True`` (:mod:`repro.vtime`) — and all
-of them package the outcome — trace, metrics, decisions, reconstructed
-membership epochs, and the epoch-quotiented CD1–CD7 report — into a
-:class:`ChurnRunResult`.
+A churn run is a run with a membership schedule, so nothing here
+executes or packages one: :func:`run_churn` forwards to the one
+simulator runner (:func:`repro.experiments.runner.run_cliff_edge`),
+:func:`run_churn_asyncio` to the asyncio runtime — wall-clock, or the
+virtual-time loop with ``virtual=True`` (:mod:`repro.vtime`) — and both
+return the one :class:`~repro.api.result.RunResult`, of which
+``ChurnRunResult`` is the former name.  What the module keeps is the
+public signatures and their defaults (``timeout=60.0`` here, ``30.0`` on
+the static twins).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..api.result import DecisionResultMixin, json_safe
+from ..api.result import RunResult
 from ..core import CliffEdgeNode, DEFAULT_DECISION_POLICY, DecisionPolicy
-from ..core.properties import Decision, SpecificationReport, extract_decisions
 from ..failures import CrashSchedule
-from ..graph import DEFAULT_RANKING, KnowledgeGraph, NodeId, Region, RegionRanking
+from ..graph import DEFAULT_RANKING, KnowledgeGraph, NodeId, RegionRanking
 from ..runtime import run_cliff_edge_asyncio
-from ..sim import (
-    ConstantLatency,
-    EventScheduler,
-    FailureDetectorPolicy,
-    FaultModel,
-    LatencyModel,
-    PerfectFailureDetector,
-    Simulator,
-)
+from ..sim import FailureDetectorPolicy, FaultModel, LatencyModel
 from ..sim.process import Process
-from ..trace import RunMetrics, TraceRecorder, collect_metrics
-from .epochs import MembershipEpoch, build_epochs
-from .membership import MembershipEventKind, MembershipSchedule
-from .properties import check_churn_all
+from ..trace import collect_metrics  # noqa: F401  (the perf ledger wraps this binding)
+from .membership import MembershipSchedule
+from .properties import check_churn_all  # noqa: F401  (and this one)
 
-
-@dataclass
-class ChurnRunResult(DecisionResultMixin):
-    """Outcome of one churned protocol run (either runtime).
-
-    Implements the unified :class:`repro.api.Result` protocol; the
-    decision-derived helpers (``decided_views``, ``deciding_nodes``,
-    ``decisions_on``, ``digest``) live in the shared
-    :class:`~repro.api.result.DecisionResultMixin`.
-    """
-
-    #: The topology before any membership event.
-    base_graph: KnowledgeGraph
-    #: The topology after the last membership event.
-    final_graph: KnowledgeGraph
-    schedule: CrashSchedule
-    membership: MembershipSchedule
-    trace: TraceRecorder
-    metrics: RunMetrics
-    decisions: list[Decision]
-    #: The membership epochs of the run, reconstructed from the trace.
-    epochs: list[MembershipEpoch]
-    #: Which runtime produced the run ("sim", "asyncio" or
-    #: "asyncio-virtual").
-    runtime: str = "sim"
-    #: False when the asyncio runtime hit its timeout before quiescence.
-    quiescent: bool = True
-    #: None until :meth:`check_specification` runs (or ``check=True``).
-    specification: Optional[SpecificationReport] = None
-    labels: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def graph(self) -> KnowledgeGraph:
-        """Alias for :attr:`final_graph` (RunResult-compatible surface)."""
-        return self.final_graph
-
-    @property
-    def decided_view_multiset(self) -> tuple[tuple[NodeId, ...], ...]:
-        """Every decision's view (sorted members), in decision order.
-
-        Unlike :attr:`decided_views` this keeps re-decisions of the same
-        region in later epochs distinguishable, which the cross-runtime
-        equivalence tests compare.
-        """
-        return tuple(
-            tuple(sorted(decision.view.members, key=repr))
-            for decision in self.decisions
-        )
-
-    def check_specification(self, include_liveness: bool = True) -> SpecificationReport:
-        """Run the epoch-quotiented CD1–CD7 checkers and cache the report."""
-        self.specification = check_churn_all(
-            self.base_graph,
-            self.trace,
-            include_liveness=include_liveness,
-            epochs=self.epochs,
-        )
-        return self.specification
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-serializable summary of the run (the ``--json`` payload)."""
-        return {
-            "type": "churn-run",
-            "runtime": self.runtime,
-            "nodes": len(self.base_graph),
-            "final_nodes": len(self.final_graph),
-            "edges": self.base_graph.edge_count,
-            "final_edges": self.final_graph.edge_count,
-            "crashes": len(self.schedule),
-            "joins": len(self.membership.of_kind(MembershipEventKind.JOIN)),
-            "recoveries": len(self.membership.of_kind(MembershipEventKind.RECOVER)),
-            "leaves": len(self.membership.of_kind(MembershipEventKind.LEAVE)),
-            "epochs": len(self.epochs),
-            "quiescent": self.quiescent,
-            "metrics": json_safe(self.metrics),
-            "decisions": self._decisions_as_dicts(),
-            "decided_views": json_safe(self.decided_views),
-            "specification": self._specification_as_dict(),
-            "digest": self.digest(),
-            "labels": json_safe(self.labels),
-        }
-
-    def summary(self) -> str:
-        """Multi-line human-readable summary (used by the CLI/examples)."""
-        joins = len(self.membership.of_kind(MembershipEventKind.JOIN))
-        recoveries = len(self.membership.of_kind(MembershipEventKind.RECOVER))
-        leaves = len(self.membership.of_kind(MembershipEventKind.LEAVE))
-        lines = [
-            f"nodes={len(self.base_graph)}->{len(self.final_graph)} "
-            f"edges={self.base_graph.edge_count}->{self.final_graph.edge_count} "
-            f"crashes={len(self.schedule)} joins={joins} "
-            f"recoveries={recoveries} leaves={leaves} "
-            f"epochs={len(self.epochs)}",
-            f"messages={self.metrics.messages_sent} "
-            f"bytes={self.metrics.bytes_sent} "
-            f"speaking_nodes={self.metrics.speaking_nodes}",
-            f"decisions={self.metrics.decisions} "
-            f"views={self.metrics.decided_views} "
-            f"rejections={self.metrics.rejections} "
-            f"failed_instances={self.metrics.failed_instances}",
-        ]
-        for members in sorted(set(self.decided_view_multiset)):
-            count = self.decided_view_multiset.count(members)
-            times = f" x{count}" if count > 1 else ""
-            lines.append(f"view {list(map(repr, members))} decided{times}")
-        if self.specification is not None:
-            status = "holds" if self.specification.holds else "VIOLATED"
-            lines.append(f"epoch-quotiented specification CD1-CD7: {status}")
-        return "\n".join(lines)
+ChurnRunResult = RunResult
 
 
 def run_churn(
@@ -162,46 +44,27 @@ def run_churn(
     until: Optional[float] = None,
     batch_dispatch: bool = True,
     faults: Optional[FaultModel] = None,
-) -> ChurnRunResult:
+) -> RunResult:
     """Run a churn scenario on the deterministic simulator."""
-    membership.validate(graph, schedule)
-    sim = Simulator(
+    # Imported here: repro.experiments imports this package.
+    from ..experiments.runner import run_cliff_edge
+
+    return run_cliff_edge(
         graph,
-        latency=latency if latency is not None else ConstantLatency(1.0),
-        failure_detector=(
-            failure_detector
-            if failure_detector is not None
-            else PerfectFailureDetector(1.0)
-        ),
+        schedule,
+        membership,
+        decision_policy=decision_policy,
+        ranking=ranking,
+        latency=latency,
+        failure_detector=failure_detector,
         seed=seed,
-        scheduler=EventScheduler(batch_dispatch=batch_dispatch),
+        node_factory=node_factory,
+        check=check,
+        max_events=max_events,
+        until=until,
+        batch_dispatch=batch_dispatch,
         faults=faults,
     )
-
-    def default_factory(node_id: NodeId) -> CliffEdgeNode:
-        return CliffEdgeNode(node_id, decision_policy=decision_policy, ranking=ranking)
-
-    sim.populate(node_factory if node_factory is not None else default_factory)
-    # One canonical merged timeline (crash-first on timestamp ties) keeps
-    # the simulator's tie-breaking identical to validate() and asyncio.
-    membership.applied_to(sim, crashes=schedule)
-    sim.run(until=until, max_events=max_events)
-    trace = sim.trace
-    result = ChurnRunResult(
-        base_graph=graph,
-        final_graph=sim.graph,
-        schedule=schedule,
-        membership=membership,
-        trace=trace,
-        metrics=collect_metrics(trace),
-        decisions=extract_decisions(trace),
-        epochs=build_epochs(graph, trace),
-        runtime="sim",
-        quiescent=sim.is_quiescent(),
-    )
-    if check:
-        result.check_specification(include_liveness=sim.is_quiescent())
-    return result
 
 
 def run_churn_asyncio(
@@ -218,7 +81,7 @@ def run_churn_asyncio(
     failure_detector: Optional[FailureDetectorPolicy] = None,
     max_events: Optional[int] = None,
     faults: Optional[FaultModel] = None,
-) -> ChurnRunResult:
+) -> RunResult:
     """Run the same churn scenario on the asyncio runtime.
 
     ``virtual=True`` drives the identical runtime code on the
@@ -229,51 +92,24 @@ def run_churn_asyncio(
     are keyed by message identity, so only the virtual loop makes the
     resulting run reproducible end to end) work on both clocks.
     """
-    membership.validate(graph, schedule)
-    factory = node_factory if node_factory is not None else CliffEdgeNode
+    knobs = {
+        "node_factory": node_factory if node_factory is not None else CliffEdgeNode,
+        "detection_delay": detection_delay,
+        "time_scale": time_scale,
+        "timeout": timeout,
+        "membership": membership,
+        "seed": seed,
+        "failure_detector": failure_detector,
+        "faults": faults,
+    }
     if virtual:
         from ..vtime import run_cliff_edge_virtual
 
-        async_result = run_cliff_edge_virtual(
-            graph,
-            schedule,
-            node_factory=factory,
-            detection_delay=detection_delay,
-            time_scale=time_scale,
-            timeout=timeout,
-            membership=membership,
-            seed=seed,
-            failure_detector=failure_detector,
-            faults=faults,
-            max_events=max_events,
-        )
+        result = run_cliff_edge_virtual(graph, schedule, max_events=max_events, **knobs)
     else:
-        async_result = run_cliff_edge_asyncio(
-            graph,
-            schedule,
-            node_factory=factory,
-            detection_delay=detection_delay,
-            time_scale=time_scale,
-            timeout=timeout,
-            membership=membership,
-            seed=seed,
-            failure_detector=failure_detector,
-            faults=faults,
-        )
-    result = ChurnRunResult(
-        base_graph=graph,
-        final_graph=async_result.graph,
-        schedule=schedule,
-        membership=membership,
-        trace=async_result.trace,
-        metrics=async_result.metrics,
-        decisions=async_result.decisions,
-        epochs=build_epochs(graph, async_result.trace),
-        runtime="asyncio-virtual" if virtual else "asyncio",
-        quiescent=async_result.quiescent,
-    )
+        result = run_cliff_edge_asyncio(graph, schedule, **knobs)
     if check:
-        result.check_specification(include_liveness=async_result.quiescent)
+        result.check_specification(include_liveness=result.quiescent)
     return result
 
 
@@ -282,6 +118,6 @@ def run_churn_virtual(
     schedule: CrashSchedule,
     membership: MembershipSchedule,
     **kwargs: Any,
-) -> ChurnRunResult:
+) -> RunResult:
     """Shorthand for :func:`run_churn_asyncio` with ``virtual=True``."""
     return run_churn_asyncio(graph, schedule, membership, virtual=True, **kwargs)

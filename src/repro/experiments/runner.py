@@ -4,118 +4,32 @@ Everything the examples, tests and benchmarks need to execute a cliff-edge
 consensus scenario in one call: build a simulator over a graph, install a
 :class:`~repro.core.protocol.CliffEdgeNode` on every node, apply a crash
 schedule, run to quiescence, and package the outcome (trace, metrics,
-decisions, property report) into a :class:`RunResult`.
+decisions, property report) into a
+:class:`~repro.api.result.RunResult`.  With a membership schedule the
+same body is the churn runner (:func:`repro.churn.run_churn` forwards
+here).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..api.result import DecisionResultMixin, json_safe
+from ..api.result import RunResult
 from ..core import CliffEdgeNode, DEFAULT_DECISION_POLICY, DecisionPolicy
-from ..core.properties import Decision, SpecificationReport, check_all, extract_decisions
+from ..core.properties import check_all  # noqa: F401  (the perf ledger wraps this binding)
 from ..failures import CrashSchedule
-from ..graph import DEFAULT_RANKING, KnowledgeGraph, NodeId, Region, RegionRanking
-from ..sim import (
-    ConstantLatency,
-    EventScheduler,
-    FailureDetectorPolicy,
-    FaultModel,
-    LatencyModel,
-    PerfectFailureDetector,
-    Simulator,
-)
-from ..trace import RunMetrics, TraceRecorder, collect_metrics
+from ..graph import DEFAULT_RANKING, KnowledgeGraph, NodeId, RegionRanking
+from ..sim import EventScheduler, FailureDetectorPolicy, FaultModel, LatencyModel, Simulator
+from ..trace import TraceRecorder, collect_metrics  # noqa: F401  (and this one)
 
-
-@dataclass
-class RunResult(DecisionResultMixin):
-    """Outcome of one simulated protocol run.
-
-    Implements the unified :class:`repro.api.Result` protocol; the
-    decision-derived helpers (``decided_views``, ``deciding_nodes``,
-    ``decisions_on``, ``digest``) live in the shared
-    :class:`~repro.api.result.DecisionResultMixin`.
-    """
-
-    graph: KnowledgeGraph
-    schedule: CrashSchedule
-    simulator: Simulator
-    trace: TraceRecorder
-    metrics: RunMetrics
-    decisions: list[Decision]
-    #: None until :meth:`check_specification` is called (or ``check=True``).
-    specification: Optional[SpecificationReport] = None
-    #: Extra labels attached by experiments (topology name, sweep point...).
-    labels: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def quiescent(self) -> bool:
-        """True when the simulator drained its event queue."""
-        return self.simulator.is_quiescent()
-
-    def node(self, node_id: NodeId) -> CliffEdgeNode:
-        """The protocol instance at ``node_id`` (post-run inspection)."""
-        process = self.simulator.process(node_id)
-        if not isinstance(process, CliffEdgeNode):
-            raise TypeError(f"process at {node_id!r} is not a CliffEdgeNode")
-        return process
-
-    def check_specification(self, include_liveness: bool = True) -> SpecificationReport:
-        """Run the CD1–CD7 checkers on the trace and cache the report."""
-        self.specification = check_all(
-            self.graph,
-            self.trace,
-            faulty=self.schedule.nodes,
-            include_liveness=include_liveness,
-        )
-        return self.specification
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-serializable summary of the run (the ``--json`` payload)."""
-        return {
-            "type": "run",
-            "nodes": len(self.graph),
-            "edges": self.graph.edge_count,
-            "crashed": json_safe(self.schedule.nodes),
-            "quiescent": self.quiescent,
-            "metrics": json_safe(self.metrics),
-            "decisions": self._decisions_as_dicts(),
-            "decided_views": json_safe(self.decided_views),
-            "specification": self._specification_as_dict(),
-            "digest": self.digest(),
-            "labels": json_safe(self.labels),
-        }
-
-    def summary(self) -> str:
-        """Multi-line human-readable summary (used by examples)."""
-        lines = [
-            f"nodes={len(self.graph)} edges={self.graph.edge_count} "
-            f"crashed={len(self.schedule.nodes)}",
-            f"messages={self.metrics.messages_sent} "
-            f"bytes={self.metrics.bytes_sent} "
-            f"speaking_nodes={self.metrics.speaking_nodes}",
-            f"decisions={self.metrics.decisions} "
-            f"views={self.metrics.decided_views} "
-            f"rejections={self.metrics.rejections} "
-            f"failed_instances={self.metrics.failed_instances}",
-        ]
-        for view in sorted(self.decided_views, key=lambda v: sorted(map(repr, v.members))):
-            deciders = sorted(
-                repr(d.node) for d in self.decisions_on(view)
-            )
-            members = sorted(map(repr, view.members))
-            lines.append(f"view {members} decided by {deciders}")
-        if self.specification is not None:
-            status = "holds" if self.specification.holds else "VIOLATED"
-            lines.append(f"specification CD1-CD7: {status}")
-        return "\n".join(lines)
+if TYPE_CHECKING:  # pragma: no cover - repro.churn imports this package
+    from ..churn.membership import MembershipSchedule
 
 
 def build_simulator(
     graph: KnowledgeGraph,
     schedule: CrashSchedule,
+    membership: Optional[MembershipSchedule] = None,
     decision_policy: DecisionPolicy = DEFAULT_DECISION_POLICY,
     ranking: RegionRanking = DEFAULT_RANKING,
     latency: Optional[LatencyModel] = None,
@@ -130,18 +44,20 @@ def build_simulator(
 ) -> Simulator:
     """Build a ready-to-run simulator with the protocol on every node.
 
-    ``collection="digest"`` records no event log: the trace recorder
-    folds the canonical digest and the run metrics as events fire.
-    ``faults`` installs a deterministic link-fault model
+    ``membership`` adds timed joins, recoveries and leaves to the crash
+    schedule.  ``collection="digest"`` records no event log: the trace
+    recorder folds the canonical digest and the run metrics as events
+    fire.  ``faults`` installs a deterministic link-fault model
     (:mod:`repro.sim.faults`); ``None`` keeps reliable FIFO channels.
     """
-    schedule.validate(graph)
+    if membership is None:
+        schedule.validate(graph)
+    else:
+        membership.validate(graph, schedule)
     sim = Simulator(
         graph,
-        latency=latency if latency is not None else ConstantLatency(1.0),
-        failure_detector=(
-            failure_detector if failure_detector is not None else PerfectFailureDetector(1.0)
-        ),
+        latency=latency,
+        failure_detector=failure_detector,
         seed=seed,
         trace=TraceRecorder(collection=collection),
         scheduler=EventScheduler(batch_dispatch=batch_dispatch),
@@ -158,13 +74,23 @@ def build_simulator(
         )
 
     sim.populate(node_factory if node_factory is not None else default_factory)
-    schedule.applied_to(sim)
+    if membership is None:
+        # The schedule's own order — so not the same run as an empty
+        # membership schedule when same-time crashes are listed out of
+        # ``repr`` order (the digests differ).
+        schedule.applied_to(sim)
+    else:
+        # One canonical merged timeline (crash-first on timestamp ties)
+        # keeps the simulator's tie-breaking identical to validate() and
+        # asyncio.
+        membership.applied_to(sim, crashes=schedule)
     return sim
 
 
 def run_cliff_edge(
     graph: KnowledgeGraph,
     schedule: CrashSchedule,
+    membership: Optional[MembershipSchedule] = None,
     decision_policy: DecisionPolicy = DEFAULT_DECISION_POLICY,
     ranking: RegionRanking = DEFAULT_RANKING,
     latency: Optional[LatencyModel] = None,
@@ -186,6 +112,10 @@ def run_cliff_edge(
     ----------
     graph, schedule:
         Topology and crash schedule of the scenario.
+    membership:
+        ``None`` is the paper's static run; a ``MembershipSchedule``
+        (even an empty one) makes it a churn run, reported with epochs
+        and checked by the epoch-quotiented checkers.
     decision_policy, ranking, latency, failure_detector, seed:
         Protocol and substrate knobs (see the respective classes).
     arbitration_enabled:
@@ -204,8 +134,9 @@ def run_cliff_edge(
     collection:
         ``"trace"`` (default) keeps the full columnar trace;
         ``"digest"`` streams digest + metrics only and keeps no event
-        log.  Digest mode cannot be combined with ``check=True`` (the
-        CD1–CD7 checkers walk the full trace).
+        log.  Digest mode cannot be combined with ``check=True`` or a
+        ``membership`` schedule (the CD1–CD7 checkers and epoch
+        reconstruction walk the full trace).
     faults:
         Optional deterministic link-fault model (loss / duplication /
         reordering, :mod:`repro.sim.faults`); ``None`` keeps the paper's
@@ -216,9 +147,15 @@ def run_cliff_edge(
             "collection='digest' keeps no event log, so the CD1-CD7 "
             "checkers cannot run; use check=False or collection='trace'"
         )
+    if collection == "digest" and membership is not None:
+        raise ValueError(
+            "collection='digest' keeps no event log, so churn epoch "
+            "reconstruction cannot run; use collection='trace'"
+        )
     sim = build_simulator(
         graph,
         schedule,
+        membership,
         decision_policy=decision_policy,
         ranking=ranking,
         latency=latency,
@@ -232,15 +169,13 @@ def run_cliff_edge(
         faults=faults,
     )
     sim.run(until=until, max_events=max_events)
-    trace = sim.trace
-    result = RunResult(
-        graph=graph,
-        schedule=schedule,
+    return RunResult.from_trace(
+        sim.graph,
+        schedule,
+        sim.trace,
+        membership=membership,
+        base_graph=graph,
+        check=check,
+        quiescent=sim.is_quiescent(),
         simulator=sim,
-        trace=trace,
-        metrics=collect_metrics(trace),
-        decisions=extract_decisions(trace),
     )
-    if check:
-        result.check_specification(include_liveness=sim.is_quiescent())
-    return result

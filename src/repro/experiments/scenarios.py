@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..churn import (
-    ChurnRunResult,
     MembershipSchedule,
     crash_recover_recrash,
     flash_crowd_joins,
@@ -326,7 +325,7 @@ class ChurnScenario:
         seed: int = 0,
         runtime: str = "sim",
         timeout: float = 60.0,
-    ) -> ChurnRunResult:
+    ) -> RunResult:
         if runtime == "sim":
             result = run_churn(
                 self.graph, self.schedule, self.membership, seed=seed, check=check

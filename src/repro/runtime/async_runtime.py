@@ -27,10 +27,9 @@ from __future__ import annotations
 import asyncio
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..core.properties import Decision, extract_decisions
+from ..api.result import RunResult
 from ..failures import CrashSchedule
 from ..graph import KnowledgeGraph, NodeId
 from ..sim.events import EventKind
@@ -38,28 +37,10 @@ from ..sim.failure_detector import FailureDetectorPolicy
 from ..sim.faults import FaultModel
 from ..sim.process import Process
 from ..sim.substrate import SimulationError, Substrate
-from ..trace import RunMetrics, TraceRecorder, collect_metrics
+from ..trace import collect_metrics  # noqa: F401  (the perf ledger wraps this binding)
 
 
-@dataclass
-class AsyncRunResult:
-    """Outcome of one asyncio run (mirrors the simulator's RunResult)."""
-
-    graph: KnowledgeGraph
-    schedule: CrashSchedule
-    trace: TraceRecorder
-    metrics: RunMetrics
-    decisions: list[Decision]
-    #: True when the run reached quiescence before the timeout.
-    quiescent: bool
-
-    @property
-    def decided_views(self):
-        return frozenset(decision.view for decision in self.decisions)
-
-    @property
-    def deciding_nodes(self):
-        return frozenset(decision.node for decision in self.decisions)
+AsyncRunResult = RunResult
 
 
 class AsyncRuntime(Substrate):
@@ -109,6 +90,8 @@ class AsyncRuntime(Substrate):
         self._activity = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._start_time = 0.0
+        #: The first exception a handler raised inside a node task.
+        self._handler_error: Optional[SimulationError] = None
         #: Dedicated stream for detector-policy jitter, so attachment
         #: resolution (the kernel's ``_rng``) and detection delays never
         #: perturb each other.
@@ -130,7 +113,7 @@ class AsyncRuntime(Substrate):
         timeout: float = 30.0,
         settle_time: float = 0.05,
         membership: Any = None,
-    ) -> AsyncRunResult:
+    ) -> RunResult:
         """Execute the scenario and wait for quiescence (or ``timeout``).
 
         ``membership`` is an optional
@@ -149,6 +132,7 @@ class AsyncRuntime(Substrate):
             )
         self._loop = asyncio.get_running_loop()
         self._start_time = self._loop.time()
+        base_graph = self.graph
 
         nodes = sorted(self._processes, key=repr)
         for node in nodes:
@@ -160,6 +144,8 @@ class AsyncRuntime(Substrate):
                 self._processes[node].on_start(self._contexts[node])
             crash_task = asyncio.create_task(self._apply_schedule(schedule, membership))
             quiescent = await self._wait_for_quiescence(crash_task, timeout, settle_time)
+            if self._handler_error is not None:
+                raise self._handler_error
             if crash_task.done() and not crash_task.cancelled():
                 schedule_error = crash_task.exception()
                 if schedule_error is not None:
@@ -178,12 +164,13 @@ class AsyncRuntime(Substrate):
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
 
-        return AsyncRunResult(
-            graph=self.graph,
-            schedule=schedule,
-            trace=self.trace,
-            metrics=collect_metrics(self.trace),
-            decisions=extract_decisions(self.trace),
+        return RunResult.from_trace(
+            self.graph,
+            schedule,
+            self.trace,
+            membership=membership,
+            base_graph=base_graph,
+            runtime="asyncio",
             quiescent=quiescent,
         )
 
@@ -232,7 +219,19 @@ class AsyncRuntime(Substrate):
             self._activity += 1
             if node in self._crashed or node in self._departed:
                 continue
-            self._handle(node, kind, payload)
+            try:
+                self._handle(node, kind, payload)
+            except Exception as exc:
+                # Raised here it would die with this task: the inbox
+                # never drains and the run burns its whole timeout to
+                # report "not quiescent, nothing decided".  Keep the
+                # first one for run() to raise, as the simulator does.
+                if self._handler_error is None:
+                    self._handler_error = SimulationError(
+                        f"handler of node {node!r} raised on a {kind} item: {exc!r}"
+                    )
+                    self._handler_error.__cause__ = exc
+                return
 
     async def _apply_schedule(
         self, schedule: CrashSchedule, membership: Any = None
@@ -324,6 +323,8 @@ class AsyncRuntime(Substrate):
         last_activity = -1
         while self._loop.time() < deadline:
             await asyncio.sleep(settle_time)
+            if self._handler_error is not None:
+                return False
             inboxes_empty = all(inbox.empty() for inbox in self._inboxes.values())
             idle = (
                 crash_task.done()
@@ -348,7 +349,7 @@ async def run_cliff_edge_async(
     seed: int = 0,
     failure_detector: Optional[FailureDetectorPolicy] = None,
     faults: Optional[FaultModel] = None,
-) -> AsyncRunResult:
+) -> RunResult:
     """Convenience wrapper: populate, run, and collect results."""
     runtime = AsyncRuntime(
         graph,
@@ -373,7 +374,7 @@ def run_cliff_edge_asyncio(
     seed: int = 0,
     failure_detector: Optional[FailureDetectorPolicy] = None,
     faults: Optional[FaultModel] = None,
-) -> AsyncRunResult:
+) -> RunResult:
     """Synchronous entry point (creates and drives its own event loop)."""
     return asyncio.run(
         run_cliff_edge_async(

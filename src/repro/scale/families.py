@@ -96,10 +96,8 @@ def outcome_from_result(
 ) -> SweepOutcome:
     """Compress any run-layer :class:`~repro.api.Result` into an outcome.
 
-    Works for both :class:`~repro.experiments.runner.RunResult` and
-    :class:`~repro.churn.runner.ChurnRunResult` — the unified result
-    surface (``quiescent``, ``metrics``, ``specification``, ``digest``)
-    is all it needs.
+    A :class:`~repro.api.result.RunResult`'s ``quiescent``, ``metrics``,
+    ``specification`` and ``digest`` are all it needs.
     """
     specification = getattr(result, "specification", None)
     labels = dict(result.labels)

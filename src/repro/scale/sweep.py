@@ -83,8 +83,7 @@ class SweepReport:
     """Merged, order-stable result of a sharded sweep.
 
     Implements the unified :class:`repro.api.Result` protocol alongside
-    :class:`~repro.experiments.runner.RunResult` and
-    :class:`~repro.churn.runner.ChurnRunResult`: ``digest()``,
+    :class:`~repro.api.result.RunResult`: ``digest()``,
     ``check_specification()``, ``summary()`` and ``as_dict()``.
     """
 

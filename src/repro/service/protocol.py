@@ -139,7 +139,7 @@ def result_envelope(spec: AnySpec, result: Any) -> dict[str, Any]:
     """Package an executed run into the service's result document.
 
     ``result`` is whatever :class:`~repro.api.ExperimentSession` returned
-    (``RunResult``, ``ChurnRunResult`` or ``SweepReport``).  The envelope
+    (``RunResult`` or ``SweepReport``).  The envelope
     carries the JSON result payload, the canonical digest, and — for
     digest-collection experiment runs — the composable digest partial, so
     a client can rehydrate a digest-verified, trace-free result object

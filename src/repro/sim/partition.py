@@ -61,10 +61,10 @@ import os
 import pickle
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from ..api.result import DecisionResultMixin, json_safe
+from ..api.result import RunResult
 from ..graph import KnowledgeGraph, NodeId
 from ..trace import (
     DIGEST_RETAINED_KINDS,
@@ -239,6 +239,10 @@ def _fork_context():
     string node ids would then fold borders and opinion vectors in a
     different observable order than the sequential run, breaking the
     digest contract.  ``fork`` children share the parent's seed.
+
+    Workers or not, a run over ``str`` ids (the figure documents) digests
+    differently per ``PYTHONHASHSEED``; int and tuple-of-int ids hash the
+    same everywhere (docs/ARCHITECTURE.md, "Determinism and the hash seed").
     """
     import multiprocessing
 
@@ -899,75 +903,28 @@ def _merge_traces(results: list[dict[str, Any]]) -> TraceRecorder:
 # Results
 # ---------------------------------------------------------------------------
 @dataclass
-class PartitionedRunResult(DecisionResultMixin):
-    """Outcome of a partitioned static run.
+class PartitionedRunResult(RunResult):
+    """A static partitioned run: the one outcome plus the barrier's counts.
 
-    Mirrors :class:`~repro.experiments.runner.RunResult` (same
-    :class:`~repro.api.Result` surface, same trace digest as the
-    sequential run) without holding a live simulator — the partitions ran
-    on workers and are gone.
+    A class only because the perf ledger tells such a run from the others
+    by ``hasattr(result, "barrier_rounds")``; these belong in ``labels``.
     """
 
-    graph: KnowledgeGraph
-    schedule: Any
-    trace: TraceRecorder
-    metrics: Any
-    decisions: list
-    partitions: int
-    barrier_rounds: int
-    quiescent: bool = True
-    specification: Optional[Any] = None
-    labels: dict[str, Any] = field(default_factory=dict)
-
-    def check_specification(self, include_liveness: bool = True):
-        from ..core.properties import check_all
-
-        self.specification = check_all(
-            self.graph,
-            self.trace,
-            faulty=self.schedule.nodes,
-            include_liveness=include_liveness,
-        )
-        return self.specification
+    partitions: int = 1
+    barrier_rounds: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
-            "type": "run",
-            "nodes": len(self.graph),
-            "edges": self.graph.edge_count,
-            "crashed": json_safe(self.schedule.nodes),
-            "quiescent": self.quiescent,
+            **super().as_dict(),
             "partitions": self.partitions,
             "barrier_rounds": self.barrier_rounds,
-            "metrics": json_safe(self.metrics),
-            "decisions": self._decisions_as_dicts(),
-            "decided_views": json_safe(self.decided_views),
-            "specification": self._specification_as_dict(),
-            "digest": self.digest(),
-            "labels": json_safe(self.labels),
         }
 
-    def summary(self) -> str:
-        lines = [
-            f"nodes={len(self.graph)} edges={self.graph.edge_count} "
-            f"crashed={len(self.schedule.nodes)} "
-            f"partitions={self.partitions} barriers={self.barrier_rounds}",
-            f"messages={self.metrics.messages_sent} "
-            f"bytes={self.metrics.bytes_sent} "
-            f"speaking_nodes={self.metrics.speaking_nodes}",
-            f"decisions={self.metrics.decisions} "
-            f"views={self.metrics.decided_views} "
-            f"rejections={self.metrics.rejections} "
-            f"failed_instances={self.metrics.failed_instances}",
-        ]
-        for view in sorted(self.decided_views, key=lambda v: sorted(map(repr, v.members))):
-            deciders = sorted(repr(d.node) for d in self.decisions_on(view))
-            members = sorted(map(repr, view.members))
-            lines.append(f"view {members} decided by {deciders}")
-        if self.specification is not None:
-            status = "holds" if self.specification.holds else "VIOLATED"
-            lines.append(f"specification CD1-CD7: {status}")
-        return "\n".join(lines)
+    def _headline(self) -> str:
+        return (
+            f"{super()._headline()} "
+            f"partitions={self.partitions} barriers={self.barrier_rounds}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1010,9 +967,6 @@ def run_partitioned(
     ``check=True`` (CD1–CD7 walk the trace) and churn (epoch
     reconstruction walks the trace).
     """
-    from ..trace import collect_metrics
-    from ..core.properties import extract_decisions
-
     if backend not in ("auto", "inline", "process"):
         raise PartitionError(f"unknown partition backend {backend!r}")
     if collection not in TraceRecorder.COLLECTIONS:
@@ -1099,45 +1053,27 @@ def run_partitioned(
         for worker in workers:
             worker.close()
 
-    trace = _merge_traces(results)
-    quiescent = drained and all(result["idle"] for result in results)
     labels = {"partitions": partitions, "partition_backend": backend}
     if collection != "trace":
         labels["collection"] = collection
+    outcome = {
+        "check": check,
+        "quiescent": drained and all(result["idle"] for result in results),
+        "labels": labels,
+    }
+    trace = _merge_traces(results)
     if membership is not None:
-        from ..churn.epochs import build_epochs
-        from ..churn.runner import ChurnRunResult
-
-        result = ChurnRunResult(
-            base_graph=graph,
-            final_graph=results[0]["graph"],
-            schedule=schedule,
+        return RunResult.from_trace(
+            results[0]["graph"],
+            schedule,
+            trace,
             membership=membership,
-            trace=trace,
-            metrics=collect_metrics(trace),
-            decisions=extract_decisions(trace),
-            epochs=build_epochs(graph, trace),
-            runtime="sim",
-            quiescent=quiescent,
-            labels=labels,
+            base_graph=graph,
+            **outcome,
         )
-        if check:
-            result.check_specification(include_liveness=quiescent)
-        return result
-    run_result = PartitionedRunResult(
-        graph=graph,
-        schedule=schedule,
-        trace=trace,
-        metrics=collect_metrics(trace),
-        decisions=extract_decisions(trace),
-        partitions=partitions,
-        barrier_rounds=rounds,
-        quiescent=quiescent,
-        labels=labels,
+    return PartitionedRunResult.from_trace(
+        graph, schedule, trace, partitions=partitions, barrier_rounds=rounds, **outcome
     )
-    if check:
-        run_result.check_specification(include_liveness=quiescent)
-    return run_result
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from typing import Any, Callable, Optional
 
 from ..failures import CrashSchedule
 from ..graph import KnowledgeGraph, NodeId
-from ..runtime.async_runtime import AsyncRunResult, AsyncRuntime
+from ..api.result import RunResult
+from ..runtime.async_runtime import AsyncRuntime
 from ..sim.failure_detector import FailureDetectorPolicy
 from ..sim.faults import FaultModel
 from ..sim.process import Process
@@ -91,7 +92,7 @@ class VirtualRuntime:
         settle_time: float = 0.05,
         membership: Any = None,
         max_events: Optional[int] = None,
-    ) -> AsyncRunResult:
+    ) -> RunResult:
         """Execute the scenario entirely in virtual time.
 
         ``timeout`` and ``settle_time`` keep their :class:`AsyncRuntime`
@@ -100,7 +101,7 @@ class VirtualRuntime:
         ``max_events`` bounds the number of loop callbacks (the virtual
         analogue of the simulator's event budget).
         """
-        return self.loop.run_until_complete(
+        result = self.loop.run_until_complete(
             self.runtime.run(
                 schedule,
                 timeout=timeout,
@@ -109,6 +110,9 @@ class VirtualRuntime:
             ),
             max_events=max_events,
         )
+        # The wrapped runtime does not know which loop drives it.
+        result.runtime = "asyncio-virtual"
+        return result
 
 
 def run_cliff_edge_virtual(
@@ -123,7 +127,7 @@ def run_cliff_edge_virtual(
     failure_detector: Optional[FailureDetectorPolicy] = None,
     faults: Optional[FaultModel] = None,
     max_events: Optional[int] = None,
-) -> AsyncRunResult:
+) -> RunResult:
     """Convenience wrapper mirroring ``run_cliff_edge_asyncio``, virtual."""
     runtime = VirtualRuntime(
         graph,

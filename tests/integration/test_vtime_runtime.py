@@ -24,7 +24,8 @@ from repro.api import ExperimentSession, ExperimentSpec
 from repro.churn import MembershipSchedule, recover, run_churn_virtual
 from repro.experiments.scenarios import churn_recovery_race_scenario
 from repro.graph.generators import grid
-from repro.sim import EventKind, ScriptedFailureDetector
+from repro.runtime import run_cliff_edge_asyncio
+from repro.sim import EventKind, ScriptedFailureDetector, SimulationError
 from repro.vtime import run_cliff_edge_virtual
 
 
@@ -160,6 +161,34 @@ class TestMembershipAnnouncementTiming:
             if event.node == (1, 2) and event.peer == (1, 1)
         ]
         assert heard == [expected]
+
+
+class _RaisesOnMessage(CliffEdgeNode):
+    """Every node behaves, except that (0, 1) chokes on its first message."""
+
+    def on_message(self, ctx, sender, message):
+        if self.node_id == (0, 1):
+            raise KeyError("boom")
+        super().on_message(ctx, sender, message)
+
+
+class TestHandlerErrorFailsTheRun:
+    """A handler raising inside a node task used to die with that task:
+    the run reported ``quiescent=False`` with nothing decided after
+    burning its whole timeout (30 wall-clock seconds), while the
+    simulator raised at once."""
+
+    @pytest.mark.parametrize("run", [run_cliff_edge_asyncio, run_cliff_edge_virtual])
+    def test_both_loops_raise_naming_the_node_and_the_cause(self, run):
+        graph = grid(4, 4)
+        schedule = region_crash(graph, [(1, 1)], at=1.0)
+        started = time.perf_counter()
+        with pytest.raises(SimulationError) as raised:
+            run(graph, schedule, _RaisesOnMessage)
+        assert time.perf_counter() - started < 2.0
+        assert "(0, 1)" in str(raised.value) and "message" in str(raised.value)
+        assert "KeyError('boom')" in str(raised.value)
+        assert isinstance(raised.value.__cause__, KeyError)
 
 
 class TestSweepAndServiceIntegration:
