@@ -13,8 +13,9 @@
   shares with ``SweepReport``;
 * :mod:`repro.api.session` — :class:`ExperimentSession`, which resolves a
   spec to the right runtime/runner and executes it;
-* :mod:`repro.api.presets` — the classic CLI entry points expressed as
-  specs (what ``--emit-spec`` prints).
+* :mod:`repro.api.presets` — the one description of every shipped
+  experiment: what the scenario builders, the sweep families and the CLI
+  subcommands run, and what ``--emit-spec`` prints.
 
 Quick start::
 
@@ -70,6 +71,8 @@ from .presets import (
     property_sweep_spec,
     quickstart_spec,
     repair_spec,
+    torus_block_spec,
+    torus_region_spec,
     torus_sweep_spec,
 )
 from .result import AggregateSpecification, DecisionResultMixin, Result, RunResult, json_safe
@@ -130,6 +133,8 @@ __all__ = [
     "locality_sweep_spec",
     "property_sweep_spec",
     "repair_spec",
+    "torus_block_spec",
+    "torus_region_spec",
     "torus_sweep_spec",
     "FAULT_PRESETS",
     "fault_preset",

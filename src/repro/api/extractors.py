@@ -1,13 +1,10 @@
 """Result extractors: domain rows computed from a finished run.
 
-The classic ``repro locality`` and ``repro repair`` commands wrap their
-runs in experiment-specific post-processing — locality cost rows
+The locality and overlay-repair experiments wrap their runs in
+experiment-specific post-processing — locality cost rows
 (:class:`~repro.experiments.locality.LocalityPoint`), overlay repair
 verdicts (:class:`~repro.experiments.overlay_repair.OverlayRepairPoint`).
-That post-processing used to live only in imperative code, which is why
-those commands could not emit a reproducing spec document.
-
-An *extractor* makes the post-processing declarative: an
+An *extractor* makes that declarative: an
 :class:`~repro.api.specs.ExperimentSpec` may carry an ``extract`` block
 (``{"kind": ..., "params": {...}}``), and the session then
 
@@ -19,8 +16,7 @@ An *extractor* makes the post-processing declarative: an
 
 Extractors only *observe* (and, via the policy, parameterise) the run;
 the trace digest is exactly that of the same spec without post-hoc
-extraction, which is what the digest-equality tests against the classic
-code paths assert.
+extraction (``tests/unit/test_extractors.py`` pins both).
 """
 
 from __future__ import annotations
@@ -76,9 +72,9 @@ class RepairExtractor:
     ``params`` must carry ``ring_size`` and ``successors`` (the
     :class:`~repro.repair.RingOverlay` the topology was generated from);
     the crashed arc is the spec's ``region`` failure members.  The
-    decision policy makes border nodes agree on *repair plans* — exactly
-    what :func:`~repro.experiments.overlay_repair.run_overlay_repair`
-    passes to the runner, hence digest-identical runs.
+    decision policy makes border nodes agree on *repair plans*;
+    :func:`~repro.experiments.overlay_repair.run_overlay_repair` returns
+    this extractor's :meth:`repair_run`.
     """
 
     kind = "repair"
@@ -101,7 +97,9 @@ class RepairExtractor:
 
         return RingRepairPolicy(self._overlay(spec))
 
-    def row(self, spec: ExperimentSpec, result) -> dict[str, Any]:
+    def repair_run(self, spec: ExperimentSpec, result):
+        """Apply the run's decided plans to the spec's overlay: the
+        :class:`~repro.experiments.overlay_repair.OverlayRepairRun`."""
         from ..experiments.overlay_repair import OverlayRepairRun
         from ..repair import apply_decisions
 
@@ -113,10 +111,10 @@ class RepairExtractor:
         overlay = self._overlay(spec)
         arc = tuple(spec.failure.params["members"])
         outcome = apply_decisions(overlay, result.schedule.nodes, result.decisions)
-        run = OverlayRepairRun(
-            overlay=overlay, arc=arc, result=result, outcome=outcome
-        )
-        return dict(run.point().as_row())
+        return OverlayRepairRun(overlay=overlay, arc=arc, result=result, outcome=outcome)
+
+    def row(self, spec: ExperimentSpec, result) -> dict[str, Any]:
+        return dict(self.repair_run(spec, result).point().as_row())
 
 
 _EXTRACTORS: dict[str, Any] = {

@@ -1,13 +1,22 @@
-"""Spec builders for the CLI's classic entry points.
+"""The one written-down description of every experiment the repo ships.
 
-Every positional CLI form maps onto a declarative spec here, which is
-what ``--emit-spec`` prints and what the commands themselves execute
-through :class:`~repro.api.session.ExperimentSession` — the old flags are
-thin shims over the spec layer.
+A block coordinate, a detector window, a default time or a label is
+spelled out here and nowhere else: the scenario builders
+(:mod:`repro.experiments.scenarios`), the sweep families
+(:mod:`repro.scale.families`) and the CLI subcommands (whose
+``--emit-spec`` prints these documents) all run a spec built here through
+:class:`~repro.api.session.ExperimentSession`.  The perf ledger pins the
+bytes :func:`churn_scenario_spec`, :func:`torus_sweep_spec` and
+:func:`quickstart_spec` emit, so new parameters are keyword-only and
+default to the old constants.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+from ..graph.generators import square_region
 from .specs import (
     ExperimentSpec,
     FailureSpec,
@@ -21,8 +30,6 @@ from .specs import (
 
 def quickstart_spec(side: int = 6, block: int = 2, seed: int = 0) -> ExperimentSpec:
     """The ``repro quickstart`` run: a block crash in a ``side×side`` grid."""
-    from ..graph.generators import square_region
-
     members = sorted(square_region((1, 1), block))
     return ExperimentSpec(
         name="quickstart",
@@ -38,62 +45,36 @@ def figure_spec(which: str, seed: int = 0) -> ExperimentSpec:
     """The run behind ``repro figure {1a,1b,2,3}`` as a spec.
 
     The figure commands derive extra observations from the trace (who
-    proposed what, which domains decided); the spec reproduces the *run*
-    itself — same topology, schedule, detector timing and seed, hence the
-    same canonical digest.
+    proposed what, which domains decided); the spec is the *run* itself —
+    the figure builder's own spec (topology, explicit crash script,
+    detector timing) at ``seed``.
     """
-    from ..experiments.scenarios import (
-        fig1a_scenario,
-        fig1b_scenario,
-        fig2_scenario,
-        fig3_scenario,
-    )
+    # Imported here: repro.experiments builds its scenarios from this module.
+    from ..experiments import scenarios
 
     builders = {
-        "1a": ("fig1", fig1a_scenario),
-        "1b": ("fig1", fig1b_scenario),
-        "2": ("fig2", fig2_scenario),
-        "3": ("fig3", fig3_scenario),
+        "1a": scenarios.fig1a_scenario,
+        "1b": scenarios.fig1b_scenario,
+        "2": scenarios.fig2_scenario,
+        "3": scenarios.fig3_scenario,
     }
     try:
-        topology_kind, builder = builders[which]
+        builder = builders[which]
     except KeyError:
         raise SpecError(
             f"unknown figure {which!r}; known: {', '.join(sorted(builders))}"
         ) from None
-    scenario = builder()
-    failure = FailureSpec(
-        "explicit",
-        {"crashes": [[node, time] for node, time in scenario.schedule.crashes]},
-    )
-    runtime = RuntimeSpec()
-    if scenario.failure_detector is not None:
-        detector = scenario.failure_detector
-        runtime = RuntimeSpec(
-            failure_detector={
-                "kind": "scripted",
-                "default_delay": detector.default_delay,
-                "delays": [
-                    [subscriber, crashed, delay]
-                    for (subscriber, crashed), delay in sorted(
-                        detector.delays.items(), key=repr
-                    )
-                ],
-            }
-        )
-    return ExperimentSpec(
-        name=scenario.name,
-        topology=TopologySpec(topology_kind),
-        failure=failure,
-        runtime=runtime,
-        seed=seed,
-        check=True,
-        labels=dict(scenario.labels),
-    )
+    return builder().spec.with_seed(seed)
 
 
 #: The crashed block shared by the race and flash-crowd churn scenarios.
 _CHURN_BLOCK = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def torus_side_for(nodes: int) -> int:
+    """Side length of the torus approximating ``nodes`` nodes (the churn
+    scenarios' sizing formula)."""
+    return max(3, round(math.sqrt(nodes)))
 
 
 def churn_scenario_spec(
@@ -103,15 +84,20 @@ def churn_scenario_spec(
     duration: float = 100.0,
     seed: int = 0,
     runtime: str = "sim",
+    *,
+    downtime: float = 15.0,
+    recover_at: float = 6.0,
+    recrash_at: float = 60.0,
+    crowd: int = 8,
 ) -> ExperimentSpec:
-    """The run behind ``repro churn --scenario {steady,race,flash}``.
+    """The churn scenario family: ``repro churn --scenario {steady,race,flash}``,
+    the ``churn-scenario`` sweep family and the ``churn_*_scenario``
+    builders of :mod:`repro.experiments.scenarios` (whose docstrings say
+    what each scenario exercises).
 
-    Mirrors the scenario builders in
-    :mod:`repro.experiments.scenarios` exactly — the spec-driven run is
-    digest-identical to ``churn_*_scenario(...).run(...)``.
+    ``churn_rate``/``duration``/``downtime`` shape ``steady``,
+    ``recover_at``/``recrash_at`` shape ``race``, ``crowd`` shapes ``flash``.
     """
-    from ..experiments.scenarios import torus_side_for
-
     side = torus_side_for(nodes)
     topology = TopologySpec("torus", {"width": side, "height": side})
     engine = RuntimeSpec(engine=runtime)
@@ -119,7 +105,7 @@ def churn_scenario_spec(
         churn_params = {
             "churn_rate": churn_rate,
             "duration": duration,
-            "downtime": 15.0,
+            "downtime": downtime,
         }
         return ExperimentSpec(
             name="churn-steady",
@@ -134,8 +120,8 @@ def churn_scenario_spec(
         race_params = {
             "members": _CHURN_BLOCK,
             "crash_at": 1.0,
-            "recover_at": 6.0,
-            "recrash_at": 60.0,
+            "recover_at": recover_at,
+            "recrash_at": recrash_at,
         }
         return ExperimentSpec(
             name="churn-race",
@@ -144,19 +130,25 @@ def churn_scenario_spec(
             membership=MembershipSpec("race", race_params),
             runtime=engine,
             seed=seed,
-            labels={"recover_at": 6.0, "recrash_at": 60.0, "seed": seed},
+            labels={"recover_at": recover_at, "recrash_at": recrash_at, "seed": seed},
         )
     if scenario == "flash":
+        if crowd < 1:
+            # ``count: 0`` reads as a *static* run (MembershipSpec.is_static),
+            # not as the error an empty crowd has always been.
+            from ..churn.membership import MembershipError
+
+            raise MembershipError("a flash crowd needs at least one newcomer")
         return ExperimentSpec(
             name="churn-flash-crowd",
             topology=topology,
             failure=FailureSpec("region", {"members": _CHURN_BLOCK, "at": 1.0}),
             membership=MembershipSpec(
-                "flash_crowd", {"count": 8, "at": 3.0, "spacing": 1.0}
+                "flash_crowd", {"count": crowd, "at": 3.0, "spacing": 1.0}
             ),
             runtime=engine,
             seed=seed,
-            labels={"crowd": 8, "seed": seed},
+            labels={"crowd": crowd, "seed": seed},
         )
     raise SpecError(f"unknown churn scenario {scenario!r}; known: steady, race, flash")
 
@@ -182,6 +174,36 @@ LOCALITY_SIDES = (8, 12, 16, 24, 32)
 LOCALITY_SIDES_FULL = (8, 12, 16, 24, 32, 48, 64)
 
 
+def torus_region_spec(
+    side: int,
+    region_side: int,
+    seed: int = 0,
+    jittered_detection: bool = True,
+    check: bool = True,
+) -> ExperimentSpec:
+    """The locality point: a ``region_side²`` block of a ``side²`` torus
+    crashes over one time unit under a jittered failure detector.
+
+    The block sits at ``(1, 1)``, away from the wrap-around seam, so its
+    shape is exactly a square (placement does not matter on a torus, but
+    explicitness helps when reading traces).
+    """
+    if region_side + 2 > side:
+        raise SpecError(
+            "the torus must be at least two nodes wider than the crashed block"
+        )
+    members = sorted(square_region((1, 1), region_side))
+    jitter = {"kind": "jittered", "low": 0.5, "high": 2.0}
+    return ExperimentSpec(
+        topology=TopologySpec("torus", {"width": side, "height": side}),
+        failure=FailureSpec("region", {"members": members, "at": 1.0, "spread": 1.0}),
+        runtime=RuntimeSpec(failure_detector=jitter if jittered_detection else None),
+        seed=seed,
+        check=check,
+        labels={"torus_side": side, "region_side": region_side},
+    )
+
+
 def locality_sweep_spec(
     exp: str = "l1",
     sides=None,
@@ -193,73 +215,36 @@ def locality_sweep_spec(
 ) -> SweepSpec:
     """The ``repro locality`` sweeps (EXP-L1 / EXP-L2) as sweep specs.
 
-    Mirrors :func:`~repro.experiments.locality.system_size_sweep` and
-    :func:`~repro.experiments.locality.region_size_sweep` exactly — same
-    torus, block corner, crash spread and jittered detector — so each
-    point's run is digest-identical to the classic code path, and the
-    ``locality`` extractor reproduces the classic cost rows.
-
-    EXP-L1 grows the torus around a fixed block: the width and height
-    move in lockstep through a ``|``-coupled grid axis.  EXP-L2 grows
-    the crashed block inside a fixed torus: the axis varies the failure
-    members.
+    Every point is a :func:`torus_region_spec` run whose ``locality``
+    extractor reports the cost row.  EXP-L1 grows the torus around a fixed
+    block: the width and height move in lockstep through a ``|``-coupled
+    grid axis.  EXP-L2 grows the crashed block inside a fixed torus: the
+    axis varies the failure members.
     """
-    from ..graph.generators import square_region
-
-    extract = {"kind": "locality"}
     if exp == "l1":
         sides = tuple(sides) if sides is not None else LOCALITY_SIDES
-        members = sorted(square_region((1, 1), region_side))
-        template = ExperimentSpec(
-            name=f"exp-l1-block{region_side}",
-            topology=TopologySpec(
-                "torus", {"width": sides[0], "height": sides[0]}
-            ),
-            failure=FailureSpec(
-                "region", {"members": members, "at": 1.0, "spread": 1.0}
-            ),
-            runtime=RuntimeSpec(
-                failure_detector={"kind": "jittered", "low": 0.5, "high": 2.0}
-            ),
-            seed=seed,
-            check=True,
-            extract=extract,
-            labels={"experiment": "EXP-L1", "region_side": region_side},
-        )
-        return SweepSpec(
-            name="exp-l1-system-size",
-            experiment=template,
-            grid={
-                "topology.params.width|topology.params.height": list(sides)
-            },
-            workers=workers,
-        )
-    if exp == "l2":
-        member_sets = [
-            [list(node) for node in sorted(square_region((1, 1), region_side))]
+        points = [torus_region_spec(side, region_side, seed=seed) for side in sides]
+        sweep, name = "exp-l1-system-size", f"exp-l1-block{region_side}"
+        labels = {"experiment": "EXP-L1", "region_side": region_side}
+        grid = {"topology.params.width|topology.params.height": list(sides)}
+    elif exp == "l2":
+        points = [
+            torus_region_spec(side, region_side, seed=seed)
             for region_side in region_sides
         ]
-        template = ExperimentSpec(
-            name=f"exp-l2-torus{side}",
-            topology=TopologySpec("torus", {"width": side, "height": side}),
-            failure=FailureSpec(
-                "region", {"members": member_sets[0], "at": 1.0, "spread": 1.0}
-            ),
-            runtime=RuntimeSpec(
-                failure_detector={"kind": "jittered", "low": 0.5, "high": 2.0}
-            ),
-            seed=seed,
-            check=True,
-            extract=extract,
-            labels={"experiment": "EXP-L2", "side": side},
-        )
-        return SweepSpec(
-            name="exp-l2-region-size",
-            experiment=template,
-            grid={"failure.params.members": member_sets},
-            workers=workers,
-        )
-    raise SpecError(f"unknown locality experiment {exp!r}; known: l1, l2")
+        sweep, name = "exp-l2-region-size", f"exp-l2-torus{side}"
+        labels = {"experiment": "EXP-L2", "side": side}
+        grid = {
+            "failure.params.members": [
+                point.failure.params["members"] for point in points
+            ]
+        }
+    else:
+        raise SpecError(f"unknown locality experiment {exp!r}; known: l1, l2")
+    template = dataclasses.replace(
+        points[0], name=name, extract={"kind": "locality"}, labels=labels
+    )
+    return SweepSpec(name=sweep, experiment=template, grid=grid, workers=workers)
 
 
 def repair_spec(
@@ -268,24 +253,27 @@ def repair_spec(
     arc_start: int = 5,
     arc_length: int = 4,
     seed: int = 0,
+    *,
+    spread: float = 0.5,
+    check: bool = True,
 ) -> ExperimentSpec:
-    """The ``repro repair`` run (EXP-R1) as an experiment spec.
+    """The overlay repair run (EXP-R1): ``repro repair`` and
+    :func:`~repro.experiments.overlay_repair.run_overlay_repair`.
 
-    Mirrors :func:`~repro.experiments.overlay_repair.run_overlay_repair`:
-    the ``ring`` topology is exactly
+    An arc of a Chord-like ring crashes over ``spread`` time units.  The
+    ``ring`` topology is exactly
     :meth:`~repro.repair.RingOverlay.knowledge_graph`, and the ``repair``
     extractor re-creates the overlay, supplies the
     :class:`~repro.repair.RingRepairPolicy` decision policy, applies the
-    decided plans and reports the repair verdict — digest-identical to
-    the classic code path.
+    decided plans and reports the repair verdict.
     """
     arc = [(arc_start + offset) % ring_size for offset in range(arc_length)]
     return ExperimentSpec(
         name=f"exp-r1-ring{ring_size}-arc{arc_length}",
         topology=TopologySpec("ring", {"size": ring_size, "successors": successors}),
-        failure=FailureSpec("region", {"members": arc, "at": 1.0, "spread": 0.5}),
+        failure=FailureSpec("region", {"members": arc, "at": 1.0, "spread": spread}),
         seed=seed,
-        check=True,
+        check=check,
         extract={
             "kind": "repair",
             "params": {"ring_size": ring_size, "successors": successors},
@@ -363,6 +351,74 @@ def property_sweep_spec(
     )
 
 
+def torus_block_members(
+    side: int, block_side: int, origin: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """The member coordinates of a wrap-around block on a torus (pure
+    modular arithmetic — no graph needed)."""
+    ox, oy = origin
+    return [
+        ((ox + dx) % side, (oy + dy) % side)
+        for dx in range(block_side)
+        for dy in range(block_side)
+    ]
+
+
+def torus_block_origins(
+    side: int, scenarios: int, block_side: int = 2
+) -> list[tuple[int, int]]:
+    """Block origins of the scale family, spread along the torus diagonal."""
+    if scenarios < 1:
+        raise ValueError("need at least one scenario")
+    stride = max(side // scenarios, block_side + 2)
+    origins = []
+    for index in range(scenarios):
+        offset = (index * stride) % side
+        origins.append((offset, (offset + index) % side))
+    return origins
+
+
+def torus_block_spec(
+    side: int = 32,
+    block_side: int = 2,
+    origin: tuple[int, int] = (1, 1),
+    at: float = 1.0,
+    seed: int = 0,
+    check: bool = True,
+) -> ExperimentSpec:
+    """A ``block_side²`` block crash on a ``side×side`` torus.
+
+    The workhorse of the scale sweeps (``torus_block_scenario``, the
+    ``torus-block`` family): ``side=32`` is the 1024-node point,
+    ``side=64`` the 4096-node one.  The block wraps around when the
+    origin sits near an edge (the torus has none, so the region stays
+    connected), which lets callers spread blocks anywhere without bounds
+    checking.
+    """
+    if side < 3:
+        raise SpecError("torus side must be at least 3")
+    if not (1 <= block_side < side - 1):
+        raise SpecError("block must be smaller than the torus")
+    ox, oy = origin
+    origin = (ox % side, oy % side)
+    return ExperimentSpec(
+        name=f"torus{side}x{side}-block{block_side}@{origin}",
+        topology=TopologySpec("torus", {"width": side, "height": side}),
+        failure=FailureSpec(
+            "region",
+            {"members": sorted(torus_block_members(side, block_side, origin)), "at": at},
+        ),
+        seed=seed,
+        check=check,
+        labels={
+            "side": side,
+            "nodes": side * side,
+            "block_side": block_side,
+            "origin": origin,
+        },
+    )
+
+
 def torus_sweep_spec(
     side: int = 32,
     scenarios: int = 8,
@@ -372,17 +428,14 @@ def torus_sweep_spec(
 ) -> SweepSpec:
     """The large-torus scale family as an experiment-mode sweep spec.
 
-    Block placement comes from the same
-    :func:`~repro.experiments.scenarios.torus_block_origins` /
-    :func:`~repro.experiments.scenarios.torus_block_members` helpers as
-    :func:`repro.experiments.scenarios.torus_scale_family` — pure
-    arithmetic, no graphs are built at spec-construction time.  The grid
-    axis varies the crashed block's member set, so every point shares one
+    Block placement comes from the same :func:`torus_block_origins` /
+    :func:`torus_block_members` arithmetic as :func:`torus_block_spec` —
+    no graphs are built at spec-construction time.  The grid axis varies
+    the crashed block's member set, so every point shares one
     :class:`TopologySpec` — and therefore one cached topology build per
-    worker.
+    worker — and the template keeps a name and labels without an origin
+    (the ledger pins this document's bytes).
     """
-    from ..experiments.scenarios import torus_block_members, torus_block_origins
-
     member_sets = []
     for origin in torus_block_origins(side, scenarios, block_side):
         members = sorted(torus_block_members(side, block_side, origin))

@@ -596,7 +596,10 @@ class RuntimeSpec(_SpecBase):
             # not deep inside a sweep worker.
             self.resolve_latency()
         if self.failure_detector is not None:
-            object.__setattr__(self, "failure_detector", freeze(self.failure_detector))
+            detector = _require_mapping(self.failure_detector, "RuntimeSpec.failure_detector")
+            object.__setattr__(self, "failure_detector", freeze(detector))
+            # Resolve now and discard, for the same reason as the latency.
+            self.resolve_failure_detector()
         if self.faults is not None:
             faults = _require_mapping(self.faults, "RuntimeSpec.faults")
             _check_keys(faults, self.FAULT_KEYS, "RuntimeSpec.faults")
@@ -683,16 +686,19 @@ class RuntimeSpec(_SpecBase):
 
         params = dict(self.failure_detector)
         kind = params.pop("kind", "perfect")
-        if kind == "perfect":
-            return PerfectFailureDetector(**params)
-        if kind == "jittered":
-            return JitteredFailureDetector(**params)
-        if kind == "scripted":
-            delays = {
-                (subscriber, crashed): float(delay)
-                for subscriber, crashed, delay in params.pop("delays", ())
-            }
-            return ScriptedFailureDetector(delays=delays, **params)
+        try:
+            if kind == "perfect":
+                return PerfectFailureDetector(**params)
+            if kind == "jittered":
+                return JitteredFailureDetector(**params)
+            if kind == "scripted":
+                delays = {
+                    (subscriber, crashed): float(delay)
+                    for subscriber, crashed, delay in params.pop("delays", ())
+                }
+                return ScriptedFailureDetector(delays=delays, **params)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad failure-detector spec for kind {kind!r}: {exc}") from exc
         raise SpecError(
             f"unknown failure-detector kind {kind!r}; known: perfect, jittered, scripted"
         )

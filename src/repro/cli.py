@@ -38,9 +38,12 @@ from .api import (
     churn_scenario_spec,
     figure_spec,
     load_spec,
+    locality_sweep_spec,
     property_sweep_spec,
     quickstart_spec,
+    repair_spec,
 )
+from .api.presets import LOCALITY_SIDES, LOCALITY_SIDES_FULL
 from .experiments import (
     fig1a_scenario,
     format_table,
@@ -193,9 +196,7 @@ def _cmd_figure(args: argparse.Namespace, write: Callable[[str], object]) -> int
 
 
 def _cmd_locality(args: argparse.Namespace, write: Callable[[str], object]) -> int:
-    from .api import locality_sweep_spec
-
-    sides = (8, 12, 16, 24, 32) if not args.full else (8, 12, 16, 24, 32, 48, 64)
+    sides = LOCALITY_SIDES_FULL if args.full else LOCALITY_SIDES
     if args.emit_spec:
         # One declarative document per experiment: EXP-L1 varies the
         # torus through a width|height-coupled axis, EXP-L2 the block.
@@ -215,26 +216,16 @@ def _cmd_locality(args: argparse.Namespace, write: Callable[[str], object]) -> i
 
 
 def _cmd_repair(args: argparse.Namespace, write: Callable[[str], object]) -> int:
+    described = {
+        "ring_size": args.ring_size,
+        "arc_start": args.arc_start,
+        "arc_length": args.arc_length,
+        "seed": args.seed,
+    }
     if args.emit_spec:
-        from .api import repair_spec
-
-        write(
-            repair_spec(
-                ring_size=args.ring_size,
-                successors=2,
-                arc_start=args.arc_start,
-                arc_length=args.arc_length,
-                seed=args.seed,
-            ).to_json()
-        )
+        write(repair_spec(**described).to_json())
         return 0
-    run = run_overlay_repair(
-        ring_size=args.ring_size,
-        successors=2,
-        arc_start=args.arc_start,
-        arc_length=args.arc_length,
-        seed=args.seed,
-    )
+    run = run_overlay_repair(**described)
     write(f"crashed arc: {list(run.arc)}")
     write(run.outcome.summary())
     write(f"specification holds: {run.result.specification.holds}")
@@ -388,13 +379,25 @@ def _cmd_churn(args: argparse.Namespace, write: Callable[[str], object]) -> int:
             "asyncio or asyncio-virtual (run each document to compare)"
         )
         return 2
+    steady_shape = {
+        knob: value
+        for knob in ("churn_rate", "duration")
+        if (value := getattr(args, knob)) is not None
+    }
+    if steady_shape and args.scenario != "steady":
+        # Silently dropping explicit flags would run something other than
+        # what was asked for.
+        write(
+            "--churn-rate/--duration shape the steady scenario only; they "
+            f"conflict with --scenario {args.scenario}"
+        )
+        return 2
     spec = churn_scenario_spec(
         args.scenario,
         nodes=args.nodes,
-        churn_rate=args.churn_rate,
-        duration=args.duration,
         seed=args.seed,
         runtime=args.runtime if args.runtime not in ("both", "all") else "sim",
+        **steady_shape,
     )
     if args.faults:
         block, _ = _parse_faults(args.faults)
@@ -816,11 +819,17 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument(
         "--churn-rate",
         type=float,
-        default=0.05,
+        default=None,
         dest="churn_rate",
-        help="fraction of the population starting a crash-recover cycle per time unit",
+        help="steady only: fraction of the population starting a "
+        "crash-recover cycle per time unit (default 0.05)",
     )
-    churn.add_argument("--duration", type=float, default=100.0)
+    churn.add_argument(
+        "--duration",
+        type=float,
+        default=None,
+        help="steady only: time units over which cycles start (default 100)",
+    )
     churn.add_argument(
         "--runtime",
         choices=["sim", "asyncio", "asyncio-virtual", "both", "all"],

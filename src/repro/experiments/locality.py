@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..failures import region_crash
+from ..api.presets import LOCALITY_SIDES_FULL, torus_region_spec
+from ..api.session import ExperimentSession
 from ..graph import Region
-from ..graph.generators import square_region, torus
-from ..sim import JitteredFailureDetector
-from .runner import RunResult, run_cliff_edge
+from .runner import RunResult
 
 
 @dataclass(frozen=True)
@@ -84,45 +83,30 @@ def run_torus_region_scenario(
     jittered_detection: bool = True,
     check: bool = True,
 ) -> tuple[RunResult, Region]:
-    """Crash a ``region_side x region_side`` block in a ``side x side`` torus."""
-    if region_side + 2 > side:
-        raise ValueError(
-            "the torus must be at least two nodes wider than the crashed block"
-        )
-    graph = torus(side, side)
-    # Keep the block away from the wrap-around seam so its shape is exactly
-    # a square (placement does not matter on a torus, but explicitness helps
-    # when reading traces).
-    corner = (1, 1)
-    members = square_region(corner, region_side)
-    region = Region.of(graph, members)
-    schedule = region_crash(graph, members, at=1.0, spread=1.0)
-    failure_detector = JitteredFailureDetector(0.5, 2.0) if jittered_detection else None
-    result = run_cliff_edge(
-        graph,
-        schedule,
-        failure_detector=failure_detector,
-        seed=seed,
-        check=check,
+    """Crash a ``region_side x region_side`` block in a ``side x side`` torus
+    (:func:`~repro.api.presets.torus_region_spec`)."""
+    spec = torus_region_spec(
+        side, region_side, seed=seed, jittered_detection=jittered_detection, check=check
     )
-    result.labels.update({"torus_side": side, "region_side": region_side})
-    return result, region
+    result = ExperimentSession().run(spec)
+    return result, Region.of(result.graph, spec.failure.params["members"])
+
+
+def _torus_region_point(
+    side: int, region_side: int, seed: int, check: bool
+) -> LocalityPoint:
+    result, region = run_torus_region_scenario(side, region_side, seed=seed, check=check)
+    return _point_from_result(result, region)
 
 
 def system_size_sweep(
-    sides: Sequence[int] = (8, 12, 16, 24, 32, 48, 64),
+    sides: Sequence[int] = LOCALITY_SIDES_FULL,
     region_side: int = 3,
     seed: int = 0,
     check: bool = True,
 ) -> list[LocalityPoint]:
     """EXP-L1: fixed crashed block, growing torus."""
-    points = []
-    for side in sides:
-        result, region = run_torus_region_scenario(
-            side, region_side, seed=seed, check=check
-        )
-        points.append(_point_from_result(result, region))
-    return points
+    return [_torus_region_point(side, region_side, seed, check) for side in sides]
 
 
 def region_size_sweep(
@@ -132,13 +116,10 @@ def region_size_sweep(
     check: bool = True,
 ) -> list[LocalityPoint]:
     """EXP-L2: fixed torus, growing crashed block."""
-    points = []
-    for region_side in region_sides:
-        result, region = run_torus_region_scenario(
-            side, region_side, seed=seed, check=check
-        )
-        points.append(_point_from_result(result, region))
-    return points
+    return [
+        _torus_region_point(side, region_side, seed, check)
+        for region_side in region_sides
+    ]
 
 
 def locality_is_flat(points: Sequence[LocalityPoint], tolerance: float = 0.10) -> bool:

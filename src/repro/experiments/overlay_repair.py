@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..failures import region_crash
-from ..graph import Region
-from ..repair import RepairOutcome, RingOverlay, RingRepairPolicy, apply_decisions
-from .runner import RunResult, run_cliff_edge
+from ..api.extractors import RepairExtractor
+from ..api.presets import repair_spec
+from ..api.session import ExperimentSession
+from ..repair import RepairOutcome, RingOverlay
+from .runner import RunResult
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,18 @@ def run_overlay_repair(
     seed: int = 0,
     check: bool = True,
 ) -> OverlayRepairRun:
-    """Crash an arc of the ring, agree on a repair plan, apply and verify it."""
-    overlay = RingOverlay(ring_size, successors)
-    graph = overlay.knowledge_graph()
-    arc = overlay.arc(arc_start, arc_length)
-    schedule = region_crash(graph, arc, at=1.0, spread=spread)
-    policy = RingRepairPolicy(overlay)
-    result = run_cliff_edge(
-        graph, schedule, decision_policy=policy, seed=seed, check=check
+    """Crash an arc of the ring, agree on a repair plan, apply and verify it
+    (:func:`~repro.api.presets.repair_spec`)."""
+    spec = repair_spec(
+        ring_size=ring_size,
+        successors=successors,
+        arc_start=arc_start,
+        arc_length=arc_length,
+        seed=seed,
+        spread=spread,
+        check=check,
     )
-    outcome = apply_decisions(overlay, schedule.nodes, result.decisions)
-    return OverlayRepairRun(overlay=overlay, arc=arc, result=result, outcome=outcome)
+    return RepairExtractor().repair_run(spec, ExperimentSession().run(spec))
 
 
 def overlay_repair_sweep(

@@ -182,12 +182,9 @@ def property_sweep(
     ``workers > 1`` shards the cases over a process pool; the returned
     cases (digests included) are identical to a ``workers=1`` run.
     """
-    if workers != 1:
-        from ..scale import ShardedSweepRunner, property_tasks
+    from ..scale import ShardedSweepRunner, property_tasks
 
-        report = ShardedSweepRunner(workers=workers).run(property_tasks(seeds))
-        return report.cases()
-    return [run_sweep_case(seed) for seed in seeds]
+    return ShardedSweepRunner(workers=workers).run(property_tasks(seeds)).cases()
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +312,11 @@ def churn_property_sweep(
     ``workers > 1`` shards the cases over a process pool; results are
     identical to a ``workers=1`` run.
     """
-    if workers != 1:
-        from ..scale import ShardedSweepRunner, churn_property_tasks
+    from ..scale import ShardedSweepRunner, churn_property_tasks
 
-        report = ShardedSweepRunner(workers=workers).run(churn_property_tasks(seeds))
-        return report.cases()
-    return [run_churn_sweep_case(seed) for seed in seeds]
+    return (
+        ShardedSweepRunner(workers=workers).run(churn_property_tasks(seeds)).cases()
+    )
 
 
 def sweep_summary(cases: Sequence[SweepCase]) -> dict[str, object]:

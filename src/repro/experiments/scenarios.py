@@ -1,8 +1,10 @@
-"""Executable reproductions of the paper's figures.
+"""The classic scenario builders: a preset spec plus a description.
 
-Each ``fig*_scenario`` builds the topology, the crash schedule and the
-failure-detector timing that recreate the situation drawn in the paper, and
-each ``run_fig*`` executes it and returns both the raw
+A :class:`Scenario` *is* an :class:`~repro.api.ExperimentSpec`: what a
+builder here describes is written once, in :mod:`repro.api.presets` (the
+figure builders, whose crash scripts come from the figure layouts, write
+their spec themselves and ``figure_spec`` reads it back).  Each
+``run_fig*`` executes its scenario and returns both the raw
 :class:`~repro.experiments.runner.RunResult` and a small summary of the
 figure-specific observations (who decided what, which conflicts arose and
 how they were resolved).
@@ -10,25 +12,23 @@ how they were resolved).
 
 from __future__ import annotations
 
-import math
+import dataclasses
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Mapping, Optional
 
-from dataclasses import dataclass, field
-from typing import Optional
+from ..api.presets import churn_scenario_spec, torus_block_origins, torus_block_spec
 
-from ..churn import (
-    MembershipSchedule,
-    crash_recover_recrash,
-    flash_crowd_joins,
-    run_churn,
-    run_churn_asyncio,
-    steady_state_churn,
-)
+# Re-exported: this module is where the perf ledger and older callers import them from.
+from ..api.presets import torus_block_members, torus_side_for  # noqa: F401
+from ..api.session import ExperimentSession
+from ..api.specs import ExperimentSpec, FailureSpec, RuntimeSpec, TopologySpec
+from ..churn import MembershipSchedule
 from ..failures import CrashSchedule, growing_region_crash, multi_region_crash, region_crash
 from ..graph import KnowledgeGraph, NodeId, Region
-from ..graph.generators import torus
-from ..sim import ConstantLatency, ScriptedFailureDetector
+from ..sim import FailureDetectorPolicy
 from ..sim.events import EventKind
-from .runner import RunResult, run_cliff_edge
+from .runner import RunResult
 from .topologies import (
     FIG1_F1,
     FIG1_F2,
@@ -43,26 +43,82 @@ from .topologies import (
 
 @dataclass
 class Scenario:
-    """A ready-to-run scenario: topology + crash schedule + detector timing."""
+    """A ready-to-run scenario: a spec and a description of what it shows.
 
-    name: str
-    graph: KnowledgeGraph
-    schedule: CrashSchedule
+    ``graph``/``schedule``/``membership``/``failure_detector`` are what the
+    session resolves the spec to, and :meth:`run` is the session's ``run``
+    on it — on the simulator (``runtime="sim"``), wall-clock asyncio
+    (``"asyncio"``) or the virtual-time loop (``"asyncio-virtual"``); the
+    integration tests assert they reach identical decisions.  The script
+    is fixed at build time: ``run(seed=…)`` seeds the *run* (latency and
+    detector draws), never the crash or membership generators.
+    """
+
+    spec: ExperimentSpec
     description: str = ""
-    failure_detector: Optional[ScriptedFailureDetector] = None
-    labels: dict = field(default_factory=dict)
 
-    def run(self, check: bool = True, seed: int = 0) -> RunResult:
-        result = run_cliff_edge(
-            self.graph,
-            self.schedule,
-            failure_detector=self.failure_detector,
-            seed=seed,
-            check=check,
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def labels(self) -> dict:
+        return dict(self.spec.labels)
+
+    @cached_property
+    def _resolved(self) -> tuple[KnowledgeGraph, CrashSchedule, MembershipSchedule]:
+        return ExperimentSession().resolve(self.spec)
+
+    @property
+    def graph(self) -> KnowledgeGraph:
+        return self._resolved[0]
+
+    @property
+    def schedule(self) -> CrashSchedule:
+        return self._resolved[1]
+
+    @property
+    def membership(self) -> MembershipSchedule:
+        return self._resolved[2]
+
+    @property
+    def failure_detector(self) -> Optional[FailureDetectorPolicy]:
+        return self.spec.runtime.resolve_failure_detector()
+
+    def run(
+        self,
+        check: bool = True,
+        seed: int = 0,
+        runtime: str = "sim",
+        timeout: float = 60.0,
+    ) -> RunResult:
+        engine = dataclasses.replace(self.spec.runtime, engine=runtime, timeout=timeout)
+        return ExperimentSession().run(
+            dataclasses.replace(self.spec, check=check, seed=seed, runtime=engine)
         )
-        result.labels.update(self.labels)
-        result.labels["scenario"] = self.name
-        return result
+
+
+#: A churn scenario is a scenario whose spec has a membership half.
+ChurnScenario = Scenario
+
+
+def _figure_scenario(
+    name: str,
+    topology: str,
+    schedule: CrashSchedule,
+    description: str,
+    failure_detector: Optional[Mapping[str, Any]] = None,
+    labels: Optional[Mapping[str, Any]] = None,
+) -> Scenario:
+    """A figure scenario: its layout's crash script, spelled out."""
+    spec = ExperimentSpec(
+        name=name,
+        topology=TopologySpec(topology),
+        failure=FailureSpec("explicit", {"crashes": schedule.crashes}),
+        runtime=RuntimeSpec(failure_detector=failure_detector),
+        labels=labels or {},
+    )
+    return Scenario(spec, description)
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +126,12 @@ class Scenario:
 # ---------------------------------------------------------------------------
 def fig1a_scenario() -> Scenario:
     """Fig. 1a: regions F1 (Europe) and F2 (Pacific) crash independently."""
-    graph = fig1_topology()
-    schedule = multi_region_crash(graph, [FIG1_F1, FIG1_F2], at=1.0)
-    return Scenario(
-        name="fig1a",
-        graph=graph,
-        schedule=schedule,
-        description=(
-            "Two disjoint crashed regions; each border agrees locally and "
-            "nodes such as vancouver never talk to madrid (CD3)."
-        ),
+    return _figure_scenario(
+        "fig1a",
+        "fig1",
+        multi_region_crash(fig1_topology(), [FIG1_F1, FIG1_F2], at=1.0),
+        "Two disjoint crashed regions; each border agrees locally and "
+        "nodes such as vancouver never talk to madrid (CD3).",
     )
 
 
@@ -95,25 +147,24 @@ def fig1b_scenario(madrid_detection_delay: float = 40.0) -> Scenario:
     resolve the conflict through ranking-based rejection and converge on
     F3.
     """
-    graph = fig1_topology()
     schedule = growing_region_crash(
-        graph,
+        fig1_topology(),
         FIG1_F1,
         growth_members=["paris"],
         initial_at=1.0,
         growth_at=4.0,
     )
-    detector = ScriptedFailureDetector(default_delay=1.0)
-    detector.set_delay("madrid", "paris", madrid_detection_delay)
-    return Scenario(
-        name="fig1b",
-        graph=graph,
-        schedule=schedule,
-        failure_detector=detector,
-        description=(
-            "F1 grows into F3 = F1 ∪ {paris} before agreement completes; "
-            "madrid and berlin initially hold conflicting views."
-        ),
+    return _figure_scenario(
+        "fig1b",
+        "fig1",
+        schedule,
+        "F1 grows into F3 = F1 ∪ {paris} before agreement completes; "
+        "madrid and berlin initially hold conflicting views.",
+        failure_detector={
+            "kind": "scripted",
+            "default_delay": 1.0,
+            "delays": [["madrid", "paris", madrid_detection_delay]],
+        },
         labels={"madrid_detection_delay": madrid_detection_delay},
     )
 
@@ -190,16 +241,13 @@ class Fig2Observations:
 def fig2_scenario() -> Scenario:
     """Fig. 2: four adjacent faulty domains crash simultaneously."""
     layout = fig2_topology()
-    schedule = multi_region_crash(layout.graph, layout.domains, at=1.0)
-    return Scenario(
-        name="fig2",
-        graph=layout.graph,
-        schedule=schedule,
-        description=(
-            "A faulty cluster F1‖F2‖F3‖F4; shared border nodes can only "
-            "commit to one domain, so some lower-ranked domains may stay "
-            "undecided while CD7 still holds for the cluster."
-        ),
+    return _figure_scenario(
+        "fig2",
+        "fig2",
+        multi_region_crash(layout.graph, layout.domains, at=1.0),
+        "A faulty cluster F1‖F2‖F3‖F4; shared border nodes can only "
+        "commit to one domain, so some lower-ranked domains may stay "
+        "undecided while CD7 still holds for the cluster.",
     )
 
 
@@ -262,15 +310,13 @@ def fig3_scenario(growth_at: float = 120.0) -> Scenario:
             for index, node in enumerate(layout.second_wave)
         )
     )
-    return Scenario(
-        name="fig3",
-        graph=layout.graph,
-        schedule=first.merged(second),
-        description=(
-            "A crashed region is agreed upon; it then grows over part of "
-            "its own border.  The grown region overlaps the decided one, "
-            "so CD6 forbids any conflicting second decision."
-        ),
+    return _figure_scenario(
+        "fig3",
+        "fig3",
+        first.merged(second),
+        "A crashed region is agreed upon; it then grows over part of "
+        "its own border.  The grown region overlaps the decided one, "
+        "so CD6 forbids any conflicting second decision.",
         labels={"growth_at": growth_at},
     )
 
@@ -301,65 +347,8 @@ def run_fig3(check: bool = True, seed: int = 0) -> Fig3Observations:
 # ---------------------------------------------------------------------------
 # Churn — dynamic-membership scenario family (not in the paper)
 # ---------------------------------------------------------------------------
-@dataclass
-class ChurnScenario:
-    """A ready-to-run churn scenario: topology + crashes + membership.
-
-    The same scenario runs unchanged on the deterministic simulator
-    (``runtime="sim"``), on the wall-clock asyncio runtime
-    (``runtime="asyncio"``) and on the deterministic virtual-time loop
-    (``runtime="asyncio-virtual"``); the integration tests assert they
-    reach identical decisions.
-    """
-
-    name: str
-    graph: KnowledgeGraph
-    schedule: CrashSchedule
-    membership: MembershipSchedule
-    description: str = ""
-    labels: dict = field(default_factory=dict)
-
-    def run(
-        self,
-        check: bool = True,
-        seed: int = 0,
-        runtime: str = "sim",
-        timeout: float = 60.0,
-    ) -> RunResult:
-        if runtime == "sim":
-            result = run_churn(
-                self.graph, self.schedule, self.membership, seed=seed, check=check
-            )
-        elif runtime in ("asyncio", "asyncio-virtual"):
-            result = run_churn_asyncio(
-                self.graph,
-                self.schedule,
-                self.membership,
-                seed=seed,
-                check=check,
-                timeout=timeout,
-                virtual=runtime == "asyncio-virtual",
-            )
-        else:
-            raise ValueError(f"unknown runtime {runtime!r}")
-        result.labels.update(self.labels)
-        result.labels["scenario"] = self.name
-        return result
-
-
-def torus_side_for(nodes: int) -> int:
-    """Side length of the torus approximating ``nodes`` nodes.
-
-    The single source of the churn scenarios' sizing formula — the spec
-    presets (:mod:`repro.api.presets`) reuse it so spec-driven runs stay
-    digest-identical to the classic builders.
-    """
-    return max(3, round(math.sqrt(nodes)))
-
-
-def _torus_for(nodes: int) -> KnowledgeGraph:
-    side = torus_side_for(nodes)
-    return torus(side, side)
+def _with_params(sub_spec, **params):
+    return dataclasses.replace(sub_spec, params={**sub_spec.params, **params})
 
 
 def churn_steady_scenario(
@@ -368,32 +357,36 @@ def churn_steady_scenario(
     duration: float = 100.0,
     seed: int = 0,
     downtime: float = 15.0,
-) -> ChurnScenario:
+) -> Scenario:
     """Steady-state churn: independent crash→recover cycles on a torus.
 
     ``churn_rate`` is the fraction of the population starting a cycle per
     unit time; the resulting workload keeps detection and agreement
     instances permanently in flight somewhere in the graph.
     """
-    graph = _torus_for(nodes)
-    schedule, membership = steady_state_churn(
-        graph,
+    spec = churn_scenario_spec(
+        "steady",
+        nodes=nodes,
         churn_rate=churn_rate,
         duration=duration,
         seed=seed,
         downtime=downtime,
     )
-    return ChurnScenario(
-        name="churn-steady",
-        graph=graph,
-        schedule=schedule,
-        membership=membership,
-        description=(
-            f"{len(schedule)} crashes / {len(membership)} recoveries over "
-            f"{duration} time units on a {len(graph)}-node torus."
-        ),
-        labels={"churn_rate": churn_rate, "nodes": len(graph), "seed": seed},
+    # ``seed`` draws the script; pin it, or a run at another seed would
+    # re-draw the cycles (the generator falls back to the run seed).
+    scenario = Scenario(
+        dataclasses.replace(
+            spec,
+            failure=_with_params(spec.failure, churn_seed=seed),
+            membership=_with_params(spec.membership, churn_seed=seed),
+        )
     )
+    scenario.description = (
+        f"{len(scenario.schedule)} crashes / {len(scenario.membership)} "
+        f"recoveries over {duration} time units on a "
+        f"{len(scenario.graph)}-node torus."
+    )
+    return scenario
 
 
 def churn_recovery_race_scenario(
@@ -401,7 +394,7 @@ def churn_recovery_race_scenario(
     recover_at: float = 6.0,
     recrash_at: float = 60.0,
     seed: int = 0,
-) -> ChurnScenario:
+) -> Scenario:
     """Crash → recover → re-crash, with the recovery racing the agreement.
 
     A 2x2 block of the torus crashes at t=1; with the default detector
@@ -409,21 +402,12 @@ def churn_recovery_race_scenario(
     recovers at ``recover_at``, so in-flight state must be discarded
     (epoch quotient) before the block re-crashes and is agreed on again.
     """
-    graph = _torus_for(nodes)
-    block = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    schedule, membership = crash_recover_recrash(
-        graph, block, crash_at=1.0, recover_at=recover_at, recrash_at=recrash_at
-    )
-    return ChurnScenario(
-        name="churn-race",
-        graph=graph,
-        schedule=schedule,
-        membership=membership,
-        description=(
-            "A crashed block recovers while the border is still agreeing on "
-            "it, then crashes again; both epochs must decide identically."
+    return Scenario(
+        churn_scenario_spec(
+            "race", nodes=nodes, seed=seed, recover_at=recover_at, recrash_at=recrash_at
         ),
-        labels={"recover_at": recover_at, "recrash_at": recrash_at, "seed": seed},
+        "A crashed block recovers while the border is still agreeing on "
+        "it, then crashes again; both epochs must decide identically.",
     )
 
 
@@ -431,7 +415,7 @@ def churn_flash_crowd_scenario(
     nodes: int = 64,
     crowd: int = 8,
     seed: int = 0,
-) -> ChurnScenario:
+) -> Scenario:
     """A flash crowd joins while a crashed region is being agreed on.
 
     A 2x2 block crashes at t=1 and ``crowd`` brand-new nodes join by
@@ -439,95 +423,32 @@ def churn_flash_crowd_scenario(
     and the joiners must neither disturb the in-flight agreement nor leak
     messages outside the faulty-domain scopes.
     """
-    graph = _torus_for(nodes)
-    block = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    schedule = region_crash(graph, block, at=1.0)
-    membership = flash_crowd_joins(
-        graph, count=crowd, at=3.0, spacing=1.0, seed=seed
-    )
-    return ChurnScenario(
-        name="churn-flash-crowd",
-        graph=graph,
-        schedule=schedule,
-        membership=membership,
-        description=(
-            f"{crowd} locality-attached joins arrive while the border agrees "
-            "on a crashed block."
+    spec = churn_scenario_spec("flash", nodes=nodes, seed=seed, crowd=crowd)
+    # As for the steady script: ``seed`` draws the joiners' anchors.
+    return Scenario(
+        dataclasses.replace(
+            spec, membership=_with_params(spec.membership, join_seed=seed)
         ),
-        labels={"crowd": crowd, "seed": seed},
+        f"{crowd} locality-attached joins arrive while the border agrees "
+        "on a crashed block.",
     )
 
 
 # ---------------------------------------------------------------------------
 # Large-torus scale family (the sharded-sweep workload)
 # ---------------------------------------------------------------------------
-def torus_block_members(
-    side: int, block_side: int, origin: tuple[int, int]
-) -> list[tuple[int, int]]:
-    """The member coordinates of a wrap-around block on a torus.
-
-    Pure modular arithmetic — the single source of block placement shared
-    by :func:`torus_block_scenario`, the ``torus-block`` sweep family and
-    the spec presets, none of which need a graph to compute it.
-    """
-    ox, oy = origin
-    return [
-        ((ox + dx) % side, (oy + dy) % side)
-        for dx in range(block_side)
-        for dy in range(block_side)
-    ]
-
-
-def torus_block_origins(
-    side: int, scenarios: int, block_side: int = 2
-) -> list[tuple[int, int]]:
-    """Block origins of the scale family, spread along the torus diagonal."""
-    if scenarios < 1:
-        raise ValueError("need at least one scenario")
-    stride = max(side // scenarios, block_side + 2)
-    origins = []
-    for index in range(scenarios):
-        offset = (index * stride) % side
-        origins.append((offset, (offset + index) % side))
-    return origins
-
-
 def torus_block_scenario(
     side: int = 32,
     block_side: int = 2,
     origin: tuple[int, int] = (1, 1),
     at: float = 1.0,
 ) -> Scenario:
-    """A ``block_side²`` block crash on a ``side×side`` torus.
-
-    The workhorse of the scale sweeps: a ``side=32`` torus is the
-    1024-node benchmark point, ``side=64`` the 4096-node one.  The block
-    wraps around the torus when the origin sits near an edge (the torus
-    has no edges, so the region stays connected), which lets the family
-    builders spread scenarios anywhere without bounds checking.
-    """
-    if side < 3:
-        raise ValueError("torus side must be at least 3")
-    if not (1 <= block_side < side - 1):
-        raise ValueError("block must be smaller than the torus")
-    graph = torus(side, side)
-    ox, oy = origin
-    block = torus_block_members(side, block_side, origin)
-    schedule = region_crash(graph, block, at=at)
+    """A ``block_side²`` block crash on a ``side×side`` torus
+    (:func:`~repro.api.presets.torus_block_spec`)."""
     return Scenario(
-        name=f"torus{side}x{side}-block{block_side}@{(ox % side, oy % side)}",
-        graph=graph,
-        schedule=schedule,
-        description=(
-            f"a {block_side}x{block_side} block crashes on a {side}x{side} "
-            f"torus ({side * side} nodes); the border agrees locally."
-        ),
-        labels={
-            "side": side,
-            "nodes": side * side,
-            "block_side": block_side,
-            "origin": (ox % side, oy % side),
-        },
+        torus_block_spec(side=side, block_side=block_side, origin=origin, at=at),
+        f"a {block_side}x{block_side} block crashes on a {side}x{side} "
+        f"torus ({side * side} nodes); the border agrees locally.",
     )
 
 

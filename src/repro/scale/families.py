@@ -17,16 +17,19 @@ Built-in families:
 * ``property`` — one EXP-C1 randomised topology × crash-schedule case;
 * ``churn-property`` — the adversarial churn extension of EXP-C1
   (random joins/recoveries racing cascades, epoch-quotiented CD1–CD7);
-* ``churn-scenario`` — the PR-1 churn scenario family (steady / race /
-  flash crowd) at a parameterised size;
+* ``churn-scenario`` — the churn scenario family (steady / race / flash
+  crowd) at a parameterised size:
+  :func:`~repro.api.presets.churn_scenario_spec` through the session;
 * ``torus-block`` — a square block crash on an ``side×side`` torus (the
-  large-torus scale family; ``side=64`` is the 4096-node workload).
-  Backed by the spec layer, so repeated builds of the same big torus hit
-  the topology cache.
+  large-torus scale family; ``side=64`` is the 4096-node workload):
+  :func:`~repro.api.presets.torus_block_spec` through the session, so
+  repeated builds of the same big torus hit the topology cache.
 
-Imports of the experiment harness happen lazily inside the family
-functions: :mod:`repro.experiments` itself uses the sweep runner, and the
-registry must stay importable from both directions.
+Every family that runs a described experiment runs its preset spec; only
+the two EXP-C1 families draw their scenario from the seed and have no
+spec to name.  Imports of the experiment harness happen lazily inside the
+family functions: :mod:`repro.experiments` itself uses the sweep runner,
+and the registry must stay importable from both directions.
 """
 
 from __future__ import annotations
@@ -109,7 +112,8 @@ def outcome_from_result(
         seed=seed,
         index=-1,
         digest=result.digest(),
-        nodes=len(result.graph),
+        # The graph the run started on, as ``RunResult.as_dict()["nodes"]``.
+        nodes=len(result.base_graph),
         messages=result.metrics.messages_sent,
         decisions=result.metrics.decisions,
         decided_views=result.metrics.decided_views,
@@ -135,15 +139,12 @@ def _spec_family(seed: int, spec: dict[str, Any]) -> SweepOutcome:
     return outcome_from_result("spec", experiment.display_name(), seed, result)
 
 
-def _property_family(seed: int) -> SweepOutcome:
-    """One EXP-C1 case (static topology + crash schedule)."""
-    from ..experiments.property_sweep import run_sweep_case
-
-    case = run_sweep_case(seed)
+def _outcome_from_case(family: str, case: Any, **labels: Any) -> SweepOutcome:
+    """Wrap an EXP-C1 case record (static or churn) as a sweep outcome."""
     return SweepOutcome(
-        family="property",
+        family=family,
         label=case.topology,
-        seed=seed,
+        seed=case.seed,
         index=-1,
         digest=case.digest,
         nodes=case.nodes,
@@ -153,9 +154,16 @@ def _property_family(seed: int) -> SweepOutcome:
         quiescent=case.quiescent,
         spec_holds=case.specification_holds,
         violations=case.violations,
-        labels={"topology": case.topology, "crashed": case.crashed},
+        labels={"topology": case.topology, "crashed": case.crashed, **labels},
         case=case,
     )
+
+
+def _property_family(seed: int) -> SweepOutcome:
+    """One EXP-C1 case (static topology + crash schedule)."""
+    from ..experiments.property_sweep import run_sweep_case
+
+    return _outcome_from_case("property", run_sweep_case(seed))
 
 
 def _churn_property_family(seed: int) -> SweepOutcome:
@@ -163,27 +171,12 @@ def _churn_property_family(seed: int) -> SweepOutcome:
     from ..experiments.property_sweep import run_churn_sweep_case
 
     case = run_churn_sweep_case(seed)
-    return SweepOutcome(
-        family="churn-property",
-        label=case.topology,
-        seed=seed,
-        index=-1,
-        digest=case.digest,
-        nodes=case.nodes,
-        messages=case.messages,
-        decisions=case.decisions,
-        decided_views=case.decided_views,
-        quiescent=case.quiescent,
-        spec_holds=case.specification_holds,
-        violations=case.violations,
-        labels={
-            "topology": case.topology,
-            "crashed": case.crashed,
-            "joins": case.joins,
-            "recoveries": case.recoveries,
-            "epochs": case.epochs,
-        },
-        case=case,
+    return _outcome_from_case(
+        "churn-property",
+        case,
+        joins=case.joins,
+        recoveries=case.recoveries,
+        epochs=case.epochs,
     )
 
 
@@ -193,94 +186,24 @@ def _churn_scenario_family(
     nodes: int = 64,
     **scenario_params: Any,
 ) -> SweepOutcome:
-    """One run of the PR-1 churn scenario family on the simulator."""
-    from ..experiments.scenarios import (
-        churn_flash_crowd_scenario,
-        churn_recovery_race_scenario,
-        churn_steady_scenario,
-    )
+    """One run of the churn scenario family on the simulator."""
+    from ..api import ExperimentSession, churn_scenario_spec
 
-    builders = {
-        "steady": churn_steady_scenario,
-        "race": churn_recovery_race_scenario,
-        "flash": churn_flash_crowd_scenario,
-    }
-    try:
-        builder = builders[scenario]
-    except KeyError:
-        raise UnknownFamilyError(
-            f"unknown churn scenario {scenario!r}; expected one of {sorted(builders)}"
-        ) from None
-    built = builder(nodes=nodes, seed=seed, **scenario_params)
-    result = built.run(check=True, seed=seed, runtime="sim")
-    specification = result.specification
-    return SweepOutcome(
-        family="churn-scenario",
-        label=built.name,
-        seed=seed,
-        index=-1,
-        digest=result.digest(),
-        nodes=len(result.base_graph),
-        messages=result.metrics.messages_sent,
-        decisions=result.metrics.decisions,
-        decided_views=result.metrics.decided_views,
-        quiescent=result.quiescent,
-        spec_holds=specification.holds if specification is not None else True,
-        violations=(
-            tuple(specification.violations()) if specification is not None else ()
-        ),
-        labels=dict(result.labels, epochs=len(result.epochs)),
-    )
-
-
-def _torus_block_family(
-    seed: int,
-    side: int = 32,
-    block_side: int = 2,
-    origin: tuple[int, int] = (1, 1),
-    at: float = 1.0,
-    check: bool = True,
-) -> SweepOutcome:
-    """A square block crash on a ``side×side`` torus (scale workload).
-
-    Implemented through the spec layer: the block is computed without
-    touching the graph, and the ``side×side`` torus build goes through
-    the spec-keyed topology cache — tasks of the same family landing on
-    the same worker rebuild it zero times instead of once each (the
-    ROADMAP's "caching repeated topology builds" item).
-    """
-    from ..api import (
-        ExperimentSession,
-        ExperimentSpec,
-        FailureSpec,
-        SpecError,
-        TopologySpec,
-    )
-
-    from ..experiments.scenarios import torus_block_members
-
-    if side < 3:
-        raise SpecError("torus side must be at least 3")
-    if not (1 <= block_side < side - 1):
-        raise SpecError("block must be smaller than the torus")
-    ox, oy = tuple(origin)
-    block = sorted(torus_block_members(side, block_side, (ox, oy)))
-    name = f"torus{side}x{side}-block{block_side}@{(ox % side, oy % side)}"
-    spec = ExperimentSpec(
-        name=name,
-        topology=TopologySpec("torus", {"width": side, "height": side}),
-        failure=FailureSpec("region", {"members": block, "at": at}),
-        seed=seed,
-        check=check,
-        labels={
-            "side": side,
-            "nodes": side * side,
-            "block_side": block_side,
-            "origin": (ox % side, oy % side),
-        },
-    )
+    spec = churn_scenario_spec(scenario, nodes=nodes, seed=seed, **scenario_params)
     result = ExperimentSession().run(spec)
-    return outcome_from_result("torus-block", name, seed, result)
+    return outcome_from_result(
+        "churn-scenario", spec.name, seed, result, {"epochs": len(result.epochs)}
+    )
+
+
+def _torus_block_family(seed: int, **params: Any) -> SweepOutcome:
+    """A square block crash on a ``side×side`` torus (scale workload):
+    ``params`` are :func:`~repro.api.presets.torus_block_spec`'s."""
+    from ..api import ExperimentSession, torus_block_spec
+
+    spec = torus_block_spec(seed=seed, **params)
+    result = ExperimentSession().run(spec)
+    return outcome_from_result("torus-block", spec.name, seed, result)
 
 
 register_family("spec", _spec_family)
@@ -312,24 +235,23 @@ def torus_scale_tasks(
     check: bool = True,
 ) -> list[SweepTask]:
     """The large-torus scale family as sweep tasks (``side=64`` → 4096
-    nodes).  Block placement is delegated to
-    :func:`repro.experiments.scenarios.torus_scale_family` — the single
-    source of truth for the family — so the sharded sweep and the
-    in-process scenario list always describe the same workload.
+    nodes): the blocks of
+    :func:`repro.experiments.scenarios.torus_scale_family`, one
+    ``torus-block`` task each, labelled with the name of the spec the task
+    will run.
     """
-    from ..experiments.scenarios import torus_scale_family
+    from ..api.presets import torus_block_origins, torus_block_spec
 
-    family = torus_scale_family(side=side, scenarios=scenarios, block_side=block_side)
     return [
         SweepTask(
             "torus-block",
             params={
                 "side": side,
                 "block_side": block_side,
-                "origin": scenario.labels["origin"],
+                "origin": origin,
                 "check": check,
             },
-            label=scenario.name,
+            label=torus_block_spec(side, block_side, origin).name,
         )
-        for scenario in family
+        for origin in torus_block_origins(side, scenarios, block_side)
     ]

@@ -175,6 +175,36 @@ class TestSpecLayerCommands:
         assert code == 2
         assert "single engine" in out.text
 
+    @pytest.mark.parametrize("scenario", ["race", "flash"])
+    @pytest.mark.parametrize("flag", [["--churn-rate", "0.9"], ["--duration", "5"]])
+    def test_churn_rejects_steady_flags_on_other_scenarios(self, scenario, flag):
+        # They used to be dropped silently: the emitted document was
+        # byte-for-byte the one without them.
+        out = _Capture()
+        code = main(["churn", "--scenario", scenario, *flag, "--emit-spec"], write=out)
+        assert code == 2
+        assert "steady scenario only" in out.text and len(out.lines) == 1
+
+    def test_churn_steady_flags_still_shape_the_steady_scenario(self):
+        out = _Capture()
+        argv = ["churn", "--nodes", "16", "--churn-rate", "0.1", "--duration", "20"]
+        assert main([*argv, "--emit-spec"], write=out) == 0
+        params = json.loads(out.text)["failure"]["params"]
+        assert (params["churn_rate"], params["duration"]) == (0.1, 20.0)
+        default = _Capture()
+        assert main(["churn", "--emit-spec"], write=default) == 0
+        params = json.loads(default.text)["failure"]["params"]
+        assert (params["churn_rate"], params["duration"]) == (0.05, 100.0)
+
+    def test_locality_emit_spec_reads_the_preset_sides(self):
+        from repro.api.presets import LOCALITY_SIDES, LOCALITY_SIDES_FULL
+
+        for flags, sides in (([], LOCALITY_SIDES), (["--full"], LOCALITY_SIDES_FULL)):
+            out = _Capture()
+            assert main(["locality", *flags, "--emit-spec"], write=out) == 0
+            (axis,) = json.loads(out.text)["grid"].values()
+            assert tuple(axis) == sides
+
     def test_sweep_spec_conflicting_flags_rejected(self, tmp_path):
         emitted = _Capture()
         main(["sweep", "--cases", "2", "--emit-spec"], write=emitted)
@@ -230,6 +260,20 @@ class TestSpecLayerCommands:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"spec\": \"nonsense\"}")
         with pytest.raises(SpecError):
+            main(["run", str(bad)], write=_Capture())
+
+    def test_run_rejects_a_malformed_failure_detector_at_load(self, tmp_path):
+        from repro.api import SpecError
+
+        emitted = _Capture()
+        main(["quickstart", "--emit-spec"], write=emitted)
+        document = json.loads(emitted.text)
+        document["runtime"]["failure_detector"] = {"kind": "jittered", "lo": 1}
+        bad = tmp_path / "bad-detector.json"
+        bad.write_text(json.dumps(document))
+        # A SpecError naming the block before anything runs, not a TypeError
+        # out of JitteredFailureDetector.__init__ from inside the run.
+        with pytest.raises(SpecError, match="bad failure-detector spec for kind 'jittered'"):
             main(["run", str(bad)], write=_Capture())
 
     def test_run_missing_file_is_a_spec_error(self, tmp_path):

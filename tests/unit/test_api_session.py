@@ -130,10 +130,21 @@ class TestSessionEquivalence:
         assert via_spec.digest() == direct.digest()
         assert via_spec.specification.holds
 
+    # The scenario builders run their preset spec through the session, so
+    # comparing one to the other proves nothing any more: the digests below
+    # are what the builders produced while they still called the runners
+    # themselves (tests/unit/test_one_description.py has the full battery).
     def test_figure_1a_spec_matches_scenario(self):
+        assert figure_spec("1a") == fig1a_scenario().spec
+        assert figure_spec("1a").digest().startswith("7ab8d5aa96bb2984")
+        # Its trace digest moves with the hash seed (str node ids, pinned in
+        # a PYTHONHASHSEED=0 subprocess by the battery); the decided views
+        # do not.
         via_spec = ExperimentSession().run(figure_spec("1a"))
-        direct = fig1a_scenario().run(seed=0)
-        assert via_spec.digest() == direct.digest()
+        assert sorted(sorted(view.members) for view in via_spec.decided_views) == [
+            ["barcelona", "geneva", "lyon"],
+            ["honolulu", "osaka", "seoul", "shanghai"],
+        ]
 
     @pytest.mark.parametrize(
         "name, builder",
@@ -144,10 +155,16 @@ class TestSessionEquivalence:
         ],
     )
     def test_churn_scenario_specs_match_builders(self, name, builder):
+        digest = {
+            "steady": "8badf79ab3b0988b",
+            "race": "d307aa830fd1aab0",
+            "flash": "4b35794a2f872b9e",
+        }[name]
         spec = churn_scenario_spec(name, nodes=36, seed=2)
         via_spec = ExperimentSession().run(spec)
         direct = builder(nodes=36, seed=2).run(check=True, seed=2, runtime="sim")
-        assert via_spec.digest() == direct.digest()
+        assert via_spec.digest().startswith(digest)
+        assert direct.digest().startswith(digest)
         assert isinstance(via_spec, ChurnRunResult)
 
     def test_session_routes_static_specs_to_run_result(self):

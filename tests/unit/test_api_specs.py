@@ -251,6 +251,49 @@ class TestLatencyValidation:
         assert (model.low, model.high) == (0.5, 1.5)
 
 
+class TestFailureDetectorValidation:
+    """Detector blocks are validated eagerly too: they used to construct,
+    load and queue, and die in the worker with a raw ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "detector,match",
+        [
+            ({"kind": "jittered", "lo": 1}, "bad failure-detector spec for kind 'jittered'"),
+            ({"kind": "jittered", "low": 3.0, "high": 1.0}, "bad failure-detector spec"),
+            ({"kind": "perfect", "detection_delay": -1.0}, "bad failure-detector spec"),
+            ({"kind": "scripted", "delays": [[1, 2]]}, "bad failure-detector spec for kind 'scripted'"),
+            ({"kind": "nope"}, "unknown failure-detector kind"),
+            ("jittered", "mapping"),
+        ],
+    )
+    def test_bad_blocks_rejected_at_construction(self, detector, match):
+        with pytest.raises(SpecError, match=match):
+            RuntimeSpec(failure_detector=detector)
+        document = dict(grid_spec().to_dict(), runtime={"failure_detector": detector})
+        with pytest.raises(SpecError, match=match):
+            load_spec(json.dumps(document))
+
+    def test_valid_detectors_still_resolve(self):
+        from repro.sim import JitteredFailureDetector, ScriptedFailureDetector
+
+        jittered = RuntimeSpec(
+            failure_detector={"kind": "jittered", "low": 0.5, "high": 2.0}
+        ).resolve_failure_detector()
+        assert isinstance(jittered, JitteredFailureDetector)
+        # JSON hands node ids over as lists; the frozen block keys by tuple.
+        scripted = RuntimeSpec.from_dict(
+            {
+                "failure_detector": {
+                    "kind": "scripted",
+                    "default_delay": 1.0,
+                    "delays": [[[2, 1], [2, 2], 8.0]],
+                }
+            }
+        ).resolve_failure_detector()
+        assert isinstance(scripted, ScriptedFailureDetector)
+        assert scripted.delays == {((2, 1), (2, 2)): 8.0}
+
+
 class TestDigest:
     def test_digest_is_stable_across_param_order(self):
         a = spec_digest({"x": 1, "y": (2, 3)})
