@@ -1,6 +1,6 @@
 """Docs checks run by CI (and locally): links resolve, examples execute.
 
-Two passes, zero dependencies:
+Three passes, zero dependencies:
 
 1. **Link check** — every relative markdown link/image target in the
    checked documents must exist in the working tree (external links are
@@ -8,6 +8,10 @@ Two passes, zero dependencies:
 2. **Executable examples** — every fenced ``json`` block that is a spec
    document (contains a ``"spec"`` tag) is piped through
    ``repro run - --json``, so the README's worked `SPEC.json` cannot rot.
+3. **Schema vocabulary** — every kind in the spec layer's builder tables,
+   every ``faults`` knob and preset and every engine/collection value is
+   named (in backticks) in ``README.md``, so the prose cannot silently fall
+   behind the tables it describes.
 
 Exit code 0 when everything holds; prints one line per failure otherwise.
 
@@ -75,6 +79,30 @@ def check_spec_snippets(document: Path) -> list[str]:
     return failures
 
 
+def check_schema_vocabulary(readme: Path) -> list[str]:
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.api import FAULT_PRESETS, RuntimeSpec
+    from repro.api.specs import _KIND_TABLES
+    from repro.sim.faults import FAULT_KNOBS
+
+    vocabulary = {f"{what} kind": table for what, (table, *_rest) in _KIND_TABLES.items()}
+    vocabulary.update(
+        {
+            "faults knob": FAULT_KNOBS,
+            "faults preset": FAULT_PRESETS,
+            "engine": RuntimeSpec.ENGINES,
+            "collection": RuntimeSpec.COLLECTIONS,
+        }
+    )
+    text = readme.read_text()
+    return [
+        f"{readme}: {group} `{word}` is in the schema but not in the README"
+        for group, words in vocabulary.items()
+        for word in words
+        if f"`{word}`" not in text
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     arguments = argv if argv is not None else sys.argv[1:]
     documents = [Path(arg) for arg in arguments] or [
@@ -87,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
             continue
         failures.extend(check_links(document))
         failures.extend(check_spec_snippets(document))
+        if document.resolve() == REPO / "README.md":
+            failures.extend(check_schema_vocabulary(document))
     for failure in failures:
         print(failure)
     if not failures:

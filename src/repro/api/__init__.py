@@ -90,6 +90,7 @@ from .specs import (
     iter_specs,
     load_spec,
     spec_digest,
+    spec_from_dict,
 )
 
 __all__ = [
@@ -105,6 +106,7 @@ __all__ = [
     "SpecError",
     "spec_digest",
     "load_spec",
+    "spec_from_dict",
     "iter_specs",
     # Session
     "ExperimentSession",

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Union
 
 from .result import RunResult
-from .specs import ExperimentSpec, RuntimeSpec, SpecError, SweepSpec, load_spec
+from .specs import COUPLED_KINDS, ExperimentSpec, RuntimeSpec, SpecError, SweepSpec
+from .specs import build_kind, load_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scale.sweep import SweepReport
@@ -50,8 +51,6 @@ class ExperimentSession:
 
     def resolve(self, spec: ExperimentSpec):
         """Materialise ``(graph, crash schedule, membership schedule)``."""
-        from .specs import COUPLED_KINDS, _resolve_coupled
-
         graph = self.build_graph(spec)
         if spec.failure.kind in COUPLED_KINDS or spec.membership.kind in COUPLED_KINDS:
             # Coupled kinds describe ONE scenario whose crash and
@@ -72,8 +71,9 @@ class ExperimentSession:
                     f"vs {dict(spec.membership.params)!r} (grid overrides must "
                     f"target both halves)"
                 )
-            schedule, membership = _resolve_coupled(
-                spec.failure.kind, dict(spec.failure.params), graph, spec.seed
+            # One call builds both halves; each spec's resolve() would build twice.
+            schedule, membership = build_kind(
+                "failure", spec.failure.kind, spec.failure.params, graph=graph, seed=spec.seed
             )
             return graph, schedule, membership
         schedule = spec.failure.resolve(graph, spec.seed)

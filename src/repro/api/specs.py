@@ -19,6 +19,16 @@ become tuples, mapping keys are sorted), so two specs describing the same
 experiment compare equal and digest identically no matter how they were
 written down.
 
+The schema is declared once.  The dataclass fields *are* the document:
+one ``to_dict``/``from_dict`` pair reads them (key order, which fields are
+written only off their default, each scalar's JSON type).  A kind's builder
+signature *is* the schema of its ``params``: the ``kind → (module,
+attribute)`` tables say where each builder lives, and its parameter names,
+which are required and their defaults are checked when the block is
+*constructed* — a document that says something the schema does not know is
+refused where it is written (HTTP 400 at submit), never run as the default
+scenario or left to die in a worker.
+
 The spec classes deliberately know nothing about simulators or runners;
 resolution to live objects happens in :mod:`repro.api.session` (and the
 topology build in :mod:`repro.api.cache`, keyed by ``TopologySpec``
@@ -28,10 +38,14 @@ digest).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import importlib
+import inspect
 import json
+from collections.abc import Mapping  # not typing's: its isinstance is 5x slower
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 #: Format version stamped into every serialized spec.
 SPEC_VERSION = 1
@@ -107,6 +121,13 @@ def _require_mapping(data: Any, what: str) -> Mapping:
     return data
 
 
+def _parse_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"invalid spec JSON: {exc}") from exc
+
+
 def _check_keys(data: Mapping, allowed: frozenset, what: str) -> None:
     """Reject unknown keys: a typo'd knob must not silently run defaults."""
     unknown = sorted(set(data) - allowed)
@@ -117,41 +138,261 @@ def _check_keys(data: Mapping, allowed: frozenset, what: str) -> None:
         )
 
 
-#: The keys of a kind+params sub-spec document.
-_KIND_PARAMS_KEYS = frozenset({"kind", "params"})
+# ---------------------------------------------------------------------------
+# The schema: the dataclass fields are the document
+# ---------------------------------------------------------------------------
+#: What ``isinstance`` must accept for a scalar field, by annotation.  An
+#: ``int`` is a valid ``float`` and is written back as given (``60`` and
+#: ``60.0`` digest differently, so nothing is ever coerced); a ``bool`` is
+#: an ``int`` to Python and never a number here.
+_SCALARS = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
 
-def _check_tag(data: Mapping, expected: str) -> None:
-    tag = data.get("spec", expected)
-    if tag != expected:
-        raise SpecError(f"expected a {expected!r} spec, got {tag!r}")
-    version = data.get("version", SPEC_VERSION)
-    if version != SPEC_VERSION:
-        raise SpecError(f"unsupported spec version {version!r} (this is {SPEC_VERSION})")
+class _Field(NamedTuple):
+    """One row of a spec class's schema (see :func:`_schema`)."""
+
+    name: str
+    annotation: str  # without its ``Optional[...]``
+    nullable: bool
+    required: bool
+    nested: Optional[type]  # ``metadata={"spec": Class}``: a nested spec
+    when_set: bool  # ``metadata={"when_set": True}``: omitted at ``default``
+    default: Any
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> tuple[_Field, ...]:
+    """``cls``'s document schema, read off its dataclass fields once.
+
+    Rows come in *emission* order — ``name`` (the tagged documents lead with
+    ``spec``, ``version``, ``name``), then the always-serialised fields in
+    declaration order, then the ``when_set`` fields in declaration order —
+    which reproduces the bytes every document has always had.  Nested
+    documents keep this insertion order (only ``params``-like mappings are
+    sorted, by :func:`thaw`): the perf ledger pins the pickled size of a
+    sweep's tasks, and pickle memo indices are order-sensitive.
+    """
+    rows = []
+    for f in dataclasses.fields(cls):
+        nullable = f.type.startswith("Optional[")
+        annotation = f.type[len("Optional[") : -1] if nullable else f.type
+        required = f.default is f.default_factory is dataclasses.MISSING
+        nested, when_set = f.metadata.get("spec"), f.metadata.get("when_set", False)
+        rows.append(_Field(f.name, annotation, nullable, required, nested, when_set, f.default))
+    return tuple(sorted(rows, key=lambda row: (row.when_set, row.name != "name")))
 
 
 class _SpecBase:
-    """Shared serialization surface of every spec dataclass."""
+    """The one serialization and validation surface of every spec dataclass."""
 
-    def as_dict(self) -> dict[str, Any]:
-        """Alias for :meth:`to_dict` (the :class:`Result` protocol verb)."""
-        return self.to_dict()  # type: ignore[attr-defined]
+    #: The ``"spec"`` tag of a top-level document class; ``None`` for the
+    #: nested blocks, which carry no tag, version or name.
+    TAG: Optional[str] = None
+    #: A ``kind`` + ``params`` block's name in :data:`_KIND_TABLES`.
+    WHAT: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        """Hold every field to its annotation — validate, never coerce.
+
+        Mappings are frozen (normalisation, not coercion), nested specs must
+        be instances of their class, scalars of their JSON type, and a kind
+        block's param names must bind to its builder (:func:`check_kind`).
+        """
+        owner = type(self).__name__
+        for row in _schema(type(self)):
+            value = getattr(self, row.name)
+            if value is None and row.nullable:
+                continue
+            if row.annotation.startswith("Mapping"):
+                frozen = freeze(_require_mapping(value, f"{owner}.{row.name}"))
+                object.__setattr__(self, row.name, frozen)
+                continue
+            expected = row.nested or _SCALARS.get(row.annotation)
+            if expected is not None and (
+                not isinstance(value, expected)
+                or (isinstance(value, bool) and expected is not bool)
+            ):
+                raise SpecError(f"{owner}.{row.name} must be {row.annotation}, got {value!r}")
+        if self.WHAT is not None:
+            check_kind(self.WHAT, self.kind, tuple(self.params))
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON-safe document (see :func:`_schema` for the key order)."""
+        data = {} if self.TAG is None else {"spec": self.TAG, "version": SPEC_VERSION}
+        for row in _schema(type(self)):
+            value = getattr(self, row.name)
+            if row.when_set and value == row.default:
+                continue
+            data[row.name] = value.to_dict() if isinstance(value, _SpecBase) else thaw(value)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Parse the document form; unknown keys and a wrong tag are errors."""
+        data = _require_mapping(data, cls.__name__)
+        schema = _schema(cls)
+        known = frozenset(row.name for row in schema)
+        if cls.TAG is not None:
+            tag = data.get("spec", cls.TAG)
+            if tag != cls.TAG:
+                raise SpecError(f"expected a {cls.TAG!r} spec, got {tag!r}")
+            version = data.get("version", SPEC_VERSION)
+            if version != SPEC_VERSION:
+                raise SpecError(
+                    f"unsupported spec version {version!r} (this is {SPEC_VERSION})"
+                )
+            known |= {"spec", "version"}
+        _check_keys(data, known, cls.__name__)
+        values = {}
+        for row in schema:
+            if row.name not in data:
+                if row.required:
+                    raise SpecError(f"{cls.__name__} needs a {row.name!r}")
+                continue
+            value = data[row.name]
+            if row.nested is not None and not (value is None and row.nullable):
+                value = row.nested.from_dict(value)
+            values[row.name] = value
+        return cls(**values)
+
+    #: The :class:`Result` protocol's verb for the same document.
+    as_dict = to_dict
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Serialize to a JSON document (stable key order)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)  # type: ignore[attr-defined]
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid spec JSON: {exc}") from exc
-        return cls.from_dict(data)  # type: ignore[attr-defined]
+        return cls.from_dict(_parse_json(text))
 
     def digest(self) -> str:
         """Canonical digest of the spec (a pure function of its data)."""
-        return spec_digest(self.to_dict())  # type: ignore[attr-defined]
+        return spec_digest(self.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# The kinds: a builder's signature is the schema of its params
+# ---------------------------------------------------------------------------
+#: The spec-level adapters, for the kinds whose parameter names or defaults
+#: are not their builder's.
+_ADAPTERS = "repro.api.kinds"
+_GENERATORS = "repro.graph.generators"
+
+#: kind -> (module, attribute) of the builder, resolved lazily so the spec
+#: layer stays importable before the modules it describes.  A kind's
+#: parameters, which of them are required and their defaults are exactly
+#: the builder's signature (minus the arguments the session supplies).
+_TOPOLOGY_BUILDERS = {
+    "chord": (_GENERATORS, "chord_like"),
+    "communities": (_GENERATORS, "clustered_communities"),
+    "complete": (_GENERATORS, "complete"),
+    "edges": (_GENERATORS, "from_edge_list"),
+    "fig1": ("repro.experiments.topologies", "fig1_topology"),
+    "fig2": (_ADAPTERS, "fig2_graph"),
+    "fig3": (_ADAPTERS, "fig3_graph"),
+    "geometric": (_GENERATORS, "random_geometric"),
+    "grid": (_GENERATORS, "grid"),
+    "line": (_GENERATORS, "line"),
+    "ring": (_GENERATORS, "ring"),
+    "scalefree": (_GENERATORS, "barabasi_albert"),
+    "smallworld": (_GENERATORS, "watts_strogatz"),
+    "star": (_GENERATORS, "star"),
+    "torus": (_GENERATORS, "torus"),
+}
+
+_FAILURE_KINDS = {
+    "none": (_ADAPTERS, "no_crashes"),
+    "explicit": (_ADAPTERS, "explicit_crashes"),
+    "region": ("repro.failures.schedules", "region_crash"),
+    "multi_region": ("repro.failures.schedules", "multi_region_crash"),
+    "growing_region": (_ADAPTERS, "growing_region"),
+    "cascade": (_ADAPTERS, "cascade"),
+    "random_region": (_ADAPTERS, "random_region"),
+    "steady_churn": (_ADAPTERS, "steady_churn"),
+    "race": (_ADAPTERS, "race"),
+}
+
+_MEMBERSHIP_KINDS = {
+    "none": (_ADAPTERS, "static_membership"),
+    "recoveries": (_ADAPTERS, "recoveries"),
+    "leaves": (_ADAPTERS, "leaves"),
+    "flash_crowd": (_ADAPTERS, "flash_crowd"),
+    "steady_churn": (_ADAPTERS, "steady_churn"),
+    "race": (_ADAPTERS, "race"),
+}
+
+_LATENCY_KINDS = {
+    "constant": ("repro.sim.latency", "ConstantLatency"),
+    "uniform": ("repro.sim.latency", "UniformLatency"),
+    "exponential": ("repro.sim.latency", "ExponentialLatency"),
+}
+
+_DETECTOR_KINDS = {
+    "perfect": ("repro.sim.failure_detector", "PerfectFailureDetector"),
+    "jittered": ("repro.sim.failure_detector", "JitteredFailureDetector"),
+    "scripted": (_ADAPTERS, "scripted_detector"),
+}
+
+#: what -> (kind table, the arguments the session supplies rather than the
+#: block, the builder exceptions that mean "bad block").  Crash and
+#: membership builders raise their own typed errors about the *scenario*
+#: (a disconnected region, an empty crowd); those pass through.
+_KIND_TABLES = {
+    "topology": (_TOPOLOGY_BUILDERS, (), (TypeError,)),
+    "failure": (_FAILURE_KINDS, ("graph", "seed"), ()),
+    "membership": (_MEMBERSHIP_KINDS, ("graph", "seed"), ()),
+    "latency": (_LATENCY_KINDS, (), (TypeError, ValueError)),
+    "failure-detector": (_DETECTOR_KINDS, (), (TypeError, ValueError)),
+}
+
+#: Topology kinds resolvable by :meth:`TopologySpec.build`.
+TOPOLOGY_KINDS = tuple(_TOPOLOGY_BUILDERS)
+
+#: Kinds whose crash and membership halves come from one coupled builder
+#: call returning ``(crashes, membership)``.  The session refuses specs
+#: where the two halves diverge.
+COUPLED_KINDS = ("steady_churn", "race")
+
+
+@functools.lru_cache(maxsize=None)
+def _locate(what: str, kind: str) -> tuple[Any, inspect.Signature, tuple[str, ...]]:
+    """A kind's builder, its signature and the session-supplied arguments
+    it takes (imports the builder's module on first use)."""
+    table, supplied, _ = _KIND_TABLES[what]
+    try:
+        module, attribute = table[kind]
+    except KeyError:
+        raise SpecError(f"unknown {what} kind {kind!r}; known: {', '.join(table)}") from None
+    builder = getattr(importlib.import_module(module), attribute)
+    signature = inspect.signature(builder)
+    return builder, signature, tuple(n for n in supplied if n in signature.parameters)
+
+
+@functools.lru_cache(maxsize=1024)
+def check_kind(what: str, kind: str, names: tuple[str, ...]) -> None:
+    """Refuse an unknown kind, an unknown param or a missing required one
+    where the block is written — not in a worker, and not by running the
+    defaults instead.
+
+    Memoised (a pass, that is; errors are raised afresh): the verdict
+    depends on the names alone, and every ``dataclasses.replace`` of a
+    sweep expansion re-validates.
+    """
+    _, signature, takes = _locate(what, kind)
+    try:
+        signature.bind(**dict.fromkeys(takes), **dict.fromkeys(names))
+    except TypeError as exc:
+        raise SpecError(f"bad {what} spec for kind {kind!r}: {exc}") from None
+
+
+def build_kind(what: str, kind: str, params: Mapping[str, Any], **supplied: Any) -> Any:
+    """Call a kind's builder on a block's params (checked at construction)."""
+    builder, _, takes = _locate(what, kind)
+    try:
+        return builder(**{name: supplied[name] for name in takes}, **params)
+    except _KIND_TABLES[what][2] as exc:
+        raise SpecError(f"bad {what} spec for kind {kind!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -169,82 +410,17 @@ class TopologySpec(_SpecBase):
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.kind:
-            raise SpecError("topology kind must be non-empty")
-        object.__setattr__(self, "params", freeze(self.params))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": thaw(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        data = _require_mapping(data, "TopologySpec")
-        _check_keys(data, _KIND_PARAMS_KEYS, "TopologySpec")
-        try:
-            kind = data["kind"]
-        except KeyError:
-            raise SpecError("TopologySpec needs a 'kind'") from None
-        return cls(kind=kind, params=data.get("params", {}))
+    WHAT = "topology"
 
     def build_uncached(self):
         """Build the graph directly, bypassing the cache."""
-        import importlib
-
-        try:
-            module_name, attr = _TOPOLOGY_BUILDERS[self.kind]
-        except KeyError:
-            raise SpecError(
-                f"unknown topology kind {self.kind!r}; "
-                f"known: {', '.join(TOPOLOGY_KINDS)}"
-            ) from None
-        builder = getattr(importlib.import_module(module_name), attr)
-        try:
-            return builder(**dict(self.params))
-        except TypeError as exc:
-            raise SpecError(f"bad params for topology {self.kind!r}: {exc}") from exc
+        return build_kind(self.WHAT, self.kind, self.params)
 
     def build(self):
         """Build the graph through the spec-keyed cache."""
         from .cache import build_topology
 
         return build_topology(self)
-
-
-def _fig2_graph():
-    from ..experiments.topologies import fig2_topology
-
-    return fig2_topology().graph
-
-
-def _fig3_graph():
-    from ..experiments.topologies import fig3_topology
-
-    return fig3_topology().graph
-
-
-#: kind -> (module, attribute) of the builder; resolved lazily so the
-#: spec layer stays importable before the generator modules.
-_TOPOLOGY_BUILDERS = {
-    "grid": ("repro.graph.generators", "grid"),
-    "torus": ("repro.graph.generators", "torus"),
-    "ring": ("repro.graph.generators", "ring"),
-    "chord": ("repro.graph.generators", "chord_like"),
-    "complete": ("repro.graph.generators", "complete"),
-    "star": ("repro.graph.generators", "star"),
-    "line": ("repro.graph.generators", "line"),
-    "geometric": ("repro.graph.generators", "random_geometric"),
-    "smallworld": ("repro.graph.generators", "watts_strogatz"),
-    "scalefree": ("repro.graph.generators", "barabasi_albert"),
-    "communities": ("repro.graph.generators", "clustered_communities"),
-    "edges": ("repro.graph.generators", "from_edge_list"),
-    "fig1": ("repro.experiments.topologies", "fig1_topology"),
-    "fig2": (__name__, "_fig2_graph"),
-    "fig3": (__name__, "_fig3_graph"),
-}
-
-#: Topology kinds resolvable by :meth:`TopologySpec.build`.
-TOPOLOGY_KINDS = tuple(sorted(_TOPOLOGY_BUILDERS))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +430,8 @@ TOPOLOGY_KINDS = tuple(sorted(_TOPOLOGY_BUILDERS))
 class FailureSpec(_SpecBase):
     """A declarative crash schedule.
 
-    Kinds mirror the builders of :mod:`repro.failures.schedules`:
+    Kinds (a kind's defaults are its builder's signature — the adapters
+    of :mod:`repro.api.kinds`, or :mod:`repro.failures.schedules`):
 
     * ``none`` — no crashes;
     * ``explicit`` — ``crashes=[[node, time], ...]`` (``allow_recrash``);
@@ -273,97 +450,13 @@ class FailureSpec(_SpecBase):
     kind: str = "none"
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    KINDS = (
-        "none",
-        "explicit",
-        "region",
-        "multi_region",
-        "growing_region",
-        "cascade",
-        "random_region",
-        "steady_churn",
-        "race",
-    )
-
-    def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise SpecError(
-                f"unknown failure kind {self.kind!r}; known: {', '.join(self.KINDS)}"
-            )
-        object.__setattr__(self, "params", freeze(self.params))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": thaw(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureSpec":
-        data = _require_mapping(data, "FailureSpec")
-        _check_keys(data, _KIND_PARAMS_KEYS, "FailureSpec")
-        return cls(kind=data.get("kind", "none"), params=data.get("params", {}))
+    WHAT = "failure"
+    KINDS = tuple(_FAILURE_KINDS)
 
     def resolve(self, graph, seed: int = 0):
         """Build the :class:`~repro.failures.CrashSchedule` over ``graph``."""
-        from ..failures import (
-            CrashSchedule,
-            cascade_crash,
-            growing_region_crash,
-            multi_region_crash,
-            random_connected_region,
-            region_crash,
-        )
-
-        params = dict(self.params)
-        if self.kind == "none":
-            return CrashSchedule()
-        if self.kind == "explicit":
-            crashes = tuple(
-                (node, float(time)) for node, time in params.get("crashes", ())
-            )
-            return CrashSchedule(crashes, allow_recrash=params.get("allow_recrash", False))
-        if self.kind == "region":
-            return region_crash(
-                graph,
-                params["members"],
-                at=params.get("at", 1.0),
-                spread=params.get("spread", 0.0),
-            )
-        if self.kind == "multi_region":
-            return multi_region_crash(
-                graph,
-                params["regions"],
-                at=params.get("at", 1.0),
-                stagger=params.get("stagger", 0.0),
-            )
-        if self.kind == "growing_region":
-            return growing_region_crash(
-                graph,
-                params["initial"],
-                params["growth"],
-                initial_at=params.get("initial_at", 1.0),
-                growth_at=params.get("growth_at", 10.0),
-                growth_spacing=params.get("growth_spacing", 2.0),
-            )
-        if self.kind == "cascade":
-            return cascade_crash(
-                graph,
-                params["start"],
-                params["size"],
-                start=params.get("start_at", 1.0),
-                spacing=params.get("spacing", 2.0),
-            )
-        if self.kind == "random_region":
-            region = random_connected_region(
-                graph, params["size"], seed=params.get("region_seed", seed)
-            )
-            return region_crash(
-                graph,
-                region.members,
-                at=params.get("at", 1.0),
-                spread=params.get("spread", 0.0),
-            )
-        # Coupled churn kinds: take the crash half of the shared builder.
-        schedule, _membership = _resolve_coupled(self.kind, params, graph, seed)
-        return schedule
+        built = build_kind(self.WHAT, self.kind, self.params, graph=graph, seed=seed)
+        return built[0] if self.kind in COUPLED_KINDS else built
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +481,8 @@ class MembershipSpec(_SpecBase):
     kind: str = "none"
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    KINDS = ("none", "recoveries", "leaves", "flash_crowd", "steady_churn", "race")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise SpecError(
-                f"unknown membership kind {self.kind!r}; known: {', '.join(self.KINDS)}"
-            )
-        object.__setattr__(self, "params", freeze(self.params))
+    WHAT = "membership"
+    KINDS = tuple(_MEMBERSHIP_KINDS)
 
     @property
     def is_static(self) -> bool:
@@ -408,85 +495,25 @@ class MembershipSpec(_SpecBase):
             return not self.params.get("count", 0)
         return False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": thaw(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MembershipSpec":
-        data = _require_mapping(data, "MembershipSpec")
-        _check_keys(data, _KIND_PARAMS_KEYS, "MembershipSpec")
-        return cls(kind=data.get("kind", "none"), params=data.get("params", {}))
-
     def resolve(self, graph, schedule, seed: int = 0):
         """Build the :class:`~repro.churn.MembershipSchedule`."""
-        from ..churn import MembershipSchedule, flash_crowd_joins
-        from ..churn.membership import leave, recover
-
-        params = dict(self.params)
-        if self.kind == "none":
-            return MembershipSchedule()
-        if self.kind == "recoveries":
-            events = tuple(
-                recover(node, float(time)) for node, time in params.get("events", ())
-            )
-            return MembershipSchedule(
-                tuple(sorted(events, key=lambda e: (e.time, repr(e.node))))
-            )
-        if self.kind == "leaves":
-            events = tuple(
-                leave(node, float(time)) for node, time in params.get("events", ())
-            )
-            return MembershipSchedule(
-                tuple(sorted(events, key=lambda e: (e.time, repr(e.node))))
-            )
-        if self.kind == "flash_crowd":
-            if not params.get("count", 0):
-                return MembershipSchedule()
-            return flash_crowd_joins(
-                graph,
-                count=params["count"],
-                at=params.get("at", 3.0),
-                spacing=params.get("spacing", 1.0),
-                seed=params.get("join_seed", seed),
-            )
-        _schedule, membership = _resolve_coupled(self.kind, params, graph, seed)
-        return membership
-
-
-#: Kinds whose crash and membership halves come from one coupled builder.
-#: The session refuses specs where the two halves diverge.
-COUPLED_KINDS = ("steady_churn", "race")
-
-
-def _resolve_coupled(kind: str, params: dict, graph, seed: int):
-    """The coupled churn builders produce crash + membership halves from
-    one call; the matching Failure/Membership spec kinds each take their
-    half.  Both sides pass identical ``(kind, params, seed)``, so the
-    halves always describe the same scenario."""
-    from ..churn import crash_recover_recrash, steady_state_churn
-
-    if kind == "steady_churn":
-        return steady_state_churn(
-            graph,
-            churn_rate=params.get("churn_rate", 0.05),
-            duration=params.get("duration", 100.0),
-            seed=params.get("churn_seed", seed),
-            downtime=params.get("downtime", 15.0),
-        )
-    if kind == "race":
-        return crash_recover_recrash(
-            graph,
-            params["members"],
-            crash_at=params.get("crash_at", 1.0),
-            recover_at=params.get("recover_at", 6.0),
-            recrash_at=params.get("recrash_at", 60.0),
-        )
-    raise SpecError(f"unknown coupled churn kind {kind!r}")
+        built = build_kind(self.WHAT, self.kind, self.params, graph=graph, seed=seed)
+        return built[1] if self.kind in COUPLED_KINDS else built
 
 
 # ---------------------------------------------------------------------------
 # RuntimeSpec
 # ---------------------------------------------------------------------------
+def _resolve_block(what: str, block: Optional[Mapping[str, Any]], default_kind: str):
+    """Build a flat ``{"kind": ..., **params}`` runtime block."""
+    if block is None:
+        return None
+    params = dict(block)
+    kind = params.pop("kind", default_kind)
+    check_kind(what, kind, tuple(params))
+    return build_kind(what, kind, params)
+
+
 @dataclass(frozen=True)
 class RuntimeSpec(_SpecBase):
     """Which runtime executes the experiment, and its substrate knobs.
@@ -544,31 +571,24 @@ class RuntimeSpec(_SpecBase):
     failure_detector: Optional[Mapping[str, Any]] = None
     max_events: int = 5_000_000
     until: Optional[float] = None
-    partitions: int = 1
-    collection: str = "trace"
+    partitions: int = field(default=1, metadata={"when_set": True})
+    collection: str = field(default="trace", metadata={"when_set": True})
     #: asyncio-only knobs (ignored by the simulator).
     detection_delay: float = 0.01
     time_scale: float = 0.01
     timeout: float = 60.0
     #: Optional link-fault knobs (all engines); ``None`` — the default —
     #: keeps the paper's reliable FIFO channels and is not serialized.
-    faults: Optional[Mapping[str, Any]] = None
+    faults: Optional[Mapping[str, Any]] = field(default=None, metadata={"when_set": True})
 
     ENGINES = ("sim", "asyncio", "asyncio-virtual")
     COLLECTIONS = ("trace", "digest")
-    #: The knobs a ``faults`` block may set.
-    FAULT_KEYS = frozenset(
-        {"loss", "duplication", "copies", "reorder", "reorder_rate", "seed"}
-    )
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.engine not in self.ENGINES:
             raise SpecError(
                 f"unknown engine {self.engine!r}; known: {', '.join(self.ENGINES)}"
-            )
-        if not isinstance(self.partitions, int) or isinstance(self.partitions, bool):
-            raise SpecError(
-                f"partitions must be an integer, got {self.partitions!r}"
             )
         if self.partitions < 1:
             raise SpecError(f"partitions must be >= 1, got {self.partitions}")
@@ -588,177 +608,32 @@ class RuntimeSpec(_SpecBase):
                 "runtimes reconstruct membership epochs from the full "
                 "trace)"
             )
-        if self.latency is not None:
-            latency = _require_mapping(self.latency, "RuntimeSpec.latency")
-            object.__setattr__(self, "latency", freeze(latency))
-            # Resolve now and discard: an unknown kind or a bad parameter
-            # (negative delay, misspelled key) must fail at construction,
-            # not deep inside a sweep worker.
-            self.resolve_latency()
-        if self.failure_detector is not None:
-            detector = _require_mapping(self.failure_detector, "RuntimeSpec.failure_detector")
-            object.__setattr__(self, "failure_detector", freeze(detector))
-            # Resolve now and discard, for the same reason as the latency.
-            self.resolve_failure_detector()
-        if self.faults is not None:
-            faults = _require_mapping(self.faults, "RuntimeSpec.faults")
-            _check_keys(faults, self.FAULT_KEYS, "RuntimeSpec.faults")
-            object.__setattr__(self, "faults", freeze(faults))
-            # Resolve now and discard: a negative rate or an inert block
-            # must fail at construction, not deep inside a sweep worker.
-            self.resolve_faults()
-
-    def to_dict(self) -> dict[str, Any]:
-        data = {
-            "engine": self.engine,
-            "batched": self.batched,
-            "latency": thaw(self.latency) if self.latency is not None else None,
-            "failure_detector": (
-                thaw(self.failure_detector) if self.failure_detector is not None else None
-            ),
-            "max_events": self.max_events,
-            "until": self.until,
-            "detection_delay": self.detection_delay,
-            "time_scale": self.time_scale,
-            "timeout": self.timeout,
-        }
-        if self.partitions != 1:
-            # Omitted at the default so documents (and digests) written
-            # before the partitioned backend existed stay byte-identical.
-            data["partitions"] = self.partitions
-        if self.collection != "trace":
-            # Same rationale as partitions.
-            data["collection"] = self.collection
-        if self.faults is not None:
-            # Same rationale again: fault-free documents (and digests)
-            # written before the fault layer existed stay byte-identical.
-            data["faults"] = thaw(self.faults)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RuntimeSpec":
-        data = _require_mapping(data, "RuntimeSpec")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SpecError(
-                f"unknown RuntimeSpec keys {', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        return cls(**dict(data))
+        # Resolve now and discard: an unknown kind or knob, a misspelled
+        # key or a value out of range (negative delay, inert faults block)
+        # must fail at construction, not deep inside a sweep worker.
+        self.resolve_latency()
+        self.resolve_failure_detector()
+        self.resolve_faults()
 
     def resolve_latency(self):
         """Build the latency model (``None`` → runner default)."""
-        if self.latency is None:
-            return None
-        from ..sim import ConstantLatency, UniformLatency
-        from ..sim.latency import ExponentialLatency
-
-        params = dict(self.latency)
-        kind = params.pop("kind", "constant")
-        models = {
-            "constant": ConstantLatency,
-            "uniform": UniformLatency,
-            "exponential": ExponentialLatency,
-        }
-        try:
-            model = models[kind]
-        except KeyError:
-            raise SpecError(
-                f"unknown latency kind {kind!r}; known: {', '.join(sorted(models))}"
-            ) from None
-        try:
-            return model(**params)
-        except TypeError as exc:
-            raise SpecError(f"bad latency spec for kind {kind!r}: {exc}") from exc
-        except ValueError as exc:
-            raise SpecError(f"bad latency spec: {exc}") from exc
+        return _resolve_block("latency", self.latency, "constant")
 
     def resolve_failure_detector(self):
         """Build the failure-detector policy (``None`` → runner default)."""
-        if self.failure_detector is None:
-            return None
-        from ..sim import (
-            JitteredFailureDetector,
-            PerfectFailureDetector,
-            ScriptedFailureDetector,
-        )
-
-        params = dict(self.failure_detector)
-        kind = params.pop("kind", "perfect")
-        try:
-            if kind == "perfect":
-                return PerfectFailureDetector(**params)
-            if kind == "jittered":
-                return JitteredFailureDetector(**params)
-            if kind == "scripted":
-                delays = {
-                    (subscriber, crashed): float(delay)
-                    for subscriber, crashed, delay in params.pop("delays", ())
-                }
-                return ScriptedFailureDetector(delays=delays, **params)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"bad failure-detector spec for kind {kind!r}: {exc}") from exc
-        raise SpecError(
-            f"unknown failure-detector kind {kind!r}; known: perfect, jittered, scripted"
-        )
+        return _resolve_block("failure-detector", self.failure_detector, "perfect")
 
     def resolve_faults(self):
-        """Build the link-fault model (``None`` → reliable channels).
-
-        Stages compose in the fixed order loss → duplication → reorder;
-        each draws from its own keyed RNG stream, so enabling one knob
-        never perturbs another's decisions (see :mod:`repro.sim.faults`).
-        """
+        """Build the link-fault model (``None`` → reliable channels); the
+        knobs and their composition order are :data:`repro.sim.faults.FAULT_KNOBS`."""
         if self.faults is None:
             return None
-        from ..sim.faults import (
-            DuplicatingLinks,
-            FaultsError,
-            LossyLinks,
-            ReorderingLinks,
-            compose_faults,
-        )
+        from ..sim.faults import FaultsError, faults_from_knobs
 
-        params = dict(self.faults)
-        seed = params.pop("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SpecError(f"faults 'seed' must be an integer, got {seed!r}")
-        stages = []
         try:
-            if "loss" in params:
-                stages.append(LossyLinks(rate=params.pop("loss"), seed=seed))
-            if "duplication" in params:
-                stages.append(
-                    DuplicatingLinks(
-                        rate=params.pop("duplication"),
-                        copies=params.pop("copies", 2),
-                        seed=seed,
-                    )
-                )
-            if "reorder" in params:
-                stages.append(
-                    ReorderingLinks(
-                        window=params.pop("reorder"),
-                        rate=params.pop("reorder_rate", 1.0),
-                        seed=seed,
-                    )
-                )
+            return faults_from_knobs(self.faults)
         except FaultsError as exc:
             raise SpecError(f"bad faults spec: {exc}") from exc
-        if params:
-            # Orphaned modifiers would silently do nothing — fail loudly.
-            raise SpecError(
-                f"faults keys {', '.join(map(repr, sorted(params)))} need their "
-                "base knob ('copies' needs 'duplication', 'reorder_rate' "
-                "needs 'reorder')"
-            )
-        if not stages:
-            raise SpecError(
-                "faults block enables no fault: set 'loss', 'duplication' "
-                "and/or 'reorder'"
-            )
-        return compose_faults(*stages)
 
 
 # ---------------------------------------------------------------------------
@@ -774,10 +649,12 @@ class ExperimentSpec(_SpecBase):
     membership schedules, and executes on the requested runtime.
     """
 
-    topology: TopologySpec
-    failure: FailureSpec = field(default_factory=FailureSpec)
-    membership: MembershipSpec = field(default_factory=MembershipSpec)
-    runtime: RuntimeSpec = field(default_factory=RuntimeSpec)
+    topology: TopologySpec = field(metadata={"spec": TopologySpec})
+    failure: FailureSpec = field(default_factory=FailureSpec, metadata={"spec": FailureSpec})
+    membership: MembershipSpec = field(
+        default_factory=MembershipSpec, metadata={"spec": MembershipSpec}
+    )
+    runtime: RuntimeSpec = field(default_factory=RuntimeSpec, metadata={"spec": RuntimeSpec})
     seed: int = 0
     check: bool = True
     arbitration: bool = True
@@ -789,68 +666,16 @@ class ExperimentSpec(_SpecBase):
     #: finished run (locality cost point, overlay repair verdict) and may
     #: supply the run's decision policy.  ``None`` — the default — is not
     #: serialized, so pre-extractor documents and digests are unchanged.
-    extract: Optional[Mapping[str, Any]] = None
+    extract: Optional[Mapping[str, Any]] = field(default=None, metadata={"when_set": True})
+
+    TAG = "experiment"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", freeze(self.labels))
+        super().__post_init__()
         if self.extract is not None:
-            extract = _require_mapping(self.extract, "ExperimentSpec.extract")
-            _check_keys(extract, _KIND_PARAMS_KEYS, "ExperimentSpec.extract")
-            if not extract.get("kind"):
+            _check_keys(self.extract, frozenset({"kind", "params"}), "ExperimentSpec.extract")
+            if not self.extract.get("kind"):
                 raise SpecError("ExperimentSpec.extract needs a non-empty 'kind'")
-            object.__setattr__(self, "extract", freeze(extract))
-
-    def to_dict(self) -> dict[str, Any]:
-        data = {
-            "spec": "experiment",
-            "version": SPEC_VERSION,
-            "name": self.name,
-            "topology": self.topology.to_dict(),
-            "failure": self.failure.to_dict(),
-            "membership": self.membership.to_dict(),
-            "runtime": self.runtime.to_dict(),
-            "seed": self.seed,
-            "check": self.check,
-            "arbitration": self.arbitration,
-            "early_termination": self.early_termination,
-            "labels": thaw(self.labels),
-        }
-        if self.extract is not None:
-            # Omitted when absent so pre-extractor spec documents (and
-            # their digests) stay byte-identical.
-            data["extract"] = thaw(self.extract)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        data = _require_mapping(data, "ExperimentSpec")
-        _check_tag(data, "experiment")
-        _check_keys(
-            data,
-            frozenset(
-                {"spec", "version", "name", "topology", "failure", "membership",
-                 "runtime", "seed", "check", "arbitration", "early_termination",
-                 "labels", "extract"}
-            ),
-            "ExperimentSpec",
-        )
-        try:
-            topology = TopologySpec.from_dict(data["topology"])
-        except KeyError:
-            raise SpecError("ExperimentSpec needs a 'topology'") from None
-        return cls(
-            topology=topology,
-            failure=FailureSpec.from_dict(data.get("failure", {})),
-            membership=MembershipSpec.from_dict(data.get("membership", {})),
-            runtime=RuntimeSpec.from_dict(data.get("runtime", {})),
-            seed=data.get("seed", 0),
-            check=data.get("check", True),
-            arbitration=data.get("arbitration", True),
-            early_termination=data.get("early_termination", False),
-            name=data.get("name", ""),
-            labels=data.get("labels", {}),
-            extract=data.get("extract"),
-        )
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
         """The same experiment at a different seed."""
@@ -937,7 +762,7 @@ class SweepSpec(_SpecBase):
       requiring a hand-written driver script.
     """
 
-    experiment: Optional[ExperimentSpec] = None
+    experiment: Optional[ExperimentSpec] = field(default=None, metadata={"spec": ExperimentSpec})
     family: str = ""
     family_params: Mapping[str, Any] = field(default_factory=dict)
     seeds: tuple[int, ...] = ()
@@ -946,12 +771,17 @@ class SweepSpec(_SpecBase):
     base_seed: int = 0
     name: str = ""
 
+    TAG = "sweep"
+
     def __post_init__(self) -> None:
+        super().__post_init__()
         if (self.experiment is None) == (not self.family):
             raise SpecError("SweepSpec needs exactly one of 'experiment' or 'family'")
         object.__setattr__(self, "seeds", tuple(int(seed) for seed in self.seeds))
-        object.__setattr__(self, "family_params", freeze(self.family_params))
-        object.__setattr__(self, "grid", freeze(self.grid))
+        if self.workers < 0:
+            raise SpecError(
+                f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
+            )
         if self.family and "seed" in self.grid:
             raise SpecError(
                 "family-mode grids expand family_params; sweep seeds with "
@@ -970,46 +800,6 @@ class SweepSpec(_SpecBase):
                     f"grid axis {path!r} needs a non-empty list of values, "
                     f"got {values!r}"
                 )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": "sweep",
-            "version": SPEC_VERSION,
-            "name": self.name,
-            "experiment": self.experiment.to_dict() if self.experiment else None,
-            "family": self.family,
-            "family_params": thaw(self.family_params),
-            "seeds": list(self.seeds),
-            "grid": thaw(self.grid),
-            "workers": self.workers,
-            "base_seed": self.base_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        data = _require_mapping(data, "SweepSpec")
-        _check_tag(data, "sweep")
-        _check_keys(
-            data,
-            frozenset(
-                {"spec", "version", "name", "experiment", "family",
-                 "family_params", "seeds", "grid", "workers", "base_seed"}
-            ),
-            "SweepSpec",
-        )
-        experiment = data.get("experiment")
-        return cls(
-            experiment=(
-                ExperimentSpec.from_dict(experiment) if experiment is not None else None
-            ),
-            family=data.get("family", ""),
-            family_params=data.get("family_params", {}),
-            seeds=tuple(data.get("seeds", ())),
-            grid=data.get("grid", {}),
-            workers=data.get("workers", 1),
-            base_seed=data.get("base_seed", 0),
-            name=data.get("name", ""),
-        )
 
     def expand(self) -> list[ExperimentSpec]:
         """Concrete experiment specs, in deterministic sweep order.
@@ -1122,20 +912,20 @@ class SweepSpec(_SpecBase):
         return ExperimentSession().run_sweep(self)
 
 
-def load_spec(text: str):
-    """Parse a JSON document into an :class:`ExperimentSpec` or
+def spec_from_dict(data: Mapping[str, Any]):
+    """Parse a spec document (dict form) into an :class:`ExperimentSpec` or
     :class:`SweepSpec`, dispatching on its ``"spec"`` tag."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid spec JSON: {exc}") from exc
     data = _require_mapping(data, "spec document")
     tag = data.get("spec")
-    if tag == "experiment":
-        return ExperimentSpec.from_dict(data)
-    if tag == "sweep":
-        return SweepSpec.from_dict(data)
+    for cls in (ExperimentSpec, SweepSpec):
+        if tag == cls.TAG:
+            return cls.from_dict(data)
     raise SpecError(f"spec document needs \"spec\": \"experiment\"|\"sweep\", got {tag!r}")
+
+
+def load_spec(text: str):
+    """Parse a JSON document (see :func:`spec_from_dict`)."""
+    return spec_from_dict(_parse_json(text))
 
 
 def iter_specs(specs: SweepSpec) -> Iterator[ExperimentSpec]:

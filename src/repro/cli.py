@@ -33,6 +33,7 @@ from typing import Callable
 
 from .api import (
     ExperimentSession,
+    RuntimeSpec,
     SweepSpec,
     churn_scenario_description,
     churn_scenario_spec,
@@ -57,24 +58,11 @@ from .experiments import (
     system_size_sweep,
 )
 from .experiments.report import build_report
+from .sim.faults import FAULT_AXES, FAULT_KNOBS
 
 
 def _write_json(write: Callable[[str], object], payload: dict) -> None:
     write(json.dumps(payload, indent=2, sort_keys=True))
-
-
-#: The ``--faults`` knobs and how to parse their values.
-_FAULT_KNOB_TYPES = {
-    "loss": float,
-    "duplication": float,
-    "copies": int,
-    "reorder": float,
-    "reorder_rate": float,
-    "seed": int,
-}
-
-#: Knobs a sweep may colon-expand into degradation axes.
-_FAULT_AXIS_KNOBS = ("loss", "duplication", "reorder")
 
 
 def _parse_faults(text: str, sweep: bool = False) -> tuple[dict, dict]:
@@ -98,11 +86,11 @@ def _parse_faults(text: str, sweep: bool = False) -> tuple[dict, dict]:
         knob, _, raw = pair.partition("=")
         knob = knob.strip()
         try:
-            cast = _FAULT_KNOB_TYPES[knob]
+            cast = FAULT_KNOBS[knob].value_type
         except KeyError:
             raise SpecError(
                 f"unknown --faults knob {knob!r}; known: "
-                f"{', '.join(sorted(_FAULT_KNOB_TYPES))} (or a preset name)"
+                f"{', '.join(sorted(FAULT_KNOBS))} (or a preset name)"
             ) from None
         try:
             values = [cast(value) for value in raw.split(":")]
@@ -118,9 +106,9 @@ def _parse_faults(text: str, sweep: bool = False) -> tuple[dict, dict]:
                     "sweep a degradation axis and only `repro sweep "
                     "--faults` accepts them"
                 )
-            if knob not in _FAULT_AXIS_KNOBS:
+            if knob not in FAULT_AXES:
                 raise SpecError(
-                    f"--faults can only sweep {', '.join(_FAULT_AXIS_KNOBS)}; "
+                    f"--faults can only sweep {', '.join(FAULT_AXES)}; "
                     f"{knob!r} is a modifier and takes one value"
                 )
             axes[knob] = values
@@ -409,7 +397,7 @@ def _cmd_churn(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     if args.runtime == "both":
         runtimes = ["sim", "asyncio"]
     elif args.runtime == "all":
-        runtimes = ["sim", "asyncio", "asyncio-virtual"]
+        runtimes = list(RuntimeSpec.ENGINES)
     else:
         runtimes = [args.runtime]
     results = [session.run(spec.with_engine(runtime)) for runtime in runtimes]
@@ -832,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     churn.add_argument(
         "--runtime",
-        choices=["sim", "asyncio", "asyncio-virtual", "both", "all"],
+        choices=[*RuntimeSpec.ENGINES, "both", "all"],
         default="sim",
         help="engine: deterministic simulator, wall-clock asyncio, "
         "virtual-time asyncio, sim+asyncio ('both'), or all three "
@@ -883,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--collection",
-        choices=["trace", "digest"],
+        choices=list(RuntimeSpec.COLLECTIONS),
         default=None,
         help="trace collection mode (overrides the document's "
         "runtime.collection): 'trace' keeps the full columnar event "
@@ -893,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--runtime",
-        choices=["sim", "asyncio", "asyncio-virtual"],
+        choices=list(RuntimeSpec.ENGINES),
         default=None,
         help="runtime engine (overrides the document's runtime.engine): "
         "the deterministic simulator, the wall-clock asyncio runtime, "

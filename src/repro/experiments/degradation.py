@@ -32,6 +32,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..api.result import json_safe
 from ..api.specs import ExperimentSpec, SpecError, SweepSpec
+from ..sim.faults import FAULT_AXES, FAULT_KNOBS
 
 #: Pseudo-property recorded when a run fails to reach quiescence: the
 #: liveness checkers are skipped on such runs (they would be unsound), so
@@ -44,9 +45,6 @@ EXCUSED_PROPERTIES: dict[str, frozenset[str]] = {
     "duplication": frozenset(),
     "reorder": frozenset(),
 }
-
-#: The fault knobs that constitute an axis (modifiers don't).
-FAULT_AXES = tuple(sorted(EXCUSED_PROPERTIES))
 
 
 def excuse_set(faults: Optional[Mapping[str, Any]]) -> frozenset[str]:
@@ -216,12 +214,10 @@ def _point_faults(
     else:
         # A zero rate is the fault-free baseline for this knob; dropping
         # it (rather than passing 0) also keeps reorder=0 representable,
-        # where a zero-width window is a spec error.
-        block.pop(axis, None)
-        if axis == "duplication":
-            block.pop("copies", None)
-        if axis == "reorder":
-            block.pop("reorder_rate", None)
+        # where a zero-width window is a spec error.  Its modifiers go too.
+        for knob, spec in FAULT_KNOBS.items():
+            if axis in (knob, spec.base):
+                block.pop(knob, None)
     return block or None
 
 

@@ -24,7 +24,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Union
 
-from ..api import ExperimentSpec, SpecError, SweepSpec
+from ..api import ExperimentSpec, SweepSpec
+from ..api import spec_from_dict as spec_from_document  # noqa: F401 - the one tag dispatch
 
 #: Wire-format version stamped into every service document.
 SERVICE_VERSION = 1
@@ -39,24 +40,7 @@ class ServiceError(RuntimeError):
     """A service-layer failure (bad document, unknown job, dead server)."""
 
 
-SpecDocument = Mapping[str, Any]
 AnySpec = Union[ExperimentSpec, SweepSpec]
-
-
-def spec_from_document(document: SpecDocument) -> AnySpec:
-    """Parse a spec document (dict form), dispatching on its tag."""
-    if not isinstance(document, Mapping):
-        raise SpecError(
-            f"spec document must be a mapping, got {type(document).__name__}"
-        )
-    tag = document.get("spec")
-    if tag == "experiment":
-        return ExperimentSpec.from_dict(document)
-    if tag == "sweep":
-        return SweepSpec.from_dict(document)
-    raise SpecError(
-        f'spec document needs "spec": "experiment"|"sweep", got {tag!r}'
-    )
 
 
 def spec_seed(spec: AnySpec) -> int:

@@ -11,7 +11,10 @@ so fault sweeps are as reproducible as fault-free runs:
 * :class:`ReorderingLinks` — delay individual messages by a bounded
   extra offset, letting later sends on the same channel overtake them
   (a bounded-delay permutation window);
-* :func:`compose_faults` — chain any of the above into one model.
+* :func:`compose_faults` — chain any of the above into one model;
+* :data:`FAULT_KNOBS` / :func:`faults_from_knobs` — the flat knob mapping
+  (``{"loss": 0.02, "reorder": 0.5}``) that spec documents and ``--faults``
+  write, declared once beside the stages it configures.
 
 Determinism is the load-bearing property.  A fault decision must be a
 pure function of the *message's identity*, never of execution order:
@@ -49,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Mapping, NamedTuple, Optional, Protocol, runtime_checkable
 
 
 class FaultsError(ValueError):
@@ -266,6 +269,66 @@ def compose_faults(*models: Any) -> Any:
         else:
             stages.append(model)
     return ComposedFaults(tuple(stages))
+
+
+class FaultKnob(NamedTuple):
+    """One knob of a ``faults`` block (``RuntimeSpec.faults``, ``--faults``)."""
+
+    stage: Optional[type]  # the stage it configures (``None``: all — the seed)
+    argument: str  # the stage constructor argument its value becomes
+    value_type: type  # how ``--faults knob=value`` parses the value
+    base: Optional[str] = None  # the knob this one modifies and is inert without
+
+
+#: The ``faults`` knobs, declared once: the spec's validation, the CLI's
+#: ``--faults`` parser and the degradation sweeps all read this table.  Row
+#: order is composition order — loss → duplication → reorder — and each
+#: stage draws from its own keyed RNG stream, so enabling one knob never
+#: perturbs another's decisions.
+FAULT_KNOBS = {
+    "loss": FaultKnob(LossyLinks, "rate", float),
+    "duplication": FaultKnob(DuplicatingLinks, "rate", float),
+    "copies": FaultKnob(DuplicatingLinks, "copies", int, base="duplication"),
+    "reorder": FaultKnob(ReorderingLinks, "window", float),
+    "reorder_rate": FaultKnob(ReorderingLinks, "rate", float, base="reorder"),
+    "seed": FaultKnob(None, "seed", int),
+}
+
+#: The knobs that switch a stage on (what a degradation sweep can move).
+FAULT_AXES = tuple(k for k, knob in FAULT_KNOBS.items() if knob.stage and not knob.base)
+
+
+def faults_from_knobs(block: Mapping[str, Any]) -> Any:
+    """Build the fault model a flat knob mapping describes.
+
+    Raises :class:`FaultsError` for an unknown knob, a non-integer seed, a
+    modifier without its base knob (it would silently do nothing), a value
+    outside its stage's range, and a block that enables no fault at all.
+    """
+    unknown = sorted(set(block) - set(FAULT_KNOBS))
+    if unknown:
+        raise FaultsError(
+            f"unknown faults keys {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(sorted(FAULT_KNOBS))}"
+        )
+    seed = block.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise FaultsError(f"faults 'seed' must be an integer, got {seed!r}")
+    orphans = sorted(k for k in block if FAULT_KNOBS[k].base not in (None, *block))
+    if orphans:
+        needs = (f"{k!r} needs {knob.base!r}" for k, knob in FAULT_KNOBS.items() if knob.base)
+        raise FaultsError(
+            f"faults keys {', '.join(map(repr, orphans))} need their base knob "
+            f"({', '.join(needs)})"
+        )
+    stages: dict[type, dict[str, Any]] = {}
+    for k, knob in FAULT_KNOBS.items():
+        if k in block and knob.stage is not None:
+            stages.setdefault(knob.stage, {"seed": seed})[knob.argument] = block[k]
+    if not stages:
+        *first, last = map(repr, FAULT_AXES)
+        raise FaultsError(f"faults block enables no fault: set {', '.join(first)} and/or {last}")
+    return compose_faults(*(stage(**arguments) for stage, arguments in stages.items()))
 
 
 #: Models the partitioned backend accepts: their decisions are pure

@@ -276,6 +276,36 @@ class TestSpecLayerCommands:
         with pytest.raises(SpecError, match="bad failure-detector spec for kind 'jittered'"):
             main(["run", str(bad)], write=_Capture())
 
+    @pytest.mark.parametrize(
+        "block, edit, message",
+        [
+            ("failure", {"params": {}}, "missing a required argument: 'members'"),
+            (
+                "failure",
+                {"params": {"members": [[1, 1]], "spred": 4}},
+                "bad failure spec for kind 'region': got an unexpected keyword argument 'spred'",
+            ),
+            ("runtime", {"max_events": "abc"}, "RuntimeSpec.max_events must be int, got 'abc'"),
+        ],
+        ids=["missing-param", "unknown-param", "scalar-type"],
+    )
+    def test_run_refuses_what_the_schema_does_not_know(
+        self, tmp_path, monkeypatch, block, edit, message
+    ):
+        from repro.api import ExperimentSession, SpecError
+
+        emitted = _Capture()
+        main(["quickstart", "--emit-spec"], write=emitted)
+        document = json.loads(emitted.text)
+        document[block].update(edit)
+        bad = tmp_path / "bad-block.json"
+        bad.write_text(json.dumps(document))
+        # Refused at parse: nothing runs (it used to run the default
+        # scenario, or die inside the run with a KeyError).
+        monkeypatch.setattr(ExperimentSession, "run", lambda self, spec: pytest.fail("ran"))
+        with pytest.raises(SpecError, match=message):
+            main(["run", str(bad)], write=_Capture())
+
     def test_run_missing_file_is_a_spec_error(self, tmp_path):
         from repro.api import SpecError
 

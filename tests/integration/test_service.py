@@ -233,6 +233,37 @@ class TestSubmissionContract:
         assert client.health()["counts"]["queued"] == 0
 
 
+    def test_malformed_blocks_are_refused_at_submit(self, live_server):
+        """A block the schema does not know is a 400 where it is written —
+        it used to queue and die in the worker (``KeyError: 'members'``),
+        or run the clean document's scenario under a second store key."""
+        client = ServiceClient(live_server.url)
+        clean = small_spec().to_dict()
+
+        def edited(block, **params):
+            return dict(clean, **{block: dict(clean[block], **params)})
+
+        for document, message in [
+            (edited("failure", params={}), "missing a required argument: 'members'"),
+            (
+                edited("failure", params=dict(clean["failure"]["params"], spred=4)),
+                "bad failure spec for kind 'region': got an unexpected keyword argument 'spred'",
+            ),
+            (edited("runtime", max_events="abc"), "RuntimeSpec.max_events must be int, got 'abc'"),
+        ]:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(document)
+            assert excinfo.value.status == 400
+            assert message in excinfo.value.payload["error"]
+        assert client.jobs() == []
+        # One store key for the one scenario: the clean document runs once
+        # and is a cache hit afterwards.
+        first = client.wait(client.submit(clean)["job"]["id"], timeout=120.0)
+        assert first["state"] == "done" and not first["cached"]
+        assert client.submit(clean)["job"]["cached"]
+        assert executions(client) == 1
+
+
 class TestRemoteWorker:
     def test_http_worker_drains_a_workerless_server(self, workerless_server):
         client = ServiceClient(workerless_server.url)

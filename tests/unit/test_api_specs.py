@@ -151,9 +151,22 @@ class TestValidation:
 
     def test_topology_kinds_match_the_builder_table(self):
         from repro.api import TOPOLOGY_KINDS
-        from repro.api.specs import _TOPOLOGY_BUILDERS
+        from repro.api import specs
 
-        assert TOPOLOGY_KINDS == tuple(sorted(_TOPOLOGY_BUILDERS))
+        assert TOPOLOGY_KINDS == tuple(sorted(specs._TOPOLOGY_BUILDERS))
+        # ... and so do the other three tables: the kinds a class or an
+        # error message lists are the table's keys, in table order.
+        assert FailureSpec.KINDS == tuple(specs._FAILURE_KINDS)
+        assert MembershipSpec.KINDS == tuple(specs._MEMBERSHIP_KINDS)
+        assert set(specs.COUPLED_KINDS) == set(FailureSpec.KINDS) & set(MembershipSpec.KINDS) - {"none"}
+        for field, table in (
+            ("latency", specs._LATENCY_KINDS),
+            ("failure_detector", specs._DETECTOR_KINDS),
+        ):
+            with pytest.raises(SpecError, match=f"known: {', '.join(table)}$"):
+                RuntimeSpec(**{field: {"kind": "nope"}})
+            for kind in table:
+                RuntimeSpec(**{field: {"kind": kind}})
 
 
 class TestFaultsValidation:
