@@ -16,72 +16,63 @@ Quick start
 True
 >>> len(result.decided_views)
 1
+
+``import repro`` is cheap: this module and every package below it state
+their exports as a ``submodule → names`` table (:mod:`repro._lazy`), and a
+name's submodule loads when the name is first read.  The statement above
+loads the graph layer, the schedules and the simulator's runner — not
+asyncio, the partitioned backend, the sweep pool or the service.
 """
 
-from .api import (
-    ExperimentSession,
-    ExperimentSpec,
-    FailureSpec,
-    MembershipSpec,
-    Result,
-    RuntimeSpec,
-    SweepSpec,
-    TopologySpec,
-    load_spec,
-    run_spec,
+from ._lazy import facade
+
+__all__, _export, __dir__ = facade(
+    __name__,
+    {
+        "api": (
+            "ExperimentSession", "ExperimentSpec", "FailureSpec", "MembershipSpec",
+            "Result", "RuntimeSpec", "SweepSpec", "TopologySpec", "load_spec",
+            "run_spec",
+        ),
+        "churn": (
+            "ChurnRunResult", "MembershipEvent", "MembershipSchedule",
+            "check_churn_all", "crash_recover_recrash", "flash_crowd_joins",
+            "run_churn", "run_churn_asyncio", "steady_state_churn",
+        ),
+        "core": (
+            "CliffEdgeNode", "CoordinatorElectionPolicy", "DecisionPolicy",
+            "ProposedRepair", "RoundMessage", "assert_specification", "check_all",
+        ),
+        "experiments.runner": ("RunResult", "build_simulator", "run_cliff_edge"),
+        "failures": (
+            "CrashSchedule", "cascade_crash", "growing_region_crash",
+            "multi_region_crash", "random_crashes", "region_crash",
+        ),
+        "graph": (
+            "KnowledgeGraph", "NodeId", "Region", "faulty_clusters",
+            "faulty_domains", "generators",
+        ),
+        "sim": (
+            "ConstantLatency", "JitteredFailureDetector", "PerfectFailureDetector",
+            "ScriptedFailureDetector", "Simulator", "UniformLatency",
+        ),
+        "sim.partition": (
+            "PartitionedRunResult", "PartitionError", "partition_graph",
+            "run_partitioned",
+        ),
+        "trace": ("RunMetrics", "TraceRecorder", "collect_metrics"),
+    },
 )
-from .churn import (
-    ChurnRunResult,
-    MembershipEvent,
-    MembershipSchedule,
-    check_churn_all,
-    crash_recover_recrash,
-    flash_crowd_joins,
-    run_churn,
-    run_churn_asyncio,
-    steady_state_churn,
-)
-from .core import (
-    CliffEdgeNode,
-    CoordinatorElectionPolicy,
-    DecisionPolicy,
-    ProposedRepair,
-    RoundMessage,
-    assert_specification,
-    check_all,
-)
-from .experiments.runner import RunResult, build_simulator, run_cliff_edge
-from .failures import (
-    CrashSchedule,
-    cascade_crash,
-    growing_region_crash,
-    multi_region_crash,
-    random_crashes,
-    region_crash,
-)
-from .graph import (
-    KnowledgeGraph,
-    NodeId,
-    Region,
-    faulty_clusters,
-    faulty_domains,
-    generators,
-)
-from .sim import (
-    ConstantLatency,
-    JitteredFailureDetector,
-    PerfectFailureDetector,
-    ScriptedFailureDetector,
-    Simulator,
-    UniformLatency,
-)
-from .sim.partition import (
-    PartitionedRunResult,
-    PartitionError,
-    partition_graph,
-    run_partitioned,
-)
-from .trace import RunMetrics, TraceRecorder, collect_metrics
+__all__.insert(0, "__version__")
+
+
+def __getattr__(name: str):
+    """An export off the table above, or the version — read, like them,
+    on first use: ``import repro`` opens and parses no file."""
+    if name != "__version__":
+        return _export(name)
+    value = globals()[name] = _read_version()
+    return value
 
 
 def _read_version() -> str:
@@ -108,73 +99,3 @@ def _read_version() -> str:
         return version("repro-cliff-edge")
     except Exception:  # pragma: no cover - metadata missing entirely
         return "0.0.0+unknown"
-
-
-__version__ = _read_version()
-
-__all__ = [
-    "__version__",
-    # Core protocol
-    "CliffEdgeNode",
-    "RoundMessage",
-    "DecisionPolicy",
-    "CoordinatorElectionPolicy",
-    "ProposedRepair",
-    "check_all",
-    "assert_specification",
-    # Graph substrate
-    "KnowledgeGraph",
-    "NodeId",
-    "Region",
-    "faulty_domains",
-    "faulty_clusters",
-    "generators",
-    # Failure injection
-    "CrashSchedule",
-    "region_crash",
-    "growing_region_crash",
-    "multi_region_crash",
-    "random_crashes",
-    "cascade_crash",
-    # Churn (dynamic membership)
-    "MembershipEvent",
-    "MembershipSchedule",
-    "ChurnRunResult",
-    "run_churn",
-    "run_churn_asyncio",
-    "check_churn_all",
-    "crash_recover_recrash",
-    "steady_state_churn",
-    "flash_crowd_joins",
-    # Partitioned backend (intra-run parallelism)
-    "run_partitioned",
-    "partition_graph",
-    "PartitionedRunResult",
-    "PartitionError",
-    # Simulation substrate
-    "Simulator",
-    "ConstantLatency",
-    "UniformLatency",
-    "PerfectFailureDetector",
-    "JitteredFailureDetector",
-    "ScriptedFailureDetector",
-    # Traces and metrics
-    "TraceRecorder",
-    "RunMetrics",
-    "collect_metrics",
-    # Harness
-    "run_cliff_edge",
-    "build_simulator",
-    "RunResult",
-    # Declarative experiment API
-    "ExperimentSpec",
-    "TopologySpec",
-    "FailureSpec",
-    "MembershipSpec",
-    "RuntimeSpec",
-    "SweepSpec",
-    "ExperimentSession",
-    "Result",
-    "run_spec",
-    "load_spec",
-]

@@ -52,93 +52,33 @@ Determinism invariants:
   labels, timing, or which worker/backend produced it.
 """
 
-from .cache import (
-    TopologyCacheInfo,
-    build_topology,
-    clear_topology_cache,
-    set_topology_cache_size,
-    topology_cache_info,
-)
-from .extractors import EXTRACTOR_KINDS, get_extractor
-from .presets import (
-    FAULT_PRESETS,
-    churn_scenario_description,
-    churn_scenario_spec,
-    fault_preset,
-    fault_sweep_spec,
-    figure_spec,
-    locality_sweep_spec,
-    property_sweep_spec,
-    quickstart_spec,
-    repair_spec,
-    torus_block_spec,
-    torus_region_spec,
-    torus_sweep_spec,
-)
-from .result import AggregateSpecification, DecisionResultMixin, Result, RunResult, json_safe
-from .session import ExperimentSession, run_spec, run_spec_json
-from .specs import (
-    SPEC_VERSION,
-    TOPOLOGY_KINDS,
-    ExperimentSpec,
-    FailureSpec,
-    MembershipSpec,
-    RuntimeSpec,
-    SpecError,
-    SweepSpec,
-    TopologySpec,
-    iter_specs,
-    load_spec,
-    spec_digest,
-    spec_from_dict,
-)
+from .._lazy import facade
 
-__all__ = [
-    # Specs
-    "SPEC_VERSION",
-    "TOPOLOGY_KINDS",
-    "TopologySpec",
-    "FailureSpec",
-    "MembershipSpec",
-    "RuntimeSpec",
-    "ExperimentSpec",
-    "SweepSpec",
-    "SpecError",
-    "spec_digest",
-    "load_spec",
-    "spec_from_dict",
-    "iter_specs",
-    # Session
-    "ExperimentSession",
-    "run_spec",
-    "run_spec_json",
-    # Results
-    "Result",
-    "RunResult",
-    "DecisionResultMixin",
-    "AggregateSpecification",
-    "json_safe",
-    # Topology cache
-    "build_topology",
-    "topology_cache_info",
-    "clear_topology_cache",
-    "set_topology_cache_size",
-    "TopologyCacheInfo",
-    # Extractors
-    "EXTRACTOR_KINDS",
-    "get_extractor",
-    # Presets
-    "quickstart_spec",
-    "figure_spec",
-    "churn_scenario_spec",
-    "churn_scenario_description",
-    "locality_sweep_spec",
-    "property_sweep_spec",
-    "repair_spec",
-    "torus_block_spec",
-    "torus_region_spec",
-    "torus_sweep_spec",
-    "FAULT_PRESETS",
-    "fault_preset",
-    "fault_sweep_spec",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "cache": (
+            "TopologyCacheInfo", "build_topology", "clear_topology_cache",
+            "set_topology_cache_size", "topology_cache_info",
+        ),
+        "extractors": ("EXTRACTOR_KINDS", "get_extractor"),
+        "presets": (
+            "FAULT_PRESETS", "churn_scenario_description", "churn_scenario_spec",
+            "fault_preset", "fault_sweep_spec", "figure_spec",
+            "locality_sweep_spec", "property_sweep_spec", "quickstart_spec",
+            "repair_spec", "torus_block_spec", "torus_region_spec",
+            "torus_sweep_spec",
+        ),
+        "result": (
+            "AggregateSpecification", "DecisionResultMixin", "Result", "RunResult",
+            "json_safe",
+        ),
+        "session": ("ExperimentSession", "run_spec", "run_spec_json"),
+        "specs": (
+            "SPEC_VERSION", "TOPOLOGY_KINDS", "ExperimentSpec", "FailureSpec",
+            "MembershipSpec", "RuntimeSpec", "SpecError", "SweepSpec",
+            "TopologySpec", "iter_specs", "load_spec", "spec_digest",
+            "spec_from_dict",
+        ),
+    },
+)

@@ -8,8 +8,11 @@ runs.  This module therefore memoises :meth:`TopologySpec.build` in a
 process-local LRU keyed by the spec's canonical digest.
 
 The cache is per process: sweep workers each hold their own, so tasks
-that land on the same worker (and fork-started workers, which inherit the
-parent's cache) share builds without any cross-process coordination.
+that land on the same worker share builds without any cross-process
+coordination.  A fork-started worker inherits what its parent held at
+the fork — this module, because :mod:`repro.api.session` imports it, and
+whatever graphs the parent had built by then (a parent that only expands
+a sweep builds none, so each worker builds a topology once).
 ``benchmarks/bench_sweep_scale.py`` measures the cold/warm build times.
 """
 

@@ -12,21 +12,52 @@ Sweeps go the same way: :meth:`ExperimentSession.run_sweep` turns a
 sharded sweep engine (:mod:`repro.scale`) and merges the outcomes into a
 :class:`~repro.scale.SweepReport`.
 
-Imports of the runner modules happen lazily: the runners themselves
-import :mod:`repro.api.result` for the result class, and the session
-must stay importable from both directions.
+Importing this module loads the spec layer, the result class and the
+topology cache — no engine.  :func:`runner_for` is the one place a
+runner module is imported, when a spec first needs it, and the package
+``__init__``s import nothing on their own (:mod:`repro._lazy`), so a
+static run never loads asyncio, the partitioned backend or the sweep
+pool.  A process about to fork workers calls :func:`runner_for` before
+it forks, so that its children inherit the run path instead of each
+importing it again.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any, Callable, Union
 
+from .cache import build_topology
 from .result import RunResult
 from .specs import COUPLED_KINDS, ExperimentSpec, RuntimeSpec, SpecError, SweepSpec
 from .specs import build_kind, load_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scale.sweep import SweepReport
+
+
+def runner_for(runtime: RuntimeSpec) -> Callable[..., RunResult]:
+    """The function that executes ``runtime`` — importing its module.
+
+    The one place an engine's code is loaded: :meth:`ExperimentSession.run`
+    calls it when it has a run to hand over, and a process about to fork
+    workers calls it first (the sweep pool), so its children inherit the
+    run path instead of each importing it again.  The simulator's runner
+    module brings the protocol, the checkers and the trace layer; the
+    partitioned backend is the same engine executed in shards and loads on
+    top of it.  The name is read off its module at every call — the perf
+    ledger wraps ``repro.sim.partition.run_partitioned`` there.
+    """
+    if runtime.engine != "sim":
+        from ..churn.runner import run_churn_asyncio
+
+        return run_churn_asyncio
+    from ..experiments.runner import run_cliff_edge
+
+    if runtime.partitions > 1:
+        from ..sim.partition import run_partitioned
+
+        return run_partitioned
+    return run_cliff_edge
 
 
 class ExperimentSession:
@@ -46,7 +77,7 @@ class ExperimentSession:
     def build_graph(self, spec: ExperimentSpec):
         """Build (or fetch from cache) the spec's topology."""
         if self.use_cache:
-            return spec.topology.build()
+            return build_topology(spec.topology)
         return spec.topology.build_uncached()
 
     def resolve(self, spec: ExperimentSpec):
@@ -145,9 +176,7 @@ class ExperimentSession:
                     + ", ".join(unsupported)
                     + " (use engine='sim')"
                 )
-            from ..churn.runner import run_churn_asyncio
-
-            result = run_churn_asyncio(
+            result = runner_for(runtime)(
                 graph,
                 schedule,
                 membership,
@@ -190,19 +219,15 @@ class ExperimentSession:
                 "faults": runtime.resolve_faults(),
             }
             if partitioned:
-                from ..sim.partition import run_partitioned
-
-                result = run_partitioned(
+                result = runner_for(runtime)(
                     graph, schedule, membership, partitions=runtime.partitions, **knobs
                 )
             else:
-                from ..experiments.runner import run_cliff_edge
-
                 if decision_policy is not None:
                     knobs["decision_policy"] = decision_policy
                 # None, not the empty schedule: the tie order differs
                 # (see build_simulator), and so would the digest.
-                result = run_cliff_edge(
+                result = runner_for(runtime)(
                     graph,
                     schedule,
                     None if static else membership,

@@ -1,26 +1,18 @@
 """Baselines the paper motivates verbally: global consensus, gossip,
 uncoordinated repair."""
 
-from .global_consensus import (
-    GlobalBaselineResult,
-    GlobalCrashMapNode,
-    run_global_baseline,
-)
-from .gossip import GossipBaselineResult, GossipViewNode, run_gossip_baseline
-from .uncoordinated import (
-    UncoordinatedBaselineResult,
-    UncoordinatedRepairNode,
-    run_uncoordinated_baseline,
-)
+from .._lazy import facade
 
-__all__ = [
-    "GlobalCrashMapNode",
-    "GlobalBaselineResult",
-    "run_global_baseline",
-    "GossipViewNode",
-    "GossipBaselineResult",
-    "run_gossip_baseline",
-    "UncoordinatedRepairNode",
-    "UncoordinatedBaselineResult",
-    "run_uncoordinated_baseline",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "global_consensus": (
+            "GlobalBaselineResult", "GlobalCrashMapNode", "run_global_baseline",
+        ),
+        "gossip": ("GossipBaselineResult", "GossipViewNode", "run_gossip_baseline"),
+        "uncoordinated": (
+            "UncoordinatedBaselineResult", "UncoordinatedRepairNode",
+            "run_uncoordinated_baseline",
+        ),
+    },
+)

@@ -17,60 +17,25 @@ checkable:
   asyncio runtime.
 """
 
-from .attachment import (
-    AttachmentError,
-    AttachmentPolicy,
-    FreshJoinByLocality,
-    RejoinOldEdges,
-    RejoinViaRepairPlan,
-)
-from .epochs import MembershipEpoch, build_epochs
-from .membership import (
-    MembershipError,
-    MembershipEvent,
-    MembershipEventKind,
-    MembershipSchedule,
-    crash_recover_recrash,
-    flash_crowd_joins,
-    join,
-    leave,
-    recover,
-    recovery_for,
-    steady_state_churn,
-)
-from .properties import (
-    ChurnGroundTruth,
-    assert_churn_specification,
-    build_ground_truth,
-    check_churn_all,
-)
-from .runner import ChurnRunResult, run_churn, run_churn_asyncio, run_churn_virtual
+from .._lazy import facade
 
-__all__ = [
-    "AttachmentError",
-    "AttachmentPolicy",
-    "RejoinOldEdges",
-    "RejoinViaRepairPlan",
-    "FreshJoinByLocality",
-    "MembershipEpoch",
-    "build_epochs",
-    "MembershipError",
-    "MembershipEvent",
-    "MembershipEventKind",
-    "MembershipSchedule",
-    "join",
-    "recover",
-    "leave",
-    "recovery_for",
-    "crash_recover_recrash",
-    "steady_state_churn",
-    "flash_crowd_joins",
-    "ChurnGroundTruth",
-    "build_ground_truth",
-    "check_churn_all",
-    "assert_churn_specification",
-    "ChurnRunResult",
-    "run_churn",
-    "run_churn_asyncio",
-    "run_churn_virtual",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "attachment": (
+            "AttachmentError", "AttachmentPolicy", "FreshJoinByLocality",
+            "RejoinOldEdges", "RejoinViaRepairPlan",
+        ),
+        "epochs": ("MembershipEpoch", "build_epochs"),
+        "membership": (
+            "MembershipError", "MembershipEvent", "MembershipEventKind",
+            "MembershipSchedule", "crash_recover_recrash", "flash_crowd_joins",
+            "join", "leave", "recover", "recovery_for", "steady_state_churn",
+        ),
+        "properties": (
+            "ChurnGroundTruth", "assert_churn_specification", "build_ground_truth",
+            "check_churn_all",
+        ),
+        "runner": ("ChurnRunResult", "run_churn", "run_churn_asyncio", "run_churn_virtual"),
+    },
+)

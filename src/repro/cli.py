@@ -44,20 +44,10 @@ from .api import (
     quickstart_spec,
     repair_spec,
 )
+# Nothing from repro.experiments up here: the parser needs the spec layer
+# for its choices and help text, and each command imports what it runs, so
+# ``--version`` and ``--help`` load no simulator, experiment or asyncio.
 from .api.presets import LOCALITY_SIDES, LOCALITY_SIDES_FULL
-from .experiments import (
-    fig1a_scenario,
-    format_table,
-    locality_is_flat,
-    region_size_sweep,
-    render_report,
-    run_fig1b,
-    run_fig2,
-    run_fig3,
-    run_overlay_repair,
-    system_size_sweep,
-)
-from .experiments.report import build_report
 from .sim.faults import FAULT_AXES, FAULT_KNOBS
 
 
@@ -126,6 +116,8 @@ def _write_sweep_report(
     if as_json:
         _write_json(write, report.as_dict())
         return 0 if report.all_hold else 1
+    from .experiments import format_table
+
     write(format_table(report.as_rows(), title=f"sweep {spec.name or spec.digest()[:12]}"))
     write(
         f"runs: {len(report)}  workers: {report.workers}  "
@@ -155,6 +147,8 @@ def _cmd_figure(args: argparse.Namespace, write: Callable[[str], object]) -> int
     if args.emit_spec:
         write(figure_spec(args.which, seed=args.seed).to_json())
         return 0
+    from .experiments import fig1a_scenario, format_table, run_fig1b, run_fig2, run_fig3
+
     if args.which == "1a":
         result = fig1a_scenario().run(seed=args.seed)
         write(result.summary())
@@ -190,6 +184,8 @@ def _cmd_locality(args: argparse.Namespace, write: Callable[[str], object]) -> i
         # torus through a width|height-coupled axis, EXP-L2 the block.
         write(locality_sweep_spec(args.exp, sides=sides, seed=args.seed).to_json())
         return 0
+    from .experiments import format_table, locality_is_flat, region_size_sweep, system_size_sweep
+
     points = system_size_sweep(sides=sides, seed=args.seed)
     write(format_table([p.as_row() for p in points], title="EXP-L1: cost vs system size"))
     write(f"flat across system sizes: {locality_is_flat(points)}")
@@ -213,6 +209,8 @@ def _cmd_repair(args: argparse.Namespace, write: Callable[[str], object]) -> int
     if args.emit_spec:
         write(repair_spec(**described).to_json())
         return 0
+    from .experiments import run_overlay_repair
+
     run = run_overlay_repair(**described)
     write(f"crashed arc: {list(run.arc)}")
     write(run.outcome.summary())
@@ -221,6 +219,7 @@ def _cmd_repair(args: argparse.Namespace, write: Callable[[str], object]) -> int
 
 
 def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], object]) -> int:
+    from .experiments import format_table
     from .scale import resolve_workers
 
     session = ExperimentSession()
@@ -501,6 +500,8 @@ def _cmd_run(args: argparse.Namespace, write: Callable[[str], object]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, write: Callable[[str], object]) -> int:
+    from .experiments import build_report, render_report
+
     sections = build_report(quick=args.quick)
     write(render_report(sections, markdown=args.markdown))
     return 0

@@ -1,71 +1,27 @@
 """The paper's core contribution: cliff-edge consensus and its checkers."""
 
-from .decisions import (
-    DEFAULT_DECISION_POLICY,
-    CallbackPolicy,
-    ConstantValuePolicy,
-    CoordinatorElectionPolicy,
-    DecisionPolicy,
-    ProposedRepair,
-)
-from .flooding import (
-    FloodMessage,
-    FloodingConsensusNode,
-    merge_sets,
-    pick_minimum,
-)
-from .messages import ApplicationMessage, RoundMessage
-from .opinions import REJECT, Accept, Opinion, OpinionVector, is_accept, is_bottom, is_reject
-from .properties import (
-    Decision,
-    PropertyReport,
-    SpecificationReport,
-    assert_specification,
-    check_all,
-    check_border_termination,
-    check_integrity,
-    check_locality,
-    check_progress,
-    check_uniform_border_agreement,
-    check_view_accuracy,
-    check_view_convergence,
-    extract_decisions,
-)
-from .protocol import CliffEdgeNode, ProtocolError
+from .._lazy import facade
 
-__all__ = [
-    "CliffEdgeNode",
-    "ProtocolError",
-    "RoundMessage",
-    "ApplicationMessage",
-    "Accept",
-    "REJECT",
-    "Opinion",
-    "OpinionVector",
-    "is_accept",
-    "is_reject",
-    "is_bottom",
-    "DecisionPolicy",
-    "CoordinatorElectionPolicy",
-    "ConstantValuePolicy",
-    "CallbackPolicy",
-    "ProposedRepair",
-    "DEFAULT_DECISION_POLICY",
-    "FloodingConsensusNode",
-    "FloodMessage",
-    "pick_minimum",
-    "merge_sets",
-    "Decision",
-    "PropertyReport",
-    "SpecificationReport",
-    "check_all",
-    "assert_specification",
-    "check_integrity",
-    "check_view_accuracy",
-    "check_locality",
-    "check_border_termination",
-    "check_uniform_border_agreement",
-    "check_view_convergence",
-    "check_progress",
-    "extract_decisions",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "decisions": (
+            "DEFAULT_DECISION_POLICY", "CallbackPolicy", "ConstantValuePolicy",
+            "CoordinatorElectionPolicy", "DecisionPolicy", "ProposedRepair",
+        ),
+        "flooding": ("FloodMessage", "FloodingConsensusNode", "merge_sets", "pick_minimum"),
+        "messages": ("ApplicationMessage", "RoundMessage"),
+        "opinions": (
+            "REJECT", "Accept", "Opinion", "OpinionVector", "is_accept",
+            "is_bottom", "is_reject",
+        ),
+        "properties": (
+            "Decision", "PropertyReport", "SpecificationReport",
+            "assert_specification", "check_all", "check_border_termination",
+            "check_integrity", "check_locality", "check_progress",
+            "check_uniform_border_agreement", "check_view_accuracy",
+            "check_view_convergence", "extract_decisions",
+        ),
+        "protocol": ("CliffEdgeNode", "ProtocolError"),
+    },
+)

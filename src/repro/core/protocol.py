@@ -57,6 +57,36 @@ class ProtocolError(RuntimeError):
     """Raised when the protocol observes an impossible state (a bug)."""
 
 
+class _OnDemand:
+    """A container attribute of a node, built when it is first read.
+
+    A non-data descriptor: once the value is on the instance it shadows
+    this, and every later read is a plain attribute load.  Two things it
+    deliberately is not, both measured on python 3.11.  Not a
+    ``__getattr__`` on the class: defining one takes every attribute read
+    of every instance off the interpreter's specialised path (2-5 % of
+    ``Simulator.run``).  And not ``functools.cached_property``, which
+    stores through ``instance.__dict__``: asking for ``__dict__`` turns
+    the instance's inline attribute values into a real dict, and each
+    later attribute read of that node costs ~3x — on the border nodes,
+    which run every handler (4-7 % of a ledger op).  ``setattr`` keeps the
+    values inline.
+    """
+
+    def __init__(self, factory: Callable[[], Any]) -> None:
+        self._factory = factory
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, node: Any, owner: Optional[type] = None) -> Any:
+        if node is None:
+            return self
+        value = self._factory()
+        setattr(node, self._name, value)
+        return value
+
+
 class CliffEdgeNode(Process):
     """One node of the convergent-detection-of-crashed-regions protocol.
 
@@ -86,6 +116,15 @@ class CliffEdgeNode(Process):
     on_decide:
         Optional callback ``(view, decision) -> None`` fired when the node
         decides, in addition to the DECIDED trace event.
+
+    ``__init__`` sets the scalars of Algorithm 1.  Its eight containers —
+    ``locally_crashed``, ``received``, ``rejected``, ``opinions``,
+    ``waiting``, ``instance_border``, ``complete_senders``,
+    ``instance_attempt`` — appear when first read (:class:`_OnDemand`): the
+    cliff edge reaches a crashed region's border and nobody else (CD3), so a
+    node it never reaches costs one object, not nine.  From the first read
+    on each is an ordinary instance attribute; reading one off an idle node
+    gives an empty container.
     """
 
     def __init__(
@@ -104,51 +143,25 @@ class CliffEdgeNode(Process):
         self.early_termination = early_termination
         self.on_decide = on_decide
 
-        # --- Algorithm 1 state (lines 1-3) --------------------------------
+        # --- Algorithm 1 state (lines 1-3): the scalars --------------------
         #: Decision value once decided, else None (the paper's ``decided``).
         self.decided: Optional[Any] = None
         #: The view decided upon (not in the pseudocode, kept for callers).
         self.decided_view: Optional[Region] = None
         #: Value proposed for the current instance, else None (``proposed``).
         self.proposed: Optional[Any] = None
-        #: Crashes this node has been notified of (``locallyCrashed``).
-        #: Under churn, graceful leaves are announced through the same
-        #: channel and land here too: an announced shutdown is fail-stop
-        #: by choice, and the border must agree on it all the same.
-        self.locally_crashed: set[NodeId] = set()
         #: Highest-ranked crashed region known so far (``maxView``).
         self.max_view: Optional[Region] = None
         #: View waiting to be proposed (``candidateView``; None = empty).
         self.candidate_view: Optional[Region] = None
         #: View of the node's own current/last instance (``Vp``).
         self.current_view: Optional[Region] = None
-        #: Views for which opinion state is tracked (``received``).
-        self.received: set[Region] = set()
-        #: Views this node has rejected (``rejected``).
-        self.rejected: set[Region] = set()
-        #: ``opinions[V][r]`` — one OpinionVector per view and round.
-        self.opinions: dict[Region, dict[int, OpinionVector]] = {}
-        #: ``waiting[V][r]`` — border nodes not yet heard from in round r.
-        self.waiting: dict[Region, dict[int, set[NodeId]]] = {}
-        #: Border of each tracked view, as carried by its round messages.
-        self.instance_border: dict[Region, frozenset[NodeId]] = {}
-        #: ``complete_senders[V][r]`` — border nodes whose round-``r``
-        #: message carried a vector without any ``⊥`` entry (only tracked
-        #: when ``early_termination`` is enabled).
-        self.complete_senders: dict[Region, dict[int, set[NodeId]]] = {}
         #: Current round of the node's own active instance (``r``).
         self.round: int = 0
         #: Number of instances this node started (for metrics/tests).
         self.instances_started: int = 0
         #: Number of own instances that failed and were reset.
         self.instances_failed: int = 0
-        #: Churn extension: per-view instance *generation*.  Always 0 in
-        #: the static model.  A membership-epoch purge of a view's
-        #: instance state bumps it, and round messages carry it, so stale
-        #: in-flight messages from a closed attempt are discarded instead
-        #: of poisoning the restarted instance (deliberately *not*
-        #: cleared by :meth:`_drop_instance_state`).
-        self.instance_attempt: dict[Region, int] = {}
         #: Churn extension: True once a join/recovery announcement has
         #: been folded in.  Gates the after-failure candidate recompute so
         #: the static model's behaviour stays byte-identical.
@@ -159,6 +172,34 @@ class CliffEdgeNode(Process):
         #: generations can never collide with — and always supersede —
         #: the generations of its previous life.  0 in the static model.
         self.attempt_base: int = 0
+
+    # --- Algorithm 1's containers: each is built when first read ----------
+    #: Crashes this node has been notified of (``locallyCrashed``).
+    #: Under churn, graceful leaves are announced through the same
+    #: channel and land here too: an announced shutdown is fail-stop
+    #: by choice, and the border must agree on it all the same.
+    locally_crashed: set[NodeId] = _OnDemand(set)
+    #: Views for which opinion state is tracked (``received``).
+    received: set[Region] = _OnDemand(set)
+    #: Views this node has rejected (``rejected``).
+    rejected: set[Region] = _OnDemand(set)
+    #: ``opinions[V][r]`` — one OpinionVector per view and round.
+    opinions: dict[Region, dict[int, OpinionVector]] = _OnDemand(dict)
+    #: ``waiting[V][r]`` — border nodes not yet heard from in round r.
+    waiting: dict[Region, dict[int, set[NodeId]]] = _OnDemand(dict)
+    #: Border of each tracked view, as carried by its round messages.
+    instance_border: dict[Region, frozenset[NodeId]] = _OnDemand(dict)
+    #: ``complete_senders[V][r]`` — border nodes whose round-``r``
+    #: message carried a vector without any ``⊥`` entry (only tracked
+    #: when ``early_termination`` is enabled).
+    complete_senders: dict[Region, dict[int, set[NodeId]]] = _OnDemand(dict)
+    #: Churn extension: per-view instance *generation*.  Always 0 in
+    #: the static model.  A membership-epoch purge of a view's
+    #: instance state bumps it, and round messages carry it, so stale
+    #: in-flight messages from a closed attempt are discarded instead
+    #: of poisoning the restarted instance (deliberately *not*
+    #: cleared by :meth:`_drop_instance_state`).
+    instance_attempt: dict[Region, int] = _OnDemand(dict)
 
     def set_incarnation(self, incarnation: int) -> None:
         """Called by the runtimes when spawning this process (churn).

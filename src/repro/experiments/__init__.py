@@ -1,162 +1,78 @@
 """Experiment harness: scenario builders, sweeps and table printers."""
 
-from .ablation import (
-    ArbitrationPoint,
-    EarlyTerminationPoint,
-    RankingPoint,
-    arbitration_ablation,
-    early_termination_ablation,
-    ranking_ablation,
-)
-from .baseline_comparison import (
-    BaselineComparisonPoint,
-    GossipComparisonPoint,
-    UncoordinatedComparisonPoint,
-    global_consensus_comparison,
-    gossip_comparison,
-    uncoordinated_comparison,
-)
-from .degradation import (
-    EXCUSED_PROPERTIES,
-    DegradationPoint,
-    DegradationReport,
-    degradation_from_sweep,
-    excuse_set,
-    run_degradation,
-    sweep_fault_axes,
-)
-from .locality import (
-    LocalityPoint,
-    locality_is_flat,
-    region_size_sweep,
-    run_torus_region_scenario,
-    system_size_sweep,
-)
-from .overlay_repair import (
-    OverlayRepairPoint,
-    OverlayRepairRun,
-    overlay_repair_sweep,
-    run_overlay_repair,
-)
-from .property_sweep import (
-    ChurnSweepCase,
-    SweepCase,
-    churn_property_sweep,
-    property_sweep,
-    random_churn_membership,
-    run_churn_sweep_case,
-    run_sweep_case,
-    sweep_summary,
-)
-from .report import ReportSection, build_report, render_report
-from .runner import RunResult, build_simulator, run_cliff_edge
-from .scenarios import (
-    ChurnScenario,
-    Fig1bObservations,
-    Fig2Observations,
-    Fig3Observations,
-    Scenario,
-    churn_flash_crowd_scenario,
-    churn_recovery_race_scenario,
-    churn_steady_scenario,
-    fig1a_scenario,
-    fig1b_scenario,
-    fig2_scenario,
-    fig3_scenario,
-    run_fig1b,
-    run_fig2,
-    run_fig3,
-    torus_block_scenario,
-    torus_scale_family,
-)
-from .tables import format_markdown_table, format_table, rows_to_csv, summarise_numeric
-from .topologies import (
-    FIG1_F1,
-    FIG1_F1_BORDER,
-    FIG1_F2,
-    FIG1_F2_BORDER,
-    FIG1_F3,
-    FIG1_F3_BORDER,
-    Fig2Layout,
-    Fig3Layout,
-    fig1_topology,
-    fig2_topology,
-    fig3_topology,
+import sys
+
+from .._lazy import facade
+
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "ablation": (
+            "ArbitrationPoint", "EarlyTerminationPoint", "RankingPoint",
+            "arbitration_ablation", "early_termination_ablation", "ranking_ablation",
+        ),
+        "baseline_comparison": (
+            "BaselineComparisonPoint", "GossipComparisonPoint",
+            "UncoordinatedComparisonPoint", "global_consensus_comparison",
+            "gossip_comparison", "uncoordinated_comparison",
+        ),
+        "degradation": (
+            "EXCUSED_PROPERTIES", "DegradationPoint", "DegradationReport",
+            "degradation_from_sweep", "excuse_set", "run_degradation",
+            "sweep_fault_axes",
+        ),
+        "locality": (
+            "LocalityPoint", "locality_is_flat", "region_size_sweep",
+            "run_torus_region_scenario", "system_size_sweep",
+        ),
+        "overlay_repair": (
+            "OverlayRepairPoint", "OverlayRepairRun", "overlay_repair_sweep",
+            "run_overlay_repair",
+        ),
+        "property_sweep": (
+            "ChurnSweepCase", "SweepCase", "churn_property_sweep", "property_sweep",
+            "random_churn_membership", "run_churn_sweep_case", "run_sweep_case",
+            "sweep_summary",
+        ),
+        "report": ("ReportSection", "build_report", "render_report"),
+        "runner": ("RunResult", "build_simulator", "run_cliff_edge"),
+        "scenarios": (
+            "ChurnScenario", "Fig1bObservations", "Fig2Observations",
+            "Fig3Observations", "Scenario", "churn_flash_crowd_scenario",
+            "churn_recovery_race_scenario", "churn_steady_scenario",
+            "fig1a_scenario", "fig1b_scenario", "fig2_scenario", "fig3_scenario",
+            "run_fig1b", "run_fig2", "run_fig3", "torus_block_scenario",
+            "torus_scale_family",
+        ),
+        "tables": (
+            "format_markdown_table", "format_table", "rows_to_csv",
+            "summarise_numeric",
+        ),
+        "topologies": (
+            "FIG1_F1", "FIG1_F1_BORDER", "FIG1_F2", "FIG1_F2_BORDER", "FIG1_F3",
+            "FIG1_F3_BORDER", "Fig2Layout", "Fig3Layout", "fig1_topology",
+            "fig2_topology", "fig3_topology",
+        ),
+    },
 )
 
-__all__ = [
-    "RunResult",
-    "build_simulator",
-    "run_cliff_edge",
-    "Scenario",
-    "ChurnScenario",
-    "churn_steady_scenario",
-    "churn_recovery_race_scenario",
-    "churn_flash_crowd_scenario",
-    "fig1a_scenario",
-    "fig1b_scenario",
-    "fig2_scenario",
-    "fig3_scenario",
-    "run_fig1b",
-    "run_fig2",
-    "run_fig3",
-    "Fig1bObservations",
-    "Fig2Observations",
-    "Fig3Observations",
-    "fig1_topology",
-    "fig2_topology",
-    "fig3_topology",
-    "Fig2Layout",
-    "Fig3Layout",
-    "FIG1_F1",
-    "FIG1_F1_BORDER",
-    "FIG1_F2",
-    "FIG1_F2_BORDER",
-    "FIG1_F3",
-    "FIG1_F3_BORDER",
-    "LocalityPoint",
-    "system_size_sweep",
-    "region_size_sweep",
-    "run_torus_region_scenario",
-    "locality_is_flat",
-    "BaselineComparisonPoint",
-    "GossipComparisonPoint",
-    "UncoordinatedComparisonPoint",
-    "global_consensus_comparison",
-    "gossip_comparison",
-    "uncoordinated_comparison",
-    "ArbitrationPoint",
-    "RankingPoint",
-    "EarlyTerminationPoint",
-    "arbitration_ablation",
-    "ranking_ablation",
-    "early_termination_ablation",
-    "SweepCase",
-    "ChurnSweepCase",
-    "property_sweep",
-    "churn_property_sweep",
-    "run_sweep_case",
-    "run_churn_sweep_case",
-    "random_churn_membership",
-    "sweep_summary",
-    "torus_block_scenario",
-    "torus_scale_family",
-    "OverlayRepairPoint",
-    "OverlayRepairRun",
-    "run_overlay_repair",
-    "overlay_repair_sweep",
-    "DegradationPoint",
-    "DegradationReport",
-    "EXCUSED_PROPERTIES",
-    "excuse_set",
-    "run_degradation",
-    "degradation_from_sweep",
-    "sweep_fault_axes",
-    "ReportSection",
-    "build_report",
-    "render_report",
-    "format_table",
-    "format_markdown_table",
-    "rows_to_csv",
-    "summarise_numeric",
-]
+
+class _Package(type(sys)):
+    """``property_sweep`` is an export *and* the submodule that defines it.
+    The import system binds a submodule over its package's attribute the
+    moment anyone imports it, and ``__getattr__`` is never asked for a name
+    that exists — so the name is a data descriptor: always the function,
+    whoever imported what first, as the eager import used to leave it."""
+
+    @property
+    def property_sweep(self):
+        from .property_sweep import property_sweep
+
+        return property_sweep
+
+    @property_sweep.setter
+    def property_sweep(self, module):
+        pass
+
+
+sys.modules[__name__].__class__ = _Package

@@ -1,23 +1,14 @@
 """Crash schedules and fault injection."""
 
-from .schedules import (
-    CrashSchedule,
-    ScheduleError,
-    cascade_crash,
-    growing_region_crash,
-    multi_region_crash,
-    random_connected_region,
-    random_crashes,
-    region_crash,
-)
+from .._lazy import facade
 
-__all__ = [
-    "CrashSchedule",
-    "ScheduleError",
-    "region_crash",
-    "growing_region_crash",
-    "multi_region_crash",
-    "random_connected_region",
-    "random_crashes",
-    "cascade_crash",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "schedules": (
+            "CrashSchedule", "ScheduleError", "cascade_crash",
+            "growing_region_crash", "multi_region_crash", "random_connected_region",
+            "random_crashes", "region_crash",
+        ),
+    },
+)

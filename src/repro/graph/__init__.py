@@ -1,45 +1,20 @@
 """Knowledge-graph substrate: topology, regions, borders and ranking."""
 
-from .graph import GraphError, KnowledgeGraph, NodeId
-from .ranking import (
-    DEFAULT_RANKING,
-    RANKINGS,
-    CanonicalRanking,
-    RegionRanking,
-    SizeBorderRanking,
-    SizeOnlyRanking,
-    max_ranked_region,
-    region_precedes,
-)
-from .regions import (
-    Region,
-    RegionError,
-    are_adjacent,
-    cluster_border,
-    clustered,
-    faulty_clusters,
-    faulty_domains,
-)
-from . import generators
+from .._lazy import facade
 
-__all__ = [
-    "GraphError",
-    "KnowledgeGraph",
-    "NodeId",
-    "Region",
-    "RegionError",
-    "are_adjacent",
-    "cluster_border",
-    "clustered",
-    "faulty_clusters",
-    "faulty_domains",
-    "CanonicalRanking",
-    "SizeOnlyRanking",
-    "SizeBorderRanking",
-    "RegionRanking",
-    "DEFAULT_RANKING",
-    "RANKINGS",
-    "region_precedes",
-    "max_ranked_region",
-    "generators",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "graph": ("GraphError", "KnowledgeGraph", "NodeId"),
+        "ranking": (
+            "DEFAULT_RANKING", "RANKINGS", "CanonicalRanking", "RegionRanking",
+            "SizeBorderRanking", "SizeOnlyRanking", "max_ranked_region",
+            "region_precedes",
+        ),
+        "regions": (
+            "Region", "RegionError", "are_adjacent", "cluster_border", "clustered",
+            "faulty_clusters", "faulty_domains",
+        ),
+        "generators": (),  # the module is the export
+    },
+)

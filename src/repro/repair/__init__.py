@@ -1,15 +1,12 @@
 """Overlay-repair application built on cliff-edge consensus."""
 
-from .executor import RepairError, RepairOutcome, apply_decisions
-from .overlay import RingOverlay
-from .plans import RepairPlan, RingRepairPolicy, plan_for_view
+from .._lazy import facade
 
-__all__ = [
-    "RingOverlay",
-    "RepairPlan",
-    "RingRepairPolicy",
-    "plan_for_view",
-    "RepairOutcome",
-    "RepairError",
-    "apply_decisions",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "executor": ("RepairError", "RepairOutcome", "apply_decisions"),
+        "overlay": ("RingOverlay",),
+        "plans": ("RepairPlan", "RingRepairPolicy", "plan_for_view"),
+    },
+)

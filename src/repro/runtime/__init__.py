@@ -1,15 +1,13 @@
 """Asyncio runtime for running the same protocol processes concurrently."""
 
-from .async_runtime import (
-    AsyncRunResult,
-    AsyncRuntime,
-    run_cliff_edge_async,
-    run_cliff_edge_asyncio,
-)
+from .._lazy import facade
 
-__all__ = [
-    "AsyncRuntime",
-    "AsyncRunResult",
-    "run_cliff_edge_async",
-    "run_cliff_edge_asyncio",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "async_runtime": (
+            "AsyncRunResult", "AsyncRuntime", "run_cliff_edge_async",
+            "run_cliff_edge_asyncio",
+        ),
+    },
+)

@@ -34,46 +34,21 @@ The determinism regression suite (``tests/integration``) holds the
 project to all of this.
 """
 
-from .families import (
-    FamilyFn,
-    churn_property_tasks,
-    family_names,
-    get_family,
-    outcome_from_result,
-    property_tasks,
-    register_family,
-    run_task,
-    torus_scale_tasks,
-    unregister_family,
-)
-from .seeding import derive_seed
-from .sweep import ShardedSweepRunner, SweepReport, resolve_workers
-from .task import (
-    SweepError,
-    SweepOutcome,
-    SweepTask,
-    SweepTaskError,
-    UnknownFamilyError,
-)
+from .._lazy import facade
 
-__all__ = [
-    "ShardedSweepRunner",
-    "SweepReport",
-    "SweepTask",
-    "SweepOutcome",
-    "SweepError",
-    "SweepTaskError",
-    "UnknownFamilyError",
-    "FamilyFn",
-    "register_family",
-    "unregister_family",
-    "get_family",
-    "family_names",
-    "run_task",
-    "outcome_from_result",
-    "property_tasks",
-    "churn_property_tasks",
-    "torus_scale_tasks",
-    "derive_seed",
-    "resolve_workers",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "families": (
+            "FamilyFn", "churn_property_tasks", "family_names", "get_family",
+            "outcome_from_result", "property_tasks", "register_family", "run_task",
+            "torus_scale_tasks", "unregister_family",
+        ),
+        "seeding": ("derive_seed",),
+        "sweep": ("ShardedSweepRunner", "SweepReport", "resolve_workers"),
+        "task": (
+            "SweepError", "SweepOutcome", "SweepTask", "SweepTaskError",
+            "UnknownFamilyError",
+        ),
+    },
+)

@@ -35,7 +35,7 @@ and the registry must stay importable from both directions.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .seeding import derive_seed
 from .task import SweepOutcome, SweepTask, UnknownFamilyError
@@ -211,6 +211,35 @@ register_family("property", _property_family)
 register_family("churn-property", _churn_property_family)
 register_family("churn-scenario", _churn_scenario_family)
 register_family("torus-block", _torus_block_family)
+
+
+def load_run_path(tasks: Iterable[SweepTask]) -> None:
+    """Import what ``tasks`` will run, in the process about to fork their
+    workers.
+
+    The families import inside their bodies, so a parent that only
+    expands a sweep and hands out tasks has loaded none of the run path —
+    and a forked worker inherits what its parent loaded and imports the
+    rest itself, once per worker of every pool.  A ``spec`` task names its
+    engine in its own document; any other family is taken to run the
+    simulator, as every built-in one does.  (What a family imports in its
+    own body beyond the runner, like the EXP-C1 case generator, its
+    workers still import.)
+    """
+    from ..api.session import runner_for
+    from ..api.specs import RuntimeSpec
+
+    runtimes: list[Any] = []
+    for task in tasks:
+        try:
+            runtime = task.params["spec"].get("runtime", {}) if task.family == "spec" else {}
+            if runtime not in runtimes:
+                runtimes.append(runtime)
+                runner_for(RuntimeSpec.from_dict(runtime))
+        except (LookupError, AttributeError, TypeError, ValueError):
+            # A malformed task is for the worker that runs it to report, with
+            # its index and seed (``SweepTaskError``); not for this to pre-empt.
+            continue
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ bit-identical to a full-trace run.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
@@ -45,7 +46,7 @@ from time import perf_counter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..trace.digest import combine_digests
-from .families import get_family, run_task
+from .families import get_family, load_run_path, run_task
 from .seeding import derive_seed
 from .task import SweepOutcome, SweepTask, SweepTaskError
 
@@ -61,8 +62,15 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def _mp_context():
     """Prefer ``fork`` where available: workers inherit the family
-    registry (including dynamically registered families) and start in
-    milliseconds; elsewhere fall back to the platform default."""
+    registry (including dynamically registered families), the topology
+    cache and every module the parent has loaded, and start in
+    milliseconds; elsewhere fall back to the platform default.
+
+    Inheriting is all a worker gets for free: the packages load lazily, so
+    what the parent never imported each worker of each pool imports for
+    its first task.  :meth:`ShardedSweepRunner._run_pooled` therefore loads
+    the tasks' run path (:func:`~repro.scale.families.load_run_path`)
+    before it builds the pool."""
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -298,7 +306,13 @@ class ShardedSweepRunner:
         seeds: Sequence[int],
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> list[SweepOutcome]:
-        executor = self._make_executor()
+        load_run_path(tasks)
+        # Never more workers than tasks: with ``fork`` the executor starts
+        # all ``max_workers`` at the first submit, so "one per CPU" on a big
+        # host would fork dozens of processes for a three-point sweep.
+        sized = copy.copy(self)
+        sized.workers = min(self.workers, len(tasks))
+        executor = sized._make_executor()
         futures = {}
         wait_on_exit = True
         total = len(tasks)

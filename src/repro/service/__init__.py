@@ -23,43 +23,19 @@ is digest-verified against its own payload before it is stored, and what
 a client fetches is digest-verified again on read.
 """
 
-from .client import DEFAULT_URL, ServiceClient, hydrate_digest_result
-from .ledger import JobLedger
-from .protocol import (
-    JOB_STATES,
-    SERVICE_VERSION,
-    JobRecord,
-    ServiceError,
-    job_key,
-    result_envelope,
-    spec_from_document,
-    verify_envelope,
-)
-from .server import DEFAULT_PORT, ExperimentService, ServiceHTTPServer, serve
-from .store import ResultStore, StoreCorruption, StoreEntry
-from .worker import LocalBroker, WorkerLoop, execute_document
+from .._lazy import facade
 
-__all__ = [
-    "SERVICE_VERSION",
-    "JOB_STATES",
-    "DEFAULT_PORT",
-    "DEFAULT_URL",
-    "ServiceError",
-    "JobRecord",
-    "job_key",
-    "spec_from_document",
-    "result_envelope",
-    "verify_envelope",
-    "JobLedger",
-    "ResultStore",
-    "StoreEntry",
-    "StoreCorruption",
-    "LocalBroker",
-    "WorkerLoop",
-    "execute_document",
-    "ExperimentService",
-    "ServiceHTTPServer",
-    "serve",
-    "ServiceClient",
-    "hydrate_digest_result",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "client": ("DEFAULT_URL", "ServiceClient", "hydrate_digest_result"),
+        "ledger": ("JobLedger",),
+        "protocol": (
+            "JOB_STATES", "SERVICE_VERSION", "JobRecord", "ServiceError", "job_key",
+            "result_envelope", "spec_from_document", "verify_envelope",
+        ),
+        "server": ("DEFAULT_PORT", "ExperimentService", "ServiceHTTPServer", "serve"),
+        "store": ("ResultStore", "StoreCorruption", "StoreEntry"),
+        "worker": ("LocalBroker", "WorkerLoop", "execute_document"),
+    },
+)

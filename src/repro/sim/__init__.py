@@ -23,67 +23,28 @@ Determinism invariants (what every module in this package preserves):
   sequential simulator's — see that module's docstring for how.
 """
 
-from .events import EventKind, PartitionEnvelope, TraceEvent, payload_size
-from .failure_detector import (
-    FailureDetectorPolicy,
-    JitteredFailureDetector,
-    PerfectFailureDetector,
-    ScriptedFailureDetector,
-)
-from .faults import (
-    ComposedFaults,
-    DuplicatingLinks,
-    FaultModel,
-    FaultsError,
-    LossyLinks,
-    ReorderingLinks,
-    compose_faults,
-)
-from .latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    PerPairLatency,
-    UniformLatency,
-)
-from .network import DEFAULT_MAX_EVENTS, SimulationError, Simulator
-from .process import IdleProcess, Process, ProcessContext
-from .scheduler import (
-    EventHandle,
-    EventScheduler,
-    KeyedEventScheduler,
-    SchedulerError,
-)
+from .._lazy import facade
 
-__all__ = [
-    "EventKind",
-    "TraceEvent",
-    "PartitionEnvelope",
-    "payload_size",
-    "FailureDetectorPolicy",
-    "PerfectFailureDetector",
-    "JitteredFailureDetector",
-    "ScriptedFailureDetector",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
-    "PerPairLatency",
-    "FaultModel",
-    "FaultsError",
-    "LossyLinks",
-    "DuplicatingLinks",
-    "ReorderingLinks",
-    "ComposedFaults",
-    "compose_faults",
-    "Simulator",
-    "SimulationError",
-    "DEFAULT_MAX_EVENTS",
-    "Process",
-    "ProcessContext",
-    "IdleProcess",
-    "EventScheduler",
-    "KeyedEventScheduler",
-    "EventHandle",
-    "SchedulerError",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "events": ("EventKind", "PartitionEnvelope", "TraceEvent", "payload_size"),
+        "failure_detector": (
+            "FailureDetectorPolicy", "JitteredFailureDetector",
+            "PerfectFailureDetector", "ScriptedFailureDetector",
+        ),
+        "faults": (
+            "ComposedFaults", "DuplicatingLinks", "FaultModel", "FaultsError",
+            "LossyLinks", "ReorderingLinks", "compose_faults",
+        ),
+        "latency": (
+            "ConstantLatency", "ExponentialLatency", "LatencyModel",
+            "PerPairLatency", "UniformLatency",
+        ),
+        "network": ("DEFAULT_MAX_EVENTS", "SimulationError", "Simulator"),
+        "process": ("IdleProcess", "Process", "ProcessContext"),
+        "scheduler": (
+            "EventHandle", "EventScheduler", "KeyedEventScheduler", "SchedulerError",
+        ),
+    },
+)

@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from ..api.result import RunResult
+from ..core.protocol import CliffEdgeNode  # here, not in the forked worker that builds the nodes
 from ..graph import KnowledgeGraph, NodeId
 from ..trace import (
     DIGEST_RETAINED_KINDS,
@@ -642,8 +643,6 @@ class _WorkerConfig:
 
 
 def _build_partition(config: _WorkerConfig) -> PartitionSimulator:
-    from ..core import CliffEdgeNode
-
     sim = PartitionSimulator(
         config.graph,
         config.shards,

@@ -345,8 +345,15 @@ class Substrate:
             node=subscriber,
             payload=tuple(sorted(map(repr, target_list))),
         )
+        subscriptions = self._subscriptions
         for target in target_list:
-            self._subscriptions.setdefault(target, set()).add(subscriber)
+            # Not setdefault(target, set()): start() monitors every node from
+            # each of its neighbours, and all but the first would build a set
+            # to throw away.
+            if target in subscriptions:
+                subscriptions[target].add(subscriber)
+            else:
+                subscriptions[target] = {subscriber}
             if target in self._crashed or target in self._departed:
                 self._schedule_notification(subscriber, target)
 

@@ -1,39 +1,19 @@
 """Trace recording, canonical digests and metrics extraction."""
 
-from .columns import EventColumns
-from .digest import (
-    StreamingTraceDigest,
-    canonical_text,
-    combine_digests,
-    combine_partials,
-    event_line,
-    hex_of_partial,
-    trace_digest,
-)
-from .metrics import (
-    RunMetrics,
-    StreamingRunMetrics,
-    collect_metrics,
-    communicating_nodes,
-    message_pairs,
-)
-from .recorder import DIGEST_RETAINED_KINDS, TraceRecorder, TraceUnavailableError
+from .._lazy import facade
 
-__all__ = [
-    "TraceRecorder",
-    "TraceUnavailableError",
-    "DIGEST_RETAINED_KINDS",
-    "EventColumns",
-    "RunMetrics",
-    "StreamingRunMetrics",
-    "StreamingTraceDigest",
-    "collect_metrics",
-    "communicating_nodes",
-    "message_pairs",
-    "canonical_text",
-    "combine_digests",
-    "combine_partials",
-    "hex_of_partial",
-    "event_line",
-    "trace_digest",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "columns": ("EventColumns",),
+        "digest": (
+            "StreamingTraceDigest", "canonical_text", "combine_digests",
+            "combine_partials", "event_line", "hex_of_partial", "trace_digest",
+        ),
+        "metrics": (
+            "RunMetrics", "StreamingRunMetrics", "collect_metrics",
+            "communicating_nodes", "message_pairs",
+        ),
+        "recorder": ("DIGEST_RETAINED_KINDS", "TraceRecorder", "TraceUnavailableError"),
+    },
+)

@@ -14,13 +14,12 @@ Spec surface: ``RuntimeSpec(engine="asyncio-virtual")`` /
 asyncio-virtual``.
 """
 
-from .loop import VirtualClockEventLoop, VirtualTimeDeadlock, VirtualTimeError
-from .runtime import VirtualRuntime, run_cliff_edge_virtual
+from .._lazy import facade
 
-__all__ = [
-    "VirtualClockEventLoop",
-    "VirtualTimeDeadlock",
-    "VirtualTimeError",
-    "VirtualRuntime",
-    "run_cliff_edge_virtual",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "loop": ("VirtualClockEventLoop", "VirtualTimeDeadlock", "VirtualTimeError"),
+        "runtime": ("VirtualRuntime", "run_cliff_edge_virtual"),
+    },
+)

@@ -415,3 +415,70 @@ class TestMessageValidation:
         border = frozenset({"b", "d"})
         with pytest.raises(ProtocolError):
             node.on_message(ctx, "d", RoundMessage(5, view, border, {}))
+
+
+class TestOnDemandState:
+    """The eight containers of Algorithm 1 appear when first read, so a node
+    the cliff edge never reaches holds none of them."""
+
+    CONTAINERS = (
+        "locally_crashed", "received", "rejected", "opinions", "waiting",
+        "instance_border", "complete_senders", "instance_attempt",
+    )  # fmt: skip
+
+    def test_a_fresh_node_holds_none_and_reads_all_as_empty(self):
+        node = make_node("b")
+        assert not vars(node).keys() & set(self.CONTAINERS)
+        for name in self.CONTAINERS:
+            assert getattr(node, name) == type(getattr(node, name))()  # an empty set or dict
+            assert name in vars(node)  # from now on an ordinary attribute
+            assert getattr(node, name) is vars(node)[name]
+
+    def test_each_node_gets_its_own_containers(self):
+        first, second = make_node("a"), make_node("b")
+        first.locally_crashed.add("c")
+        assert second.locally_crashed == set()
+
+    def test_nothing_else_appears_on_demand(self):
+        # The class defines no __getattr__ (it would take every attribute
+        # read of every node off the interpreter's fast path).
+        node = make_node("b")
+        assert not hasattr(node, "no_such_attribute")
+        assert not hasattr(node, "__deepcopy__") and not hasattr(node, "__setstate__")
+        assert "__getattr__" not in dir(CliffEdgeNode)
+
+    def test_copies_and_pickles_keep_the_state(self, line_graph):
+        import copy
+        import pickle
+
+        fresh = make_node("b")
+        decided = make_node("b")
+        ctx = FakeContext(line_graph, "b")
+        decided.on_start(ctx)
+        decided.on_crash(ctx, "a")  # a single-node border: decides on its own round 1
+        deliver_own_multicast(decided, ctx)
+        assert decided.has_decided and decided.locally_crashed == {"a"} and decided.received
+        for node in (fresh, decided):
+            for clone in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+                assert clone.decided == node.decided
+                assert clone.locally_crashed == node.locally_crashed
+                assert clone.received == node.received
+                assert vars(clone).keys() == vars(node).keys()
+
+    def test_only_the_border_of_a_crashed_block_ever_holds_state(self):
+        from repro.api import ExperimentSession, torus_block_spec
+
+        spec = torus_block_spec(side=16, block_side=2, origin=(4, 4))
+        result = ExperimentSession().run(spec)
+        assert result.specification.holds
+        graph = result.graph
+        block = frozenset(tuple(member) for member in spec.failure.params["members"])
+        border = graph.border(block)
+        holding = {
+            node_id
+            for node_id in graph.nodes
+            if vars(result.simulator.process(node_id)).keys() & set(self.CONTAINERS)
+        }
+        assert len(graph) == 256 and len(block) == 4
+        assert holding and holding <= border
+        assert len(graph) - len(holding) >= 256 - len(border) - len(block)

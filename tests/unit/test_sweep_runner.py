@@ -127,6 +127,25 @@ class TestInlineFallback:
         report = ShardedSweepRunner(workers=8).run([SweepTask("echo", seed=5)])
         assert len(report) == 1 and report.outcomes[0].seed == 5
 
+    def test_a_pool_is_never_larger_than_its_task_list(self, monkeypatch):
+        # With the fork context the executor starts all max_workers at the
+        # first submit: "one per CPU" must not fork 64 processes for 3 tasks.
+        built = []
+        real_make_executor = ShardedSweepRunner._make_executor
+
+        def recording(self):
+            built.append(real_make_executor(self))
+            return built[-1]
+
+        monkeypatch.setattr(ShardedSweepRunner, "_make_executor", recording)
+        tasks = [SweepTask("echo", params={"tag": "x"}) for _ in range(3)]
+        pooled = ShardedSweepRunner(workers=8, base_seed=3).run(tasks)
+        assert [executor._max_workers for executor in built] == [3]
+        assert pooled.workers == 8  # the report still says what was asked for
+        inline = ShardedSweepRunner(workers=1, base_seed=3).run(tasks)
+        assert [o.digest for o in pooled.outcomes] == [o.digest for o in inline.outcomes]
+        assert pooled.digest() == inline.digest()
+
     def test_inline_failure_wraps_task_context(self):
         runner = ShardedSweepRunner(workers=1)
         tasks = [SweepTask("echo", seed=0), SweepTask("failing", seed=9)]
@@ -177,6 +196,17 @@ class TestPooledExecution:
         assert info.value.index == 1
         assert info.value.task.family == "failing"
         assert "boom" in info.value.reason
+
+    @pytest.mark.parametrize(
+        "params", [{}, {"spec": None}, {"spec": {"runtime": {"engine": "nope"}}}]
+    )
+    def test_a_malformed_spec_task_fails_in_its_worker_not_before_the_pool(self, params):
+        # The parent reads each spec task's runtime block to load its engine
+        # before forking; what it cannot read is still the task's failure.
+        tasks = [SweepTask("echo", seed=0), SweepTask("spec", params=params, seed=1)]
+        with pytest.raises(SweepTaskError) as info:
+            ShardedSweepRunner(workers=2).run(tasks)
+        assert info.value.index == 1 and info.value.task.family == "spec"
 
     def test_worker_process_death_is_reported(self):
         tasks = [SweepTask("dying", seed=0)] + [SweepTask("echo", seed=s) for s in (1, 2)]
