@@ -8,7 +8,10 @@ processes with different PYTHONHASHSEED values**, and the degradation
 report (``repro sweep --faults``) must have the promised shape — the
 fault-free baseline holds, every failure at positive loss is excused by
 the fault model, and the per-point digests match the ``repro run``
-digests for the same (rate, seed).
+digests for the same (rate, seed).  Last, the cost bound: a fault decision
+is one keyed hash plus a few RNG draws per message, so each fault model
+(and all three composed) must run within ``MAX_OVERHEAD`` x the fault-free
+wall time, best of two on each side.
 
 Exits non-zero (with a diagnostic) on any violation.  Run directly::
 
@@ -22,6 +25,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src"
@@ -29,6 +33,14 @@ sys.path.insert(0, str(_SRC))
 
 LOSS_RATES = (0.0, 0.02, 0.05)
 SEEDS = (0, 1)
+
+MAX_OVERHEAD = 5.0
+OVERHEAD_CONFIGS = {
+    "loss": {"loss": 0.05},
+    "duplication": {"duplication": 0.2, "copies": 2},
+    "reorder": {"reorder": 1.0, "reorder_rate": 0.5},
+    "composed": {"loss": 0.02, "duplication": 0.1, "reorder": 0.5},
+}
 
 
 def _document(rate: float, seed: int) -> str:
@@ -61,6 +73,16 @@ def cli_run_digest(document: str, hashseed: str) -> str:
             f"CLI run failed (rc={completed.returncode}):\n{completed.stderr}"
         )
     return json.loads(completed.stdout)["digest"]
+
+
+def best_wall(session, spec) -> float:
+    """Best-of-two wall time of one run, digest included."""
+    walls = []
+    for _ in range(2):
+        started = perf_counter()
+        session.run(spec).digest()
+        walls.append(perf_counter() - started)
+    return min(walls)
 
 
 def main() -> int:
@@ -130,6 +152,20 @@ def main() -> int:
               file=sys.stderr)
         return 1
     print("sweep point digests match `repro run -` digests OK")
+
+    # 4. Fault injection stays within MAX_OVERHEAD x the fault-free run.
+    from repro.api import ExperimentSession, quickstart_spec
+
+    session = ExperimentSession()
+    base = quickstart_spec(side=8)
+    clean = best_wall(session, base)
+    for label, faults in OVERHEAD_CONFIGS.items():
+        overhead = best_wall(session, base.with_faults(faults)) / clean
+        if overhead > MAX_OVERHEAD:
+            print(f"FAIL: {label} faults cost {overhead:.2f}x the fault-free wall "
+                  f"time (bound {MAX_OVERHEAD}x)", file=sys.stderr)
+            return 1
+    print(f"every fault model within {MAX_OVERHEAD}x of the fault-free wall time OK")
     return 0
 
 

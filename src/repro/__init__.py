@@ -79,8 +79,8 @@ def _read_version() -> str:
     """The package version, sourced from ``pyproject.toml``.
 
     A source checkout (the common case: ``PYTHONPATH=src``) reads the
-    project table directly, so bench JSON and ``repro --version`` report
-    the working tree's version even without an install; an installed
+    project table directly, so ``repro --version`` reports the working
+    tree's version even without an install; an installed
     distribution falls back to its own metadata.
     """
     from pathlib import Path

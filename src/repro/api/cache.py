@@ -13,7 +13,8 @@ coordination.  A fork-started worker inherits what its parent held at
 the fork — this module, because :mod:`repro.api.session` imports it, and
 whatever graphs the parent had built by then (a parent that only expands
 a sweep builds none, so each worker builds a topology once).
-``benchmarks/bench_sweep_scale.py`` measures the cold/warm build times.
+The perf ledger's ``api.cache.build_cold_ms`` / ``build_warm_us`` measure the
+cold/warm build times.
 """
 
 from __future__ import annotations

@@ -782,6 +782,14 @@ class SweepSpec(_SpecBase):
             raise SpecError(
                 f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
             )
+        if self.family:
+            # Imported here: an experiment-mode sweep never loads the registry.
+            from ..scale.families import UnknownFamilyError, get_family
+
+            try:
+                get_family(self.family)
+            except UnknownFamilyError as exc:
+                raise SpecError(str(exc)) from None
         if self.family and "seed" in self.grid:
             raise SpecError(
                 "family-mode grids expand family_params; sweep seeds with "

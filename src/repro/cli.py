@@ -12,7 +12,7 @@ most useful entry points of the library without writing any Python:
 * ``churn`` — dynamic-membership scenarios on either runtime;
 * ``run`` — execute a declarative spec document (``SPEC.json`` or ``-``
   for stdin);
-* ``report`` — every experiment table (the EXPERIMENTS.md source).
+* ``report`` — every experiment table, and the paper's claims it backs, checked.
 
 The single-run and sweep commands are thin shims over the declarative
 spec layer (:mod:`repro.api`): ``--emit-spec`` prints the JSON spec that
@@ -500,11 +500,14 @@ def _cmd_run(args: argparse.Namespace, write: Callable[[str], object]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, write: Callable[[str], object]) -> int:
-    from .experiments import build_report, render_report
+    from .experiments import build_report, failed_claims, render_report
 
     sections = build_report(quick=args.quick)
     write(render_report(sections, markdown=args.markdown))
-    return 0
+    failed = failed_claims(sections)
+    for claim in failed:
+        write(f"FAILED {claim}")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(func=_cmd_run)
 
-    report = sub.add_parser("report", help="regenerate every experiment table")
+    report = sub.add_parser("report", help="every experiment table, the paper's claims checked")
     report.add_argument("--quick", action="store_true")
     report.add_argument("--markdown", action="store_true")
     report.set_defaults(func=_cmd_report)

@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = facade(
             "random_churn_membership", "run_churn_sweep_case", "run_sweep_case",
             "sweep_summary",
         ),
-        "report": ("ReportSection", "build_report", "render_report"),
+        "report": ("ReportSection", "build_report", "failed_claims", "render_report"),
         "runner": ("RunResult", "build_simulator", "run_cliff_edge"),
         "scenarios": (
             "ChurnScenario", "Fig1bObservations", "Fig2Observations",

@@ -18,17 +18,20 @@ The paper's algorithm has two design choices worth isolating:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ..failures import growing_region_crash, region_crash
+from ..api.presets import figure_spec, torus_region_spec
+from ..api.session import ExperimentSession
+from ..api.specs import ExperimentSpec, FailureSpec, RuntimeSpec
+from ..failures import region_crash
 from ..graph import RANKINGS, Region
 from ..graph.generators import square_region, torus
 from ..sim import JitteredFailureDetector
 from ..sim.events import EventKind
 from .runner import run_cliff_edge
-from .scenarios import fig1b_scenario
 
 
 @dataclass(frozen=True)
@@ -57,23 +60,32 @@ class ArbitrationPoint:
         }
 
 
-def _arbitration_point(scenario_name: str, result, faulty) -> ArbitrationPoint:
-    graph = result.graph
-    border = graph.border(faulty)
-    deciders = result.deciding_nodes
-    blocked = 0
-    for node_id in border:
-        process = result.simulator.process(node_id)
-        if getattr(process, "proposed", None) is not None and not getattr(
-            process, "has_decided", False
-        ):
-            blocked += 1
+def _torus_workload(
+    side: int, region_side: int, spread: float, detector_high: Optional[float], seed: int
+) -> ExperimentSpec:
+    """The locality point (:func:`torus_region_spec`) with this workload's
+    crash spread and detector window (``None``: the perfect detector)."""
+    spec = torus_region_spec(side, region_side, seed=seed)
+    jitter = {"kind": "jittered", "low": 0.5, "high": detector_high}
+    return dataclasses.replace(
+        spec,
+        failure=FailureSpec("region", {**spec.failure.params, "spread": spread}),
+        runtime=RuntimeSpec(failure_detector=None if detector_high is None else jitter),
+    )
+
+
+def _arbitration_point(scenario_name: str, arbitration: bool, result) -> ArbitrationPoint:
+    border = result.graph.border(result.schedule.nodes)
+    blocked = sum(
+        getattr(node, "proposed", None) is not None and not getattr(node, "has_decided", False)
+        for node in map(result.simulator.process, border)
+    )
     return ArbitrationPoint(
         scenario=scenario_name,
-        arbitration=result.labels.get("arbitration", True),
+        arbitration=arbitration,
         decisions=result.metrics.decisions,
         decided_views=result.metrics.decided_views,
-        undecided_border_nodes=len(border - deciders - result.schedule.nodes),
+        undecided_border_nodes=len(border - result.deciding_nodes - result.schedule.nodes),
         blocked_proposers=blocked,
         messages=result.metrics.messages_sent,
         quiescent=result.simulator.is_quiescent(),
@@ -86,36 +98,20 @@ def arbitration_ablation(seed: int = 0) -> list[ArbitrationPoint]:
     Also includes a staggered torus crash, where view construction races
     the consensus rounds, as a second data point.
     """
-    points: list[ArbitrationPoint] = []
-
-    for arbitration in (True, False):
-        scenario = fig1b_scenario()
-        result = run_cliff_edge(
-            scenario.graph,
-            scenario.schedule,
-            failure_detector=scenario.failure_detector,
-            arbitration_enabled=arbitration,
-            seed=seed,
-            check=False,
+    workloads = [
+        ("fig1b-growth", figure_spec("1b", seed=seed)),
+        ("staggered-torus", _torus_workload(10, 3, 6.0, 2.5, seed)),
+    ]
+    session = ExperimentSession()
+    return [
+        _arbitration_point(
+            name,
+            arbitration,
+            session.run(dataclasses.replace(spec, arbitration=arbitration, check=False)),
         )
-        result.labels["arbitration"] = arbitration
-        points.append(_arbitration_point("fig1b-growth", result, scenario.schedule.nodes))
-
-    graph = torus(10, 10)
-    members = square_region((1, 1), 3)
-    schedule = region_crash(graph, members, at=1.0, spread=6.0)
-    for arbitration in (True, False):
-        result = run_cliff_edge(
-            graph,
-            schedule,
-            failure_detector=JitteredFailureDetector(0.5, 2.5),
-            arbitration_enabled=arbitration,
-            seed=seed,
-            check=False,
-        )
-        result.labels["arbitration"] = arbitration
-        points.append(_arbitration_point("staggered-torus", result, schedule.nodes))
-    return points
+        for name, spec in workloads
+        for arbitration in (True, False)
+    ]
 
 
 @dataclass(frozen=True)
@@ -152,22 +148,15 @@ def early_termination_ablation(seed: int = 0) -> list[EarlyTerminationPoint]:
     instance "after two rounds, in the best case") without affecting the
     agreed views or the CD1–CD7 report.
     """
-    points: list[EarlyTerminationPoint] = []
     workloads = [
-        ("torus-3x3-simultaneous", torus(12, 12), square_region((1, 1), 3), 0.0),
-        ("torus-4x4-staggered", torus(16, 16), square_region((1, 1), 4), 2.0),
+        ("torus-3x3-simultaneous", _torus_workload(12, 3, 0.0, None, seed)),
+        ("torus-4x4-staggered", _torus_workload(16, 4, 2.0, None, seed)),
     ]
-    for name, graph, members, spread in workloads:
-        schedule = region_crash(graph, members, at=1.0, spread=spread)
+    session = ExperimentSession()
+    points: list[EarlyTerminationPoint] = []
+    for name, spec in workloads:
         for early in (False, True):
-            result = run_cliff_edge(
-                graph,
-                schedule,
-                early_termination=early,
-                seed=seed,
-                check=True,
-            )
-            specification = result.specification
+            result = session.run(dataclasses.replace(spec, early_termination=early))
             points.append(
                 EarlyTerminationPoint(
                     workload=name,
@@ -177,9 +166,7 @@ def early_termination_ablation(seed: int = 0) -> list[EarlyTerminationPoint]:
                     decisions=result.metrics.decisions,
                     decided_views=result.metrics.decided_views,
                     last_decision_time=result.metrics.last_decision_time or 0.0,
-                    specification_holds=(
-                        specification.holds if specification is not None else True
-                    ),
+                    specification_holds=result.specification.holds,
                 )
             )
     return points
@@ -226,7 +213,8 @@ def ranking_ablation(seed: int = 0) -> list[RankingPoint]:
 
     The workload crashes two equally sized regions adjacent to a shared
     border node, so the size-only variant faces genuinely incomparable
-    proposals.
+    proposals.  The variant is a ranking *object* handed to the runner, which
+    no spec field carries, so this is the one ablation not run from a spec.
     """
     graph = torus(10, 10)
     region_a = square_region((1, 1), 2)
@@ -258,11 +246,7 @@ def ranking_ablation(seed: int = 0) -> list[RankingPoint]:
                 decisions=result.metrics.decisions,
                 decided_views=result.metrics.decided_views,
                 quiescent=result.simulator.is_quiescent(),
-                specification_holds=(
-                    result.specification.holds
-                    if result.specification is not None
-                    else True
-                ),
+                specification_holds=result.specification.holds,
             )
         )
     return points

@@ -18,7 +18,8 @@ layer prevents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from ..baselines import (
     run_global_baseline,
@@ -26,7 +27,6 @@ from ..baselines import (
     run_uncoordinated_baseline,
 )
 from ..failures import region_crash
-from ..graph import Region
 from ..graph.generators import square_region, torus
 from .locality import run_torus_region_scenario
 from .runner import run_cliff_edge
@@ -77,10 +77,8 @@ def global_consensus_comparison(
         cliff_result, region = run_torus_region_scenario(
             side, region_side, seed=seed, check=False
         )
-        graph = torus(side, side)
-        members = square_region((1, 1), region_side)
-        schedule = region_crash(graph, members, at=1.0)
-        global_result = run_global_baseline(graph, schedule, seed=seed)
+        schedule = region_crash(cliff_result.graph, region.members, at=1.0)
+        global_result = run_global_baseline(cliff_result.graph, schedule, seed=seed)
         points.append(
             BaselineComparisonPoint(
                 system_size=side * side,
@@ -135,10 +133,8 @@ def gossip_comparison(
         cliff_result, region = run_torus_region_scenario(
             side, region_side, seed=seed, check=False
         )
-        graph = torus(side, side)
-        members = square_region((1, 1), region_side)
-        schedule = region_crash(graph, members, at=1.0)
-        gossip_result = run_gossip_baseline(graph, schedule, seed=seed)
+        schedule = region_crash(cliff_result.graph, region.members, at=1.0)
+        gossip_result = run_gossip_baseline(cliff_result.graph, schedule, seed=seed)
         points.append(
             GossipComparisonPoint(
                 system_size=side * side,
@@ -189,7 +185,9 @@ def uncoordinated_comparison(
 
     The crash is spread over time (``spread > 0``) so an impatient,
     uncoordinated reaction acts on stale views; the cliff-edge run on the
-    same schedule converges on the full region.
+    same schedule converges on the full region.  Both runs share one built
+    graph and schedule because the baseline is a ``Process`` class no spec
+    names, so neither goes through the session.
     """
     points = []
     for side in sides:
@@ -198,11 +196,10 @@ def uncoordinated_comparison(
         schedule = region_crash(graph, members, at=1.0, spread=4.0)
         cliff_result = run_cliff_edge(graph, schedule, seed=seed, check=False)
         cliff_views = sorted(cliff_result.decided_views, key=repr)
-        cliff_conflicts = 0
-        for index, first in enumerate(cliff_views):
-            for second in cliff_views[index + 1 :]:
-                if first.overlaps(second) and first != second:
-                    cliff_conflicts += 1
+        cliff_conflicts = sum(
+            first.overlaps(second) and first != second
+            for first, second in combinations(cliff_views, 2)
+        )
         uncoordinated = run_uncoordinated_baseline(
             graph, schedule, grace_period=grace_period, seed=seed
         )

@@ -18,10 +18,10 @@ channel assumption is gone:
   arrive, never whether they arrive, so the full CD1–CD7 specification
   is still expected to hold.
 
-A :class:`DegradationReport` is built either in-process
-(:func:`run_degradation`, one session run per fault point) or from a
-finished sweep (:func:`degradation_from_sweep`, zipping the sweep's
-expanded specs with its outcomes — same order by construction).
+A :class:`DegradationReport` is built from a finished sweep
+(:func:`degradation_from_sweep`, zipping the sweep's expanded specs with
+its outcomes — same order by construction); :func:`run_degradation` runs
+that sweep in-process from a template and an axis.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..api.result import json_safe
+from ..api.session import ExperimentSession
 from ..api.specs import ExperimentSpec, SpecError, SweepSpec
-from ..sim.faults import FAULT_AXES, FAULT_KNOBS
+from ..sim.faults import FAULT_AXES
 
 #: Pseudo-property recorded when a run fails to reach quiescence: the
 #: liveness checkers are skipped on such runs (they would be unsound), so
@@ -52,8 +53,9 @@ def excuse_set(faults: Optional[Mapping[str, Any]]) -> frozenset[str]:
     if not faults:
         return frozenset()
     excused: frozenset[str] = frozenset()
-    for knob in faults:
-        excused |= EXCUSED_PROPERTIES.get(knob, frozenset())
+    for knob, value in faults.items():
+        if value:  # a stage at rate 0 never fires and licenses nothing
+            excused |= EXCUSED_PROPERTIES.get(knob, frozenset())
     return excused
 
 
@@ -204,23 +206,6 @@ def _failures(
     )
 
 
-def _point_faults(
-    base: Optional[Mapping[str, Any]], axis: str, rate: float
-) -> Optional[dict[str, Any]]:
-    """The ``faults`` block of one axis point (``rate`` 0 ⇒ knob off)."""
-    block = dict(base or {})
-    if rate:
-        block[axis] = rate
-    else:
-        # A zero rate is the fault-free baseline for this knob; dropping
-        # it (rather than passing 0) also keeps reorder=0 representable,
-        # where a zero-width window is a spec error.  Its modifiers go too.
-        for knob, spec in FAULT_KNOBS.items():
-            if axis in (knob, spec.base):
-                block.pop(knob, None)
-    return block or None
-
-
 def run_degradation(
     spec: ExperimentSpec,
     axis: str,
@@ -233,53 +218,20 @@ def run_degradation(
     ``spec`` is the scenario template (its own ``faults`` block, if any,
     stays active on every point); ``axis`` is the fault knob to sweep and
     ``rates`` its values, each run at every seed in ``seeds`` (the
-    template's seed when empty).  Checking is forced on — a degradation
-    report without the CD1–CD7 verdict would be vacuous.
+    template's seed when empty) — a one-worker ``runtime.faults.<axis>``
+    sweep handed to :func:`degradation_from_sweep`, so a rate must be one
+    the knob accepts (0 is the baseline on the probability axes; a
+    ``reorder`` window must be positive).  Checking is forced on: a
+    degradation report without the CD1–CD7 verdict would be vacuous.
     """
     if axis not in FAULT_AXES:
-        raise SpecError(
-            f"unknown fault axis {axis!r}; known: {', '.join(FAULT_AXES)}"
-        )
-    if not rates:
-        raise SpecError("degradation needs at least one rate")
-    if session is None:
-        from ..api.session import ExperimentSession
-
-        session = ExperimentSession()
-    seed_list = tuple(seeds) or (spec.seed,)
-    points = []
-    for rate in rates:
-        faults = _point_faults(spec.runtime.faults, axis, float(rate))
-        for seed in seed_list:
-            run_spec = dataclasses.replace(
-                spec.with_faults(faults).with_seed(seed), check=True
-            )
-            result = session.run(run_spec)
-            specification = result.specification
-            spec_holds = bool(specification is not None and specification.holds)
-            violations = (
-                tuple(specification.violations())
-                if specification is not None
-                else ()
-            )
-            failed, excused, unexcused = _failures(
-                spec_holds, result.quiescent, violations, faults
-            )
-            points.append(
-                DegradationPoint(
-                    faults=faults,
-                    rate=float(rate),
-                    seed=seed,
-                    spec_holds=spec_holds,
-                    quiescent=result.quiescent,
-                    failed_properties=failed,
-                    excused=excused,
-                    unexcused=unexcused,
-                    violations=violations,
-                    digest=result.digest(),
-                )
-            )
-    return DegradationReport(axis=axis, points=tuple(points))
+        raise SpecError(f"unknown fault axis {axis!r}; known: {', '.join(FAULT_AXES)}")
+    sweep = SweepSpec(
+        experiment=dataclasses.replace(spec, check=True),
+        seeds=tuple(seeds),
+        grid={f"runtime.faults.{axis}": [float(rate) for rate in rates]},
+    )
+    return degradation_from_sweep(sweep, (session or ExperimentSession()).run_sweep(sweep))
 
 
 def sweep_fault_axes(spec: SweepSpec) -> list[str]:
@@ -318,8 +270,11 @@ def degradation_from_sweep(spec: SweepSpec, report) -> DegradationReport:
     points = []
     for point_spec, outcome in zip(specs, outcomes):
         faults = point_spec.runtime.faults
-        faults_dict = dict(faults) if faults is not None else None
-        rate = float(faults[axis]) if faults and axis in faults else 0.0
+        # A block with every axis at rate 0 switches no stage on: that is the
+        # fault-free baseline, digest for digest, and is reported as such.
+        active = faults and any(faults.get(knob) for knob in FAULT_AXES)
+        faults_dict = dict(faults) if active else None
+        rate = float((faults_dict or {}).get(axis, 0.0))
         spec_holds = outcome.spec_holds if outcome.spec_holds is not None else True
         failed, excused, unexcused = _failures(
             spec_holds, outcome.quiescent, outcome.violations, faults_dict

@@ -125,7 +125,7 @@ def region_size_sweep(
 def locality_is_flat(points: Sequence[LocalityPoint], tolerance: float = 0.10) -> bool:
     """True when message cost varies by at most ``tolerance`` across points.
 
-    Used by tests and EXPERIMENTS.md to state the EXP-L1 conclusion: with a
+    Used by tests and ``repro report`` to state the EXP-L1 conclusion: with a
     fixed crashed region, the cost of the protocol does not grow with the
     system size.  (Identical seeds give identical runs, so in practice the
     spread is zero; the tolerance guards against jitter when callers vary

@@ -320,7 +320,7 @@ def churn_property_sweep(
 
 
 def sweep_summary(cases: Sequence[SweepCase]) -> dict[str, object]:
-    """Aggregate view of a sweep (printed into EXPERIMENTS.md)."""
+    """Aggregate view of a sweep (``repro report``'s EXP-C1 claims)."""
     return {
         "cases": len(cases),
         "all_hold": all(case.specification_holds for case in cases),

@@ -1,7 +1,7 @@
 """Plain-text and Markdown table rendering for experiment results.
 
 The experiment modules produce lists of flat dictionaries ("rows"); these
-helpers render them the way EXPERIMENTS.md and the example scripts print
+helpers render them the way ``repro report`` and the example scripts print
 them.  No third-party dependency, deterministic column order.
 """
 
@@ -94,7 +94,7 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], columns: Sequence[str] | None
 
 
 def summarise_numeric(rows: Iterable[Mapping[str, Any]], key: str) -> dict[str, float]:
-    """Min / max / mean of a numeric column (for EXPERIMENTS.md prose)."""
+    """Min / max / mean of a numeric column (for prose around a ``repro report`` table)."""
     values = [float(row[key]) for row in rows if row.get(key) is not None]
     if not values:
         return {"min": float("nan"), "max": float("nan"), "mean": float("nan")}

@@ -4,7 +4,7 @@ A tiny future-event-list scheduler: callbacks are executed in increasing
 timestamp order, ties broken by insertion order, so a run is a pure
 function of (topology, processes, crash schedule, latency model, seed).
 Determinism is what makes the hypothesis-based property tests and the
-EXPERIMENTS.md numbers reproducible.
+``repro report`` numbers reproducible.
 
 Two throughput optimisations keep large runs (4096-node tori, high churn
 rates) cheap without changing the observable order of callbacks:

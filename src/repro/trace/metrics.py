@@ -4,7 +4,7 @@ The locality claims of the paper (CD3 and the "local complexity" headline)
 are about *costs*: how many messages are exchanged, how many bytes, how
 many nodes ever speak, how long until decisions land.  This module turns a
 :class:`~repro.trace.recorder.TraceRecorder` into those numbers, which the
-experiments print and EXPERIMENTS.md records.
+experiments print and ``repro report`` tabulates.
 """
 
 from __future__ import annotations

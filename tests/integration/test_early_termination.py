@@ -25,6 +25,8 @@ class TestEarlyTerminationEquivalence:
         plain, early = pair
         assert plain.decided_views == early.decided_views
         assert plain.deciding_nodes == early.deciding_nodes
+        # One view, decided by the whole border of the 3x3 block.
+        assert len(plain.decided_views) == 1 and len(plain.deciding_nodes) == 12
 
     def test_same_decision_values(self, pair):
         plain, early = pair

@@ -161,19 +161,25 @@ class TestDegradationReport:
             run_degradation(quickstart_spec(), "latency", rates=[0.1])
 
     def test_sweep_and_in_process_reports_agree(self):
-        """`degradation_from_sweep` over a real sweep must reproduce the
-        in-process battery point for point (same digests, verdicts)."""
+        """`run_degradation` is `degradation_from_sweep` over the sweep it
+        builds: both reproduce the battery recorded when `run_degradation`
+        still built its points itself (rate, seed, digest, failed)."""
+        recorded = [
+            (0.0, 0, "c3757f2b24122d03c7552fe63c89a8e8933e141e1818e4bdede1f35229d8a0ff", ()),
+            (0.0, 1, "c3757f2b24122d03c7552fe63c89a8e8933e141e1818e4bdede1f35229d8a0ff", ()),
+            (0.1, 0, "7ef65c5c6cdf742339d234ca438299e95a5c4669f7612b03d0a78091e4af3d46", ("CD7",)),
+            (0.1, 1, "c04e0fa8560c9b60d0bf3b75edf100bc0ec7971fc4953541f710782fa0d12da5", ("CD7",)),
+        ]
         sweep = fault_sweep_spec(axis="loss", rates=(0.0, 0.1), seeds=(0, 1))
         from_sweep = degradation_from_sweep(sweep, run_spec(sweep))
         in_process = run_degradation(
             quickstart_spec(side=6, block=2), "loss", rates=[0.0, 0.1], seeds=[0, 1]
         )
-        key = lambda p: (p.rate, p.seed)
-        assert sorted(
-            (p.rate, p.seed, p.digest, p.failed_properties) for p in from_sweep.points
-        ) == sorted(
-            (p.rate, p.seed, p.digest, p.failed_properties) for p in in_process.points
-        )
+        for report in (from_sweep, in_process):
+            assert [
+                (p.rate, p.seed, p.digest, p.failed_properties) for p in report.points
+            ] == recorded
+            assert [p.faults for p in report.points] == [None, None] + 2 * [{"loss": 0.1}]
 
     def test_quiescence_pseudo_property_excused_only_under_loss(self):
         assert QUIESCENCE in excuse_set({"loss": 0.1})

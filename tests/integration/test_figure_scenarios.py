@@ -153,6 +153,7 @@ class TestFig3:
 
     def test_first_wave_agreed(self, observations):
         assert observations.first_wave_view is not None
+        assert observations.result.decided_views == {observations.first_wave_view}
 
     def test_grown_region_proposed_but_not_decided(self, observations):
         assert observations.grown_region_proposed

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,13 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
+from repro.experiments import report as report_module
 from repro.experiments.report import (
     ReportSection,
-    _ablation_sections,
-    _fig1_section,
-    _fig2_section,
-    _fig3_section,
-    _repair_section,
+    build_report,
+    failed_claims,
     render_report,
 )
 
@@ -33,44 +33,81 @@ _EXAMPLE_ENV = {
 }
 
 
+@pytest.fixture(scope="module")
+def quick_report():
+    """``repro report --quick``'s sections, by experiment id (built once)."""
+    return {section.experiment_id: section for section in build_report(quick=True)}
+
+
 class TestReportSections:
-    def test_fig1_section(self):
-        section = _fig1_section()
-        assert section.experiment_id == "FIG-1"
+    def test_fig1_section(self, quick_report):
+        section = quick_report["FIG-1"]
         assert len(section.rows) == 2
-        assert any("converged on F3: True" in note for note in section.notes)
+        assert ("fig1b: every decider converged on F3", True) in section.claims
 
-    def test_fig2_section(self):
-        section = _fig2_section()
-        assert section.experiment_id == "FIG-2"
+    def test_fig2_section(self, quick_report):
+        section = quick_report["FIG-2"]
         assert len(section.rows) == 4
-        assert any("CD7" in note for note in section.notes)
+        assert any("CD7" in text for text, _ in section.claims)
 
-    def test_fig3_section(self):
-        section = _fig3_section()
-        assert section.rows[0]["no_conflicting_decision"] is True
+    def test_fig3_section(self, quick_report):
+        assert quick_report["FIG-3"].rows[0]["no_conflicting_decision"] is True
 
-    def test_repair_section_quick(self):
-        section = _repair_section(quick=True)
-        assert all(row["ring_restored"] for row in section.rows)
+    def test_repair_section_quick(self, quick_report):
+        assert all(row["ring_restored"] for row in quick_report["EXP-R1"].rows)
 
-    def test_ablation_sections(self):
-        a1, a2, a3 = _ablation_sections()
-        assert a1.experiment_id == "EXP-A1"
-        assert a2.experiment_id == "EXP-A2"
-        assert a3.experiment_id == "EXP-A3"
-        assert len(a2.rows) == 3
-        assert len(a3.rows) == 4
+    def test_ablation_sections(self, quick_report):
+        assert len(quick_report["EXP-A1"].rows) == 4
+        assert len(quick_report["EXP-A2"].rows) == 3
+        assert len(quick_report["EXP-A3"].rows) == 4
+
+    def test_every_claim_holds_quick(self, quick_report):
+        assert list(quick_report) == [
+            "FIG-1", "FIG-2", "FIG-3", "EXP-L1", "EXP-L2", "EXP-B1", "EXP-B2",
+            "EXP-B3", "EXP-C1", "EXP-R1", "EXP-A1", "EXP-A2", "EXP-A3",
+        ]  # fmt: skip
+        for section in quick_report.values():
+            assert section.claims, section.experiment_id
+            assert all(holds is True for _, holds in section.claims), section.claims
+        assert failed_claims(list(quick_report.values())) == []
+        assert "FAILED" not in render_report(list(quick_report.values()))
+
+    def test_failed_claim_exits_nonzero_and_is_named(self, monkeypatch, quick_report):
+        """A locality sweep whose cost grows with the system fails the command."""
+        flat = report_module.system_size_sweep(sides=(8, 12))
+
+        def growing(sides):
+            return [flat[0], dataclasses.replace(flat[1], messages=2 * flat[1].messages)]
+
+        monkeypatch.setattr(report_module, "system_size_sweep", growing)
+        lines: list[str] = []
+        assert main(["report", "--quick"], write=lines.append) == 1
+        output = "\n".join(lines)
+        assert "* [FAILED] message cost flat across system sizes" in output
+        assert lines[-1] == "FAILED EXP-L1: message cost flat across system sizes"
+        # Every table is still printed, and nothing else is blamed.
+        assert all(f"## {experiment_id} " in output for experiment_id in quick_report)
+        assert output.count("FAILED") == 2
+
+    @pytest.mark.slow
+    def test_every_claim_holds_full_size(self):
+        assert failed_claims(build_report()) == []
 
     def test_render_report_plain_and_markdown(self):
         section = ReportSection(
-            "EXP-X", "demo", rows=[{"a": 1, "b": True}], notes=["note"]
+            "EXP-X",
+            "demo",
+            rows=[{"a": 1, "b": True}],
+            notes=["note"],
+            claims=[("stays up", True), ("stays flat", False)],
         )
         plain = render_report([section])
         markdown = render_report([section], markdown=True)
         assert "## EXP-X — demo" in plain
         assert "* note" in plain
+        assert "* [ok] stays up" in plain and "* [FAILED] stays flat" in plain
         assert "| a | b |" in markdown
+        assert failed_claims([section]) == ["EXP-X: stays flat"]
 
     def test_render_empty_section(self):
         section = ReportSection("EXP-Y", "empty")

@@ -250,6 +250,11 @@ class TestSubmissionContract:
                 "bad failure spec for kind 'region': got an unexpected keyword argument 'spred'",
             ),
             (edited("runtime", max_events="abc"), "RuntimeSpec.max_events must be int, got 'abc'"),
+            # This one used to be accepted and die in a worker as SweepTaskError.
+            (
+                {"spec": "sweep", "family": "nope", "seeds": [0]},
+                "unknown scenario family 'nope'; registered: churn-property, ",
+            ),
         ]:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(document)

@@ -91,11 +91,24 @@ class TestAdversarialChurnSimulator:
         assert result.specification.holds, result.specification.summary()
 
     @given(st.integers(0, 2**20))
-    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        # Fresh seeds per run made tier-1 a draw (seed 530 below fails); the
+        # open-ended hunt belongs to the slow sweep, not to this gate.
+        derandomize=True,
+    )
     def test_generator_based_cases_hold(self, seed):
         """The seed-driven EXP-C1 churn generator, across arbitrary seeds."""
         case = run_churn_sweep_case(seed)
         assert case.quiescent
+        assert case.specification_holds, case.violations
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: CD7 counterexample, seed 530")
+    def test_known_cd7_counterexample_seed_530(self):
+        case = run_churn_sweep_case(530)
+        assert case.digest.startswith("b9efca3d3cc5")
         assert case.specification_holds, case.violations
 
     def test_random_churn_membership_always_validates(self):

@@ -293,6 +293,7 @@ MALFORMED = {
     "sweep-no-mode": lambda: SweepSpec(),
     "sweep-both-modes": lambda: _sweep(family="property"),
     "sweep-family-seed-axis": lambda: SweepSpec(family="property", seeds=(0,), grid={"seed": (1, 2)}),
+    "sweep-family-unknown": lambda: load_spec(json.dumps({"spec": "sweep", "family": "nope", "seeds": [0]})),
     "sweep-ambiguous-seeds": lambda: _sweep(seeds=(0,), grid={"seed": (1, 2)}),
     "sweep-scalar-axis": lambda: _sweep(grid={"topology.params.width": 8}),
     "sweep-empty-axis": lambda: _sweep(grid={"seed": ()}),
