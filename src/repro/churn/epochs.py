@@ -51,11 +51,14 @@ def build_epochs(
     """Slice ``trace`` into membership epochs with their graphs."""
     boundaries: list[tuple[int, float, KnowledgeGraph]] = [(0, 0.0, base_graph)]
     graph = base_graph
-    for index, event in enumerate(trace):
+    # Only the rows that open an epoch are read (and rebuilt as events).
+    columns = trace.columns
+    for index in columns.rows_of(EventKind.NODE_JOINED, EventKind.NODE_RECOVERED):
+        event = columns.event(index)
         if event.kind is EventKind.NODE_JOINED:
             graph = graph.with_node(event.node, event.payload or ())
             boundaries.append((index, event.time, graph))
-        elif event.kind is EventKind.NODE_RECOVERED:
+        else:
             neighbours = frozenset(event.payload or ())
             if neighbours != graph.neighbours(event.node):
                 graph = graph.without([event.node]).with_node(

@@ -43,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.properties import Decision, PropertyReport, SpecificationReport
-from ..graph import KnowledgeGraph, NodeId, Region, cluster_border, faulty_clusters, faulty_domains
-from bisect import bisect_right
+from ..core.properties import Decision, PropertyReport, SpecificationReport, locality_leaks
+from ..graph import KnowledgeGraph, NodeId, Region, cluster_border, faulty_clusters
+from bisect import bisect_left, bisect_right
 
 from ..sim.events import EventKind
 from ..trace import TraceRecorder
@@ -59,6 +59,7 @@ _STATUS_OF_EVENT = {
     EventKind.NODE_RECOVERED: _LIVE,
     EventKind.NODE_JOINED: _LIVE,
 }
+_STATUS_OF_CODE = {kind.code: status for kind, status in _STATUS_OF_EVENT.items()}
 
 
 @dataclass
@@ -214,27 +215,30 @@ def build_ground_truth(
     trace: TraceRecorder,
     epochs: Optional[list[MembershipEpoch]] = None,
 ) -> ChurnGroundTruth:
-    """Scan the trace once and precompute the churn ground truth.
+    """Precompute the churn ground truth from the rows that carry it.
 
-    ``epochs`` may be passed when the caller already reconstructed them
-    (e.g. :class:`~repro.api.result.RunResult`), avoiding a second
-    trace scan and per-event graph rebuild.
+    Status changes and announcements are read off the raw columns; only
+    the decisions are rebuilt as events.  ``epochs`` may be passed when
+    the caller already reconstructed them (e.g.
+    :class:`~repro.api.result.RunResult`), avoiding a second per-event
+    graph rebuild.
     """
+    columns = trace.columns
+    _, kinds, nodes, peers, _, _, ids = columns.arrays()
     history: dict[NodeId, list[tuple[int, str]]] = {}
-    decisions: list[tuple[int, Decision]] = []
+    for index in columns.rows_of(*_STATUS_OF_EVENT):
+        if nodes[index] >= 0:
+            history.setdefault(ids[nodes[index]], []).append(
+                (index, _STATUS_OF_CODE[kinds[index]])
+            )
+    decisions = [
+        (index, Decision.from_event(columns.event(index)))
+        for index in columns.rows_of(EventKind.DECIDED)
+    ]
     notifications: dict[tuple[NodeId, NodeId], list[int]] = {}
-    for index, event in enumerate(trace):
-        status = _STATUS_OF_EVENT.get(event.kind)
-        if status is not None and event.node is not None:
-            history.setdefault(event.node, []).append((index, status))
-        elif event.kind is EventKind.DECIDED:
-            decisions.append((index, Decision.from_event(event)))
-        elif (
-            event.kind is EventKind.MEMBERSHIP_NOTIFIED
-            and event.node is not None
-            and event.peer is not None
-        ):
-            notifications.setdefault((event.node, event.peer), []).append(index)
+    for index in columns.rows_of(EventKind.MEMBERSHIP_NOTIFIED):
+        if nodes[index] >= 0 and peers[index] >= 0:
+            notifications.setdefault((ids[nodes[index]], ids[peers[index]]), []).append(index)
     if epochs is None:
         epochs = build_epochs(base_graph, trace)
     return ChurnGroundTruth(
@@ -325,28 +329,17 @@ def check_churn_locality(
 ) -> PropertyReport:
     """CD3, quotiented: per-epoch locality over the ever-faulty scope."""
     report = PropertyReport("CD3 Locality (epoch-quotiented)")
-    scope_cache: dict[int, list[frozenset[NodeId]]] = {}
-
-    def scopes_of(epoch: MembershipEpoch) -> list[frozenset[NodeId]]:
-        cached = scope_cache.get(epoch.index)
-        if cached is None:
-            faulty = gt.ever_faulty_until(epoch.end_index) & epoch.graph.nodes
-            domains = faulty_domains(epoch.graph, faulty)
-            cached = [domain.closed_neighbourhood(epoch.graph) for domain in domains]
-            scope_cache[epoch.index] = cached
-        return cached
-
-    for index, event in enumerate(trace):
-        if event.kind is not EventKind.MESSAGE_SENT:
+    columns = trace.columns
+    sent = columns.rows_of(EventKind.MESSAGE_SENT)
+    for epoch in gt.epochs:
+        rows = sent[bisect_left(sent, epoch.start_index) : bisect_left(sent, epoch.end_index)]
+        if not rows:
             continue
-        sender, receiver = event.node, event.peer
-        if sender is None or receiver is None or sender == receiver:
-            continue
-        scopes = scopes_of(gt.epoch_at(index))
-        if not any(sender in scope and receiver in scope for scope in scopes):
+        faulty = gt.ever_faulty_until(epoch.end_index) & epoch.graph.nodes
+        for sender, receiver in locality_leaks(columns, rows, epoch.graph, faulty):
             report.fail(
                 f"message from {sender!r} to {receiver!r} leaves every "
-                f"faulty-domain scope of epoch {gt.epoch_at(index).index}"
+                f"faulty-domain scope of epoch {epoch.index}"
             )
     return report
 

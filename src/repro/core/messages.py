@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..graph import NodeId, Region
-from .opinions import Opinion, is_accept, is_reject
+from .opinions import REJECT, Opinion, is_accept, is_reject
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,14 @@ class RoundMessage:
         purges bump it, letting receivers discard stale in-flight
         messages from a closed attempt and adopt restarts they have not
         seen announced yet (see ``CliffEdgeNode.on_message``).
+
+    Two derived values are computed once, at construction, and kept as
+    plain attributes rather than fields — so they are in no digest (the
+    canonical encoding walks ``dataclasses.fields``), no pickle
+    (``__reduce__`` ships the constructor arguments) and no ``==``:
+    ``rejectors``, the nodes whose entry is ``reject``, which every
+    recipient's handler needs, and the :meth:`wire_size` every
+    ``MESSAGE_SENT`` row is charged.
     """
 
     round: int
@@ -64,16 +72,23 @@ class RoundMessage:
         # Freeze the mapping into a plain dict copy (canonical key order)
         # so the message is genuinely immutable from the recipient's
         # point of view.
+        opinions = {
+            node: opinion
+            for node, opinion in sorted(
+                self.opinions.items(), key=lambda item: repr(item[0])
+            )
+        }
+        object.__setattr__(self, "opinions", opinions)
+        known = [node for node, opinion in opinions.items() if opinion is not None]
+        # A tuple: the common message has no rejector and shares ``()``.
         object.__setattr__(
-            self,
-            "opinions",
-            {
-                node: opinion
-                for node, opinion in sorted(
-                    self.opinions.items(), key=lambda item: repr(item[0])
-                )
-            },
+            self, "rejectors", tuple([node for node in known if opinions[node] is REJECT])
         )
+        # 8 bytes per node identifier referenced (view members, border
+        # members, vector keys), 16 per non-``⊥`` opinion (tag + value)
+        # and a fixed 16-byte header.
+        identifier_count = len(self.view.members) + len(self.border) + len(opinions)
+        object.__setattr__(self, "_wire_size", 16 + 8 * identifier_count + 16 * len(known))
 
     def __reduce__(self):
         # Unpickle through __init__ so __post_init__ restores the
@@ -86,7 +101,7 @@ class RoundMessage:
 
     def is_rejection(self) -> bool:
         """True when the message carries at least one ``reject`` opinion."""
-        return any(is_reject(op) for op in self.opinions.values())
+        return bool(self.rejectors)
 
     def known_entries(self) -> int:
         """Number of non-``⊥`` entries carried."""
@@ -95,14 +110,11 @@ class RoundMessage:
     def wire_size(self) -> int:
         """Deterministic byte estimate used by the bandwidth metrics.
 
-        We charge 8 bytes per node identifier referenced (view members,
-        border members, vector keys) plus 16 bytes per non-``⊥`` opinion
-        (tag + value) plus a fixed 16-byte header.  The constants are
-        arbitrary but fixed, so comparisons across runs are meaningful.
+        The constants (see ``__post_init__``, which computes it once per
+        message, not once per recipient) are arbitrary but fixed, so
+        comparisons across runs are meaningful.
         """
-        identifier_count = len(self.view.members) + len(self.border) + len(self.opinions)
-        known = self.known_entries()
-        return 16 + 8 * identifier_count + 16 * known
+        return self._wire_size
 
     def describe(self) -> str:
         """Short human-readable summary used by example scripts."""

@@ -169,20 +169,42 @@ def check_locality(
     """
     report = PropertyReport("CD3 Locality")
     faulty_set = faulty if faulty is not None else trace.crashed_nodes()
-    domains = faulty_domains(graph, faulty_set)
-    scopes = [domain.closed_neighbourhood(graph) for domain in domains]
-    for event in trace.of_kind(EventKind.MESSAGE_SENT):
-        sender, receiver = event.node, event.peer
-        if sender is None or receiver is None:
-            continue
-        if sender == receiver:
-            continue
-        if not any(sender in scope and receiver in scope for scope in scopes):
-            report.fail(
-                f"message from {sender!r} to {receiver!r} leaves every "
-                f"faulty-domain scope"
-            )
+    columns = trace.columns
+    sent = columns.rows_of(EventKind.MESSAGE_SENT)
+    for sender, receiver in locality_leaks(columns, sent, graph, faulty_set):
+        report.fail(
+            f"message from {sender!r} to {receiver!r} leaves every "
+            f"faulty-domain scope"
+        )
     return report
+
+
+def locality_leaks(columns, rows, graph, faulty) -> list[tuple[NodeId, NodeId]]:
+    """``(sender, receiver)`` of every message among ``rows`` (indices of
+    ``MESSAGE_SENT`` rows of ``columns``) that stays inside the closed
+    neighbourhood of no faulty domain of ``graph``, in trace order.
+
+    Judged once per channel, on the interned endpoints of the raw columns:
+    a run sends thousands of messages over a few hundred channels, and no
+    event is rebuilt to look at one.
+    """
+    scopes = [domain.closed_neighbourhood(graph) for domain in faulty_domains(graph, faulty)]
+    _, _, nodes, peers, _, _, ids = columns.arrays()
+    leaking = {
+        (sender, receiver)
+        for sender, receiver in {(nodes[index], peers[index]) for index in rows}
+        if sender >= 0
+        and receiver >= 0
+        and sender != receiver
+        and not any(ids[sender] in scope and ids[receiver] in scope for scope in scopes)
+    }
+    if not leaking:
+        return []
+    return [
+        (ids[nodes[index]], ids[peers[index]])
+        for index in rows
+        if (nodes[index], peers[index]) in leaking
+    ]
 
 
 def check_uniform_border_agreement(

@@ -50,7 +50,7 @@ from ..sim.events import EventKind
 from ..sim.process import MembershipChange, Process, ProcessContext
 from .decisions import DEFAULT_DECISION_POLICY, DecisionPolicy
 from .messages import RoundMessage
-from .opinions import REJECT, Accept, OpinionVector, is_accept, is_reject
+from .opinions import REJECT, Accept, OpinionVector, is_accept
 
 
 class ProtocolError(RuntimeError):
@@ -413,9 +413,7 @@ class CliffEdgeNode(Process):
                 f"{sorted(map(repr, message.border))}"
             )
         round_vector.merge(message.opinions)
-        rejectors = {
-            node for node, opinion in message.opinions.items() if is_reject(opinion)
-        }
+        rejectors = message.rejectors
         self.waiting[view][message.round].discard(sender)
         if message.round > 1:
             # A round-r message proves the sender sent every earlier round
@@ -472,7 +470,7 @@ class CliffEdgeNode(Process):
             # still name the rejector while every potential relayer has
             # already discarded the view.
             for waiting_round in self.waiting[view].values():
-                waiting_round -= rejectors
+                waiting_round.difference_update(rejectors)
         if self.early_termination:
             border = self.instance_border[view]
             carried_complete = border <= {

@@ -215,7 +215,14 @@ class AsyncRuntime(Substrate):
     async def _node_loop(self, node: NodeId) -> None:
         inbox = self._inboxes[node]
         while True:
-            kind, payload = await inbox.get()
+            try:
+                kind, payload = await inbox.get()
+            except asyncio.CancelledError:
+                # Cancelling is how a node task is told to stop.  Leaving
+                # quietly matters: a task that ends *cancelled* keeps the
+                # traceback, whose frames hold this runtime and — through
+                # ``f_back`` — whoever drives it: a cycle around every node.
+                return
             self._activity += 1
             if node in self._crashed or node in self._departed:
                 continue

@@ -20,6 +20,12 @@ from ..graph import NodeId
 class EventKind(enum.Enum):
     """The kinds of events a run can produce."""
 
+    def __init__(self, _value: str) -> None:
+        #: Position in definition order — the columnar trace's kind code
+        #: (see repro.trace.columns).  A plain attribute, so the per-event
+        #: paths read it without going through ``Enum.__hash__``.
+        self.code = len(type(self).__members__)
+
     #: A node started executing the protocol (the paper's ``init`` event).
     NODE_STARTED = "node_started"
     #: A node crashed (fault injection).

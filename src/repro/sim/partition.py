@@ -67,15 +67,9 @@ from typing import Any, Iterable, Optional
 from ..api.result import RunResult
 from ..core.protocol import CliffEdgeNode  # here, not in the forked worker that builds the nodes
 from ..graph import KnowledgeGraph, NodeId
-from ..trace import (
-    DIGEST_RETAINED_KINDS,
-    EventColumns,
-    StreamingRunMetrics,
-    StreamingTraceDigest,
-    TraceRecorder,
-    combine_partials,
-)
-from .events import EventKind, PartitionEnvelope, TraceEvent
+from ..trace import EventColumns, StreamingRunMetrics, TraceRecorder, combine_partials
+from ..trace.recorder import _RETAINED_CODES
+from .events import EventKind, PartitionEnvelope
 from .failure_detector import (
     FailureDetectorPolicy,
     PerfectFailureDetector,
@@ -255,84 +249,51 @@ def _fork_context():
 # ---------------------------------------------------------------------------
 # The per-partition simulator
 # ---------------------------------------------------------------------------
-class _ColumnarTraceLog:
-    """A worker's share of a full trace: merge keys + columnar rows.
+class _PartitionTraceRecorder(TraceRecorder):
+    """A shard's trace: emissions filtered to owned nodes, with merge keys.
 
-    The finish payload ships one ``array`` buffer per column plus the key
-    list, and the coordinator's k-way merge copies rows between column
-    stores without ever constructing :class:`TraceEvent` objects for the
-    crossing.
+    A plain recorder of the run's collection mode whose columns are moved
+    aside, so that every emission takes :meth:`_fold_row` — which drops
+    what the shard does not own, mints the merge key of what it does, and
+    only then stores the row: in the columns of a full trace (one key per
+    row) or in the digest fold (one key per retained outcome event).  The
+    coordinator merges the shards' payloads into the result trace.
     """
 
-    __slots__ = ("keys", "columns")
-
-    def __init__(self) -> None:
+    def __init__(self, sim: "PartitionSimulator", collection: str) -> None:
+        super().__init__(collection)
+        self._sim = sim
         self.keys: list[tuple] = []
-        self.columns = EventColumns()
+        self._rows, self._columns = self._columns, None
 
-    def add(self, key: tuple, event: TraceEvent) -> None:
-        self.keys.append(key)
-        self.columns.append(event)
-
-    def payload(self) -> dict[str, Any]:
-        return {"collection": "trace", "keys": self.keys, "columns": self.columns}
-
-
-class _DigestTraceLog:
-    """A worker's share of a digest-only run: folded state, no events.
-
-    The finish payload is a single 32-byte partial digest sum, the
-    streamed metrics accumulator, and the handful of retained
-    outcome events (decisions, crashes) — zero trace bytes cross the
-    process boundary.
-    """
-
-    __slots__ = ("digest", "metrics", "retained", "events", "end_time")
-
-    def __init__(self) -> None:
-        self.digest = StreamingTraceDigest()
-        self.metrics = StreamingRunMetrics()
-        self.retained: list[tuple[tuple, TraceEvent]] = []
-        self.events = 0
-        self.end_time = 0.0
-
-    def add(self, key: tuple, event: TraceEvent) -> None:
-        self.digest.update(event)
-        self.metrics.observe(event)
-        if event.kind in DIGEST_RETAINED_KINDS:
-            self.retained.append((key, event))
-        self.events += 1
-        self.end_time = event.time
+    def _fold_row(self, time, kind, node, peer, payload, detail) -> None:
+        key = self._sim._emit_key(node)
+        if key is None:
+            return
+        if self._rows is not None:
+            self.keys.append(key)
+            self._rows.append_row(time, kind, node, peer, payload, detail)
+        else:
+            if kind.code in _RETAINED_CODES:
+                self.keys.append(key)
+            super()._fold_row(time, kind, node, peer, payload, detail)
 
     def payload(self) -> dict[str, Any]:
+        """The shard's contribution, shaped for the coordinator.  A full
+        trace ships one ``array`` buffer per column plus the key list; a
+        digest-only run a 32-byte partial digest sum, the streamed metrics
+        and the few retained events — zero trace bytes cross the process
+        boundary."""
+        if self._rows is not None:
+            return {"collection": "trace", "keys": self.keys, "columns": self._rows}
         return {
             "collection": "digest",
-            "digest_partial": self.digest.partial(),
-            "metrics": self.metrics,
-            "retained": self.retained,
-            "events": self.events,
-            "end_time": self.end_time,
+            "digest_partial": self._digest_stream.partial(),
+            "metrics": self._metrics_stream,
+            "retained": list(zip(self.keys, self._retained)),
+            "events": self._count,
+            "end_time": self._end_time,
         }
-
-
-class _PartitionTraceRecorder(TraceRecorder):
-    """Filters emissions to owned nodes and annotates them with merge keys.
-
-    Events land only in the simulator's keyed trace log (columnar or
-    digest-only, per the run's collection mode) — the coordinator merges
-    the per-worker logs into the result trace, so the recorder's own
-    event store is deliberately left empty (one append per event instead
-    of two, on the hottest path of the run).
-    """
-
-    def __init__(self, sim: "PartitionSimulator") -> None:
-        super().__init__()
-        self._sim = sim
-
-    def record(self, event: TraceEvent) -> None:
-        key = self._sim._emit_key(event)
-        if key is not None:
-            self._sim._log.add(key, event)
 
 
 class PartitionSimulator(Simulator):
@@ -359,7 +320,6 @@ class PartitionSimulator(Simulator):
         "_start_actions",
         "_start_emits",
         "_outbox",
-        "_log",
     )
 
     def __init__(
@@ -402,12 +362,11 @@ class PartitionSimulator(Simulator):
         self._start_actions = 0
         self._start_emits = 0
         self._outbox: list[PartitionEnvelope] = []
-        #: Keyed trace log, appended in execution order — already sorted,
-        #: by construction of the merge keys.
+        #: Keyed trace, appended in execution order — already sorted, by
+        #: construction of the merge keys.
         if collection not in TraceRecorder.COLLECTIONS:
             raise PartitionError(f"unknown collection mode {collection!r}")
-        self._log = _ColumnarTraceLog() if collection == "trace" else _DigestTraceLog()
-        self.trace = _PartitionTraceRecorder(self)
+        self.trace = _PartitionTraceRecorder(self, collection)
 
     # -- ownership -----------------------------------------------------
     @property
@@ -437,8 +396,7 @@ class PartitionSimulator(Simulator):
         self._setup_counter += 1
         return (0, index)
 
-    def _emit_key(self, event: TraceEvent) -> Optional[tuple]:
-        node = event.node
+    def _emit_key(self, node: Optional[NodeId]) -> Optional[tuple]:
         if node is None:
             raise PartitionError(
                 "partitioned runs cannot attribute a node-less trace event"
@@ -616,7 +574,7 @@ class PartitionSimulator(Simulator):
 
     def trace_payload(self) -> dict[str, Any]:
         """The shard's trace contribution, shaped for the coordinator."""
-        return self._log.payload()
+        return self.trace.payload()
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +806,7 @@ def _merge_columnar(results: list[dict[str, Any]]) -> TraceRecorder:
 
     Operates row-wise on the columns: each merged row is copied between
     column stores (kind codes verbatim, node ids re-interned) without
-    ever materialising a :class:`TraceEvent`.
+    ever materialising an event object.
     """
 
     def rows(result: dict[str, Any]):

@@ -20,6 +20,7 @@ overrides what, and why.
 from __future__ import annotations
 
 import random
+import weakref
 from collections.abc import Callable, Iterable
 from typing import Any, Optional
 
@@ -36,12 +37,19 @@ class SimulationError(RuntimeError):
 
 
 class SubstrateContext:
-    """The :class:`~repro.sim.process.ProcessContext` every substrate hands out."""
+    """The :class:`~repro.sim.process.ProcessContext` every substrate hands out.
+
+    A handle *into* its substrate, which owns it (``Substrate._contexts``):
+    the reference back is weak, so a substrate and its thousands of
+    contexts, nodes and their state are no reference cycle and a finished
+    run is freed the moment its result is dropped, not at the next full
+    garbage collection.
+    """
 
     __slots__ = ("_substrate", "node_id")
 
     def __init__(self, substrate: "Substrate", node_id: NodeId) -> None:
-        self._substrate = substrate
+        self._substrate = weakref.proxy(substrate)
         self.node_id = node_id
 
     @property
@@ -92,7 +100,7 @@ class Substrate:
         "graph", "failure_detector", "faults", "trace", "_rng",
         "_fault_seed", "_fault_seq", "_processes", "_contexts", "_process_factory",
         "_crashed", "_departed", "_crash_times", "_subscriptions", "_notification_scheduled",
-        "_base_graph", "_incarnation", "_epoch",
+        "_base_graph", "_incarnation", "_epoch", "__weakref__",
     )
 
     #: Clock units per unit of model time.  Timers and fault offsets are

@@ -27,14 +27,16 @@ equality) to the originals — only when a caller actually iterates.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, Iterator, Optional
+from collections.abc import Sequence
+from itertools import chain
+from typing import Any, Iterator, Optional
 
 from ..sim.events import EventKind, TraceEvent
 
 #: Kind codes are positions in enum definition order — deterministic and
-#: identical in every interpreter, which pickled columns rely on.
+#: identical in every interpreter, which pickled columns rely on.  A kind
+#: carries its own code (``EventKind.code``); this is the way back.
 _KINDS: tuple[EventKind, ...] = tuple(EventKind)
-_KIND_INDEX: dict[EventKind, int] = {kind: index for index, kind in enumerate(_KINDS)}
 
 
 class EventColumns:
@@ -49,6 +51,7 @@ class EventColumns:
         "_details",
         "_ids",
         "_id_index",
+        "_rows",
     )
 
     def __init__(self) -> None:
@@ -62,44 +65,67 @@ class EventColumns:
         #: is rebuilt (not shipped) on unpickle.
         self._ids: list[Any] = []
         self._id_index: dict[Any, int] = {}
+        #: kind code -> [rows scanned so far, indices of that kind among
+        #: them]: the index behind :meth:`rows_of` (derived, not shipped).
+        self._rows: dict[int, list] = {}
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
     def _intern(self, identity: Any) -> int:
-        if identity is None:
-            return -1
-        index = self._id_index.get(identity)
-        if index is None:
-            index = len(self._ids)
-            self._ids.append(identity)
-            self._id_index[identity] = index
+        index = len(self._ids)
+        self._ids.append(identity)
+        self._id_index[identity] = index
         return index
 
-    def append(self, event: TraceEvent) -> None:
-        """Append one event's fields (the event object is not retained)."""
-        self._times.append(event.time)
-        self._kinds.append(_KIND_INDEX[event.kind])
-        self._nodes.append(self._intern(event.node))
-        self._peers.append(self._intern(event.peer))
-        self._payloads.append(event.payload)
-        self._details.append(event.detail if event.detail else None)
+    def append_row(
+        self,
+        time: float,
+        kind: EventKind,
+        node: Any,
+        peer: Any,
+        payload: Any,
+        detail: Optional[dict],
+    ) -> None:
+        """Append one event as its fields — the write path of every
+        recorder; no :class:`TraceEvent` is involved.  ``detail`` may be
+        ``None`` or empty (stored as ``None`` either way)."""
+        id_index = self._id_index
+        if node is None:
+            node_index = -1
+        else:
+            node_index = id_index.get(node)
+            if node_index is None:
+                node_index = self._intern(node)
+        if peer is None:
+            peer_index = -1
+        else:
+            peer_index = id_index.get(peer)
+            if peer_index is None:
+                peer_index = self._intern(peer)
+        self._times.append(time)
+        self._kinds.append(kind.code)
+        self._nodes.append(node_index)
+        self._peers.append(peer_index)
+        self._payloads.append(payload)
+        self._details.append(detail or None)
 
     def append_row_from(self, other: "EventColumns", index: int) -> None:
         """Copy row ``index`` of ``other`` without building an event.
 
-        This is the k-way merge hot path: kind codes copy verbatim (the
-        code table is a module constant), node ids re-intern through the
+        This is the k-way merge hot path: node ids re-intern through the
         destination table, payload/detail move as references.
         """
-        self._times.append(other._times[index])
-        self._kinds.append(other._kinds[index])
-        node = other._nodes[index]
-        self._nodes.append(self._intern(other._ids[node]) if node >= 0 else -1)
-        peer = other._peers[index]
-        self._peers.append(self._intern(other._ids[peer]) if peer >= 0 else -1)
-        self._payloads.append(other._payloads[index])
-        self._details.append(other._details[index])
+        ids = other._ids
+        node, peer = other._nodes[index], other._peers[index]
+        self.append_row(
+            other._times[index],
+            _KINDS[other._kinds[index]],
+            ids[node] if node >= 0 else None,
+            ids[peer] if peer >= 0 else None,
+            other._payloads[index],
+            other._details[index],
+        )
 
     # ------------------------------------------------------------------
     # Reading
@@ -107,33 +133,55 @@ class EventColumns:
     def __len__(self) -> int:
         return len(self._times)
 
+    def rows_of(self, *kinds: EventKind) -> Sequence[int]:
+        """Indices of the rows whose kind is one of ``kinds``, in trace
+        order (read-only).
+
+        Every reader that wants some kinds starts here and then reads the
+        raw columns (:meth:`arrays`) or materialises the rows it reports on
+        (:meth:`event`).  The per-kind index behind it grows lazily by
+        ``array.index`` scans of the raw kinds column, so a sparse kind —
+        decisions, crashes, membership changes — costs its own number of
+        rows, not the trace's, and asking again costs nothing.
+        """
+        codes = self._kinds
+        end = len(codes)
+        found = []
+        for kind in kinds:
+            code = kind.code
+            entry = self._rows.get(code)
+            if entry is None:
+                entry = self._rows[code] = [0, array("I")]
+            start, rows = entry
+            if start < end:
+                try:
+                    while True:
+                        start = codes.index(code, start) + 1
+                        rows.append(start - 1)
+                except ValueError:
+                    entry[0] = end
+            found.append(rows)
+        if len(found) == 1:
+            return found[0]
+        return sorted(chain.from_iterable(found))
+
     def event(self, index: int) -> TraceEvent:
         """Reconstruct row ``index`` as a :class:`TraceEvent`."""
         node = self._nodes[index]
         peer = self._peers[index]
         detail = self._details[index]
         return TraceEvent(
-            time=self._times[index],
-            kind=_KINDS[self._kinds[index]],
-            node=self._ids[node] if node >= 0 else None,
-            peer=self._ids[peer] if peer >= 0 else None,
-            payload=self._payloads[index],
-            detail=detail if detail is not None else {},
+            self._times[index],
+            _KINDS[self._kinds[index]],
+            self._ids[node] if node >= 0 else None,
+            self._ids[peer] if peer >= 0 else None,
+            self._payloads[index],
+            detail if detail is not None else {},
         )
 
     def __iter__(self) -> Iterator[TraceEvent]:
         for index in range(len(self._times)):
             yield self.event(index)
-
-    def events_of_kinds(self, kinds: Iterable[EventKind]) -> list[TraceEvent]:
-        """Rows whose kind is in ``kinds`` — filters on the raw kind
-        column, so non-matching rows are never reconstructed."""
-        wanted = {_KIND_INDEX[kind] for kind in kinds}
-        return [
-            self.event(index)
-            for index, code in enumerate(self._kinds)
-            if code in wanted
-        ]
 
     def events_at_node(self, node: Any) -> list[TraceEvent]:
         """Rows attributed to ``node`` (one interned-id comparison each)."""
@@ -145,20 +193,6 @@ class EventColumns:
             for index, code in enumerate(self._nodes)
             if code == wanted
         ]
-
-    def first_of(self, kind: EventKind) -> Optional[TraceEvent]:
-        wanted = _KIND_INDEX[kind]
-        for index, code in enumerate(self._kinds):
-            if code == wanted:
-                return self.event(index)
-        return None
-
-    def last_of(self, kind: EventKind) -> Optional[TraceEvent]:
-        wanted = _KIND_INDEX[kind]
-        for index in range(len(self._kinds) - 1, -1, -1):
-            if self._kinds[index] == wanted:
-                return self.event(index)
-        return None
 
     def end_time(self) -> float:
         return self._times[-1] if self._times else 0.0
@@ -193,3 +227,4 @@ class EventColumns:
             self._ids,
         ) = state
         self._id_index = {identity: index for index, identity in enumerate(self._ids)}
+        self._rows = {}

@@ -45,9 +45,10 @@ the digest.
 One renderer, two feeders, and the memo rules
 ---------------------------------------------
 Every event line comes from one renderer (``_event_line`` over
-``_text``).  :meth:`StreamingTraceDigest.update` feeds it one event at a
-time; :meth:`StreamingTraceDigest.fold_columns` (the batch digest of a
-full trace) feeds it straight from the ``EventColumns`` arrays without
+``_text``).  :meth:`StreamingTraceDigest.update_row` feeds it one event at
+a time, as its fields (:meth:`~StreamingTraceDigest.update` takes them off
+an object); :meth:`StreamingTraceDigest.fold_columns` (the batch digest of
+a full trace) feeds it straight from the ``EventColumns`` arrays without
 rebuilding events.  Traces share most of their values (one message object
 per multicast and per SENT/DELIVERED pair, one tuple per node id), so the
 renderer memoises — under rules that keep every byte of the output:
@@ -73,7 +74,7 @@ import hashlib
 from collections.abc import Iterable, Mapping, Set
 from typing import TYPE_CHECKING, Any, Optional
 
-from .columns import _KIND_INDEX, _KINDS, EventColumns
+from .columns import _KINDS, EventColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.events import EventKind, TraceEvent
@@ -220,9 +221,9 @@ def _event_line(time, code, node_text, peer_text, payload, detail, memo) -> byte
 class StreamingTraceDigest:
     """Fold the canonical trace digest incrementally, event by event.
 
-    Feed events with :meth:`update` in emission order (or a whole columnar
-    trace with :meth:`fold_columns`); :meth:`partial` yields the
-    composable integer state (what partition workers ship),
+    Feed events with :meth:`update` / :meth:`update_row` in emission order
+    (or a whole columnar trace with :meth:`fold_columns`); :meth:`partial`
+    yields the composable integer state (what partition workers ship),
     :meth:`hexdigest` the finished digest.  Both are non-destructive, so
     a digest can be inspected mid-stream.
 
@@ -235,7 +236,7 @@ class StreamingTraceDigest:
     def __init__(self, kinds: Optional[Iterable["EventKind"]] = None) -> None:
         #: Wanted kinds as column codes (``None``: every kind).
         self._wanted = (
-            frozenset(_KIND_INDEX[kind] for kind in kinds) if kinds is not None else None
+            frozenset(kind.code for kind in kinds) if kinds is not None else None
         )
         #: node id -> (canonical key bytes, running SHA-256 of its events)
         self._hashers: dict[Any, tuple[bytes, Any]] = {}
@@ -250,16 +251,20 @@ class StreamingTraceDigest:
 
     def update(self, event: "TraceEvent") -> None:
         """Fold one event (a no-op if its kind is filtered out)."""
-        code = _KIND_INDEX[event.kind]
+        self.update_row(
+            event.time, event.kind, event.node, event.peer, event.payload, event.detail
+        )
+
+    def update_row(self, time, kind, node, peer, payload, detail) -> None:
+        """Fold one event given as its fields (``detail`` may be ``None``):
+        what a digest-only recorder does per emission."""
+        code = kind.code
         if self._wanted is not None and code not in self._wanted:
             return
         memo = self._memo
-        node_text = _text(event.node, memo)
-        self._hasher(event.node, node_text).update(
-            _event_line(
-                event.time, code, node_text, _text(event.peer, memo),
-                event.payload, event.detail, memo,
-            )
+        node_text = _text(node, memo)
+        self._hasher(node, node_text).update(
+            _event_line(time, code, node_text, _text(peer, memo), payload, detail, memo)
         )
 
     def fold_columns(self, columns: EventColumns) -> None:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..graph import NodeId
 from ..sim.events import EventKind, TraceEvent, payload_size
-from .columns import _KINDS, EventColumns
+from .columns import EventColumns
 from .recorder import TraceRecorder
 
 
@@ -80,6 +80,18 @@ class RunMetrics:
         }
 
 
+#: The kinds whose rows :meth:`StreamingRunMetrics._observe` reads field by
+#: field; MESSAGE_DELIVERED is only counted, no other kind is looked at.
+_FOLDED_KINDS = (
+    EventKind.MESSAGE_SENT,
+    EventKind.DECIDED,
+    EventKind.VIEW_PROPOSED,
+    EventKind.VIEW_REJECTED,
+    EventKind.INSTANCE_FAILED,
+    EventKind.CRASH_NOTIFIED,
+)
+
+
 @dataclass
 class StreamingRunMetrics:
     """Mutable single-pass accumulator producing a :class:`RunMetrics`.
@@ -113,11 +125,21 @@ class StreamingRunMetrics:
         self._observe(event.time, event.kind, event.node, event.payload)
 
     def observe_columns(self, columns: EventColumns) -> None:
-        """Fold a whole columnar trace in one pass over its arrays
-        (equal to :meth:`observe` for each event, without building any)."""
+        """Fold a whole columnar trace (equal to :meth:`observe` for each
+        event, without building any).  It filters on the raw kinds column
+        first: deliveries are one count, the kinds that only move
+        ``end_time`` are never visited, and the fold reads the rest row by
+        row."""
         times, kinds, nodes, _, payloads, _, ids = columns.arrays()
-        for time, code, node, payload in zip(times, kinds, nodes, payloads):
-            self._observe(time, _KINDS[code], ids[node] if node >= 0 else None, payload)
+        for kind in _FOLDED_KINDS:
+            for index in columns.rows_of(kind):
+                node = nodes[index]
+                self._observe(
+                    times[index], kind, ids[node] if node >= 0 else None, payloads[index]
+                )
+        self.messages_delivered += kinds.count(EventKind.MESSAGE_DELIVERED.code)
+        if times:
+            self.end_time = times[-1]
 
     def _observe(self, time: float, kind: EventKind, node: Optional[NodeId], payload) -> None:
         self.end_time = time

@@ -45,10 +45,21 @@ class TraceUnavailableError(RuntimeError):
 #: outcome surface (decisions, ground-truth crash set) that result
 #: objects expose even when the trace itself is not kept.
 DIGEST_RETAINED_KINDS = frozenset({EventKind.DECIDED, EventKind.NODE_CRASHED})
+_RETAINED_CODES = frozenset(kind.code for kind in DIGEST_RETAINED_KINDS)
 
 
 class TraceRecorder:
-    """An append-only log of trace events with simple query helpers."""
+    """An append-only log of trace events with simple query helpers.
+
+    Events go in as rows — ``(time, kind, node, peer, payload, detail)``,
+    straight from :meth:`emit`'s arguments to the recorder's one sink: the
+    columnar store (``collection="trace"``), the streamed digest + metrics
+    fold (``collection="digest"``), or a partition's keyed log (the
+    subclass in :mod:`repro.sim.partition`).  A
+    :class:`~repro.sim.events.TraceEvent` is built only for a listener,
+    for a retained outcome event of a digest-only recorder, or for a
+    caller that asks for events.
+    """
 
     COLLECTIONS = ("trace", "digest")
 
@@ -106,7 +117,7 @@ class TraceRecorder:
 
         ``partial`` is the combined node-composed digest sum (see
         :func:`~repro.trace.digest.combine_partials`); the recorder is
-        sealed — further :meth:`record` calls raise.
+        sealed — further :meth:`emit` / :meth:`record` calls raise.
         """
         from .digest import hex_of_partial
 
@@ -122,26 +133,6 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(self, event: TraceEvent) -> None:
-        """Append one event and notify listeners."""
-        columns = self._columns
-        if columns is not None:
-            columns.append(event)
-        else:
-            if self._sealed_digest is not None:
-                raise TraceUnavailableError(
-                    "this recorder was rebuilt from merged digest state "
-                    "and is read-only"
-                )
-            self._digest_stream.update(event)
-            self._metrics_stream.observe(event)
-            if event.kind in DIGEST_RETAINED_KINDS:
-                self._retained.append(event)
-            self._count += 1
-            self._end_time = event.time
-        for listener in self._listeners:
-            listener(event)
-
     def emit(
         self,
         time: float,
@@ -150,13 +141,48 @@ class TraceRecorder:
         peer: Optional[NodeId] = None,
         payload: Any = None,
         **detail: Any,
-    ) -> TraceEvent:
-        """Build and record an event in one call; returns the event."""
-        event = TraceEvent(
-            time=time, kind=kind, node=node, peer=peer, payload=payload, detail=detail
-        )
-        self.record(event)
-        return event
+    ) -> None:
+        """Record one event, given as its fields — the one entry every
+        substrate writes through.
+
+        The fields go straight to the recorder's sink as a row: the
+        columnar store, or :meth:`_fold_row`.  No event object is built
+        unless a listener is registered, and nothing is returned — the
+        recorded event is ``trace.events[-1]`` for whoever wants one.
+        """
+        columns = self._columns
+        if columns is not None:
+            columns.append_row(time, kind, node, peer, payload, detail)
+        else:
+            self._fold_row(time, kind, node, peer, payload, detail)
+        if self._listeners:
+            event = TraceEvent(time, kind, node, peer, payload, detail)
+            for listener in self._listeners:
+                listener(event)
+
+    def _fold_row(self, time, kind, node, peer, payload, detail) -> None:
+        """The sink of a recorder without columns: fold the row into the
+        streamed digest and metrics, retain it if it is an outcome.  (A
+        partition's recorder overrides this to key and filter first.)"""
+        if self._sealed_digest is not None:
+            raise TraceUnavailableError(
+                "this recorder was rebuilt from merged digest state "
+                "and is read-only"
+            )
+        self._digest_stream.update_row(time, kind, node, peer, payload, detail)
+        self._metrics_stream._observe(time, kind, node, payload)
+        if kind.code in _RETAINED_CODES:
+            self._retained.append(TraceEvent(time, kind, node, peer, payload, detail))
+        self._count += 1
+        self._end_time = time
+
+    def record(self, event: TraceEvent) -> None:
+        """Record an existing event: the row :meth:`emit` would land for
+        its fields, and ``event`` itself to the listeners."""
+        sink = self._columns.append_row if self._columns is not None else self._fold_row
+        sink(event.time, event.kind, event.node, event.peer, event.payload, event.detail)
+        for listener in self._listeners:
+            listener(event)
 
     def add_listener(self, listener: Callable[[TraceEvent], None]) -> None:
         """Register a callback invoked on every future event (live metrics)."""
@@ -174,6 +200,13 @@ class TraceRecorder:
                 "full trace"
             )
         return columns
+
+    @property
+    def columns(self) -> EventColumns:
+        """The columnar event log, for readers that work on rows
+        (:meth:`EventColumns.rows_of` and the raw arrays); raises
+        :class:`TraceUnavailableError` on a digest-only recorder."""
+        return self._require_log("the event log")
 
     def digest_partial(self) -> Optional[int]:
         """The composable mod-2\\ :sup:`256` digest partial, when known.
@@ -225,7 +258,7 @@ class TraceRecorder:
         """
         columns = self._columns
         if columns is not None:
-            return columns.events_of_kinds(kinds)
+            return [columns.event(index) for index in columns.rows_of(*kinds)]
         wanted = set(kinds)
         if wanted <= DIGEST_RETAINED_KINDS:
             return [event for event in self._retained if event.kind in wanted]
@@ -260,19 +293,19 @@ class TraceRecorder:
 
     def first(self, kind: EventKind) -> Optional[TraceEvent]:
         """The earliest event of ``kind`` or ``None``."""
-        columns = self._columns
-        if columns is not None:
-            return columns.first_of(kind)
-        matching = self.of_kind(kind)
-        return matching[0] if matching else None
+        return self._end_of(kind, 0)
 
     def last(self, kind: EventKind) -> Optional[TraceEvent]:
         """The latest event of ``kind`` or ``None``."""
+        return self._end_of(kind, -1)
+
+    def _end_of(self, kind: EventKind, position: int) -> Optional[TraceEvent]:
         columns = self._columns
-        if columns is not None:
-            return columns.last_of(kind)
-        matching = self.of_kind(kind)
-        return matching[-1] if matching else None
+        if columns is None:
+            matching = self.of_kind(kind)
+            return matching[position] if matching else None
+        rows = columns.rows_of(kind)
+        return columns.event(rows[position]) if rows else None
 
     def end_time(self) -> float:
         """Timestamp of the last recorded event (0.0 for an empty trace)."""

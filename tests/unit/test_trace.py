@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
+
 from repro.graph import Region
 from repro.sim import EventKind, TraceEvent, payload_size
 from repro.trace import (
+    StreamingRunMetrics,
     TraceRecorder,
+    TraceUnavailableError,
     collect_metrics,
     communicating_nodes,
     message_pairs,
@@ -88,6 +94,88 @@ class TestTraceRecorder:
         assert len(lines) == len(trace)
         assert "node_crashed" in lines[1]
         assert "t=1.000" in lines[1]
+
+
+class TestRowPath:
+    """Events go in as rows; the object entries are that path plus an event."""
+
+    @pytest.mark.parametrize("collection", TraceRecorder.COLLECTIONS)
+    def test_record_and_extend_land_the_row_emit_would(self, collection):
+        emitted = make_trace()
+        recorded, extended = TraceRecorder(collection), TraceRecorder(collection)
+        for event in emitted.events:
+            recorded.record(event)
+        extended.extend(emitted.events)
+        for other in (recorded, extended):
+            assert other.digest() == emitted.digest()
+            assert len(other) == len(emitted) and other.end_time() == emitted.end_time()
+            assert other.decisions() == emitted.decisions()
+            assert collect_metrics(other) == collect_metrics(emitted)
+        if collection == "trace":
+            assert recorded.events == emitted.events
+            # Not only equal events: the same columns, byte for byte.
+            assert pickle.dumps(recorded) == pickle.dumps(emitted)
+
+    def test_emit_returns_nothing_and_builds_no_event_without_a_listener(self, monkeypatch):
+        import repro.trace.recorder as recorder_module
+
+        built = []
+        monkeypatch.setattr(
+            recorder_module, "TraceEvent", lambda *fields: built.append(fields) or fields
+        )
+        trace = TraceRecorder()
+        assert trace.emit(1.0, EventKind.MESSAGE_SENT, node="a", peer="b", payload="m") is None
+        assert len(trace) == 1 and built == []
+        trace.add_listener(lambda event: None)
+        trace.emit(2.0, EventKind.MESSAGE_DELIVERED, node="b", peer="a", payload="m")
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("collection", TraceRecorder.COLLECTIONS)
+    def test_a_listener_added_mid_run_sees_every_later_event_as_an_equal_event(self, collection):
+        source = make_trace().events
+        trace, seen = TraceRecorder(collection), []
+        for event in source[:5]:
+            trace.emit(event.time, event.kind, event.node, event.peer, event.payload, **event.detail)
+        trace.add_listener(seen.append)
+        for event in source[5:9]:
+            trace.emit(event.time, event.kind, event.node, event.peer, event.payload, **event.detail)
+        for event in source[9:]:
+            trace.record(event)
+        assert seen == list(source[5:])
+        assert all(type(event) is TraceEvent for event in seen)
+        assert trace.digest() == make_trace().digest()
+
+    def test_a_recorder_rebuilt_from_digest_state_is_read_only(self):
+        lean = TraceRecorder("digest")
+        lean.extend(make_trace().events)
+        rebuilt = TraceRecorder.from_digest_state(
+            partial=lean.digest_partial(),
+            events=len(lean),
+            retained=lean.of_kind(EventKind.DECIDED, EventKind.NODE_CRASHED),
+            metrics=StreamingRunMetrics(),
+            end_time=lean.end_time(),
+        )
+        assert rebuilt.digest() == lean.digest() and len(rebuilt) == len(lean)
+        assert rebuilt.decisions() == lean.decisions()
+        with pytest.raises(TraceUnavailableError, match="read-only"):
+            rebuilt.emit(9.0, EventKind.NODE_CRASHED, node="y")
+        with pytest.raises(TraceUnavailableError, match="read-only"):
+            rebuilt.record(TraceEvent(9.0, EventKind.NODE_CRASHED, node="y"))
+        assert len(rebuilt) == len(lean)
+
+    def test_rows_of_filters_on_the_kinds_column_and_follows_appends(self):
+        trace = make_trace()
+        columns = trace.columns
+        sent = list(columns.rows_of(EventKind.MESSAGE_SENT))
+        assert sent == [4, 6, 8]
+        assert list(columns.rows_of(EventKind.DECIDED, EventKind.NODE_CRASHED)) == [1, 11, 12]
+        assert list(columns.rows_of(EventKind.CUSTOM)) == []
+        trace.emit(8.0, EventKind.MESSAGE_SENT, node="b", peer="a", payload="m4")
+        assert list(columns.rows_of(EventKind.MESSAGE_SENT)) == [4, 6, 8, 13]
+        restored = pickle.loads(pickle.dumps(columns))
+        assert list(restored.rows_of(EventKind.MESSAGE_SENT)) == [4, 6, 8, 13]
+        with pytest.raises(TraceUnavailableError):
+            TraceRecorder("digest").columns
 
 
 class TestPayloadSize:
