@@ -7,6 +7,11 @@ pays for the engine it runs and nothing else, and a process about to fork
 workers loads their run path first.  Each case here starts a fresh
 interpreter — suite order must not be able to help — and counts
 ``sys.modules``; a stopwatch would not survive this host's drift.
+
+The ``import repro`` case counts only the modules the child gained after its
+own startup: a site ``.pth`` hook may preload standard-library modules
+(``pathlib`` among them) before any user code runs.  So that case also
+watches file opens directly, with an audit hook (``sys.addaudithook``).
 """
 
 from __future__ import annotations
@@ -276,12 +281,25 @@ def test_a_forked_partition_worker_imports_nothing_while_it_runs_its_shard(tmp_p
 def test_importing_the_package_reads_no_file_and_the_version_is_pyproject_s():
     seen = fresh(
         """
+        import os
+
+        opened = []
+        sys.addaudithook(lambda event, args: event == "open" and opened.append(args[0]))
+        before = set(sys.modules)
         import repro
-        early = [name for name in ("tomllib", "importlib.metadata", "pathlib") if name in sys.modules]
-        print(json.dumps({"early": early, "version": repro.__version__, "cached": "__version__" in vars(repro)}))
+        gained = set(sys.modules) - before
+        early = [name for name in ("tomllib", "importlib.metadata", "pathlib") if name in gained]
+        paths = [os.fsdecode(path) for path in opened if not isinstance(path, int)]  # an int is a descriptor
+        # The import system opens .py/.pyc files; reading the version would open one of these.
+        read = [path for path in paths if os.path.basename(path) in ("pyproject.toml", "METADATA")]
+        print(json.dumps({
+            "early": early, "read": read, "version": repro.__version__,
+            "cached": "__version__" in vars(repro),
+        }))
         """
     )
     assert seen["early"] == [] and seen["cached"]
+    assert seen["read"] == []
     declared = re.search(r'^version = "(.+)"$', (ROOT / "pyproject.toml").read_text(), re.M).group(1)
     if sys.version_info < (3, 11) and seen["version"] != declared:
         # No tomllib before 3.11: an uninstalled checkout has no metadata to read.
