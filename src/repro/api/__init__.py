@@ -63,10 +63,10 @@ __all__, __getattr__, __dir__ = facade(
         ),
         "extractors": ("EXTRACTOR_KINDS", "get_extractor"),
         "presets": (
-            "FAULT_PRESETS", "churn_scenario_description", "churn_scenario_spec",
-            "fault_preset", "fault_sweep_spec", "figure_spec",
-            "locality_sweep_spec", "property_sweep_spec", "quickstart_spec",
-            "repair_spec", "torus_block_spec", "torus_region_spec",
+            "FAULT_PRESETS", "churn_property_case_spec", "churn_scenario_description",
+            "churn_scenario_spec", "fault_preset", "fault_sweep_spec", "figure_spec",
+            "locality_sweep_spec", "property_case_spec", "property_sweep_spec",
+            "quickstart_spec", "repair_spec", "torus_block_spec", "torus_region_spec",
             "torus_sweep_spec",
         ),
         "result": (

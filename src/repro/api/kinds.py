@@ -21,7 +21,8 @@ live above :mod:`repro.api` in the import graph (their runners import
 from __future__ import annotations
 
 from ..churn import MembershipSchedule, crash_recover_recrash, flash_crowd_joins, steady_state_churn
-from ..churn.membership import leave, recover
+from ..churn.attachment import FreshJoinByLocality
+from ..churn.membership import MembershipEventKind, join, leave, recover
 from ..experiments.topologies import fig2_topology, fig3_topology
 from ..failures import (
     CrashSchedule,
@@ -31,6 +32,7 @@ from ..failures import (
     region_crash,
 )
 from ..sim import ScriptedFailureDetector
+from .specs import SpecError, thaw
 
 
 def _or_seed(own_seed, seed):
@@ -88,17 +90,59 @@ def static_membership():
     return MembershipSchedule()
 
 
-def _scripted(event, events):
-    built = (event(node, float(time)) for node, time in events)
+#: A membership row's kind -> its length: ``[kind, node, t]``, and a join
+#: also names the ``fanout`` and ``anchor`` it attaches by locality with.
+_ROW_LENGTHS = {"recover": 3, "leave": 3, "join": 5}
+
+
+def _membership_event(row):
+    """One membership row as an event (validated, never coerced)."""
+    kind = row[0] if isinstance(row, (list, tuple)) and row else None
+    if not isinstance(kind, str) or _ROW_LENGTHS.get(kind) != len(row):
+        raise SpecError(
+            f"bad membership row {thaw(row)}: rows are [recover|leave, node, t] "
+            "or [join, node, t, fanout, anchor]"
+        )
+    node, time = row[1], row[2]
+    if isinstance(time, bool) or not isinstance(time, (int, float)):
+        raise SpecError(f"bad membership row {thaw(row)}: time must be a number")
+    if kind != "join":
+        return (recover if kind == "recover" else leave)(node, float(time))
+    fanout, anchor = row[3], row[4]
+    if isinstance(fanout, bool) or not isinstance(fanout, int):
+        raise SpecError(f"bad membership row {thaw(row)}: fanout must be an integer")
+    return join(node, float(time), FreshJoinByLocality(fanout=fanout, anchor=anchor))
+
+
+def explicit_membership(rows=()):
+    """The script as written, in its order (an empty one is still churn)."""
+    return MembershipSchedule(tuple(_membership_event(row) for row in rows))
+
+
+def membership_rows(schedule):
+    """``schedule`` as ``explicit`` rows (its joins attach by locality)."""
+    return [
+        [event.kind.value, event.node, event.time]
+        + (
+            [event.attachment.fanout, event.attachment.anchor]
+            if event.kind is MembershipEventKind.JOIN
+            else []
+        )
+        for event in schedule
+    ]
+
+
+def _scripted(kind, events):
+    built = (_membership_event((kind, *row)) for row in events)
     return MembershipSchedule(tuple(sorted(built, key=lambda e: (e.time, repr(e.node)))))
 
 
 def recoveries(events=()):
-    return _scripted(recover, events)
+    return _scripted("recover", events)
 
 
 def leaves(events=()):
-    return _scripted(leave, events)
+    return _scripted("leave", events)
 
 
 def flash_crowd(graph, seed, count=0, at=3.0, spacing=1.0, join_seed=None):

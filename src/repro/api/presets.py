@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 from ..graph.generators import square_region
 from .specs import (
@@ -349,6 +350,161 @@ def property_sweep_spec(
         workers=workers,
         base_seed=base_seed,
     )
+
+
+def _random_topology(rng: random.Random) -> tuple[str, TopologySpec]:
+    """An EXP-C1 topology: a random kind with random params (the generator
+    seed among them), named for the case table."""
+    choice = rng.randrange(6)
+    if choice < 2:
+        kind, side = ("grid", "torus")[choice], rng.randint(5, 9)
+        return f"{kind}-{side}x{side}", TopologySpec(kind, {"width": side, "height": side})
+    if choice < 5:
+        kind, shape = (
+            ("geometric", {"radius": 0.3}),
+            ("smallworld", {"degree": 4, "rewire": 0.2}),
+            ("scalefree", {"attach": 2}),
+        )[choice - 2]
+        size = rng.randint(30, 70)
+        return f"{kind}-{size}", TopologySpec(
+            kind, {"size": size, **shape, "seed": rng.randrange(10_000)}
+        )
+    communities = rng.randint(3, 5)
+    return f"communities-{communities}", TopologySpec(
+        "communities",
+        {
+            "communities": communities,
+            "community_size": rng.randint(4, 7),
+            "seed": rng.randrange(10_000),
+        },
+    )
+
+
+def _random_crashes(rng: random.Random, graph):
+    """An EXP-C1 crash pattern over ``graph``."""
+    from ..failures import cascade_crash, multi_region_crash, random_connected_region, region_crash
+
+    pattern = rng.randrange(4)
+    max_region = max(1, min(len(graph) // 4, 8))
+    if pattern == 0:
+        region = random_connected_region(
+            graph, rng.randint(1, max_region), seed=rng.randrange(10_000)
+        )
+        return region_crash(graph, region.members, at=1.0, spread=rng.uniform(0.0, 4.0))
+    if pattern == 1:
+        first = random_connected_region(
+            graph, rng.randint(1, max_region), seed=rng.randrange(10_000)
+        )
+        second = random_connected_region(
+            graph,
+            rng.randint(1, max_region),
+            seed=rng.randrange(10_000),
+            forbidden=first.members,
+        )
+        return multi_region_crash(
+            graph, [first.members, second.members], at=1.0, stagger=rng.uniform(0.0, 5.0)
+        )
+    if pattern == 2:
+        start = rng.choice(sorted(graph.nodes, key=repr))
+        size = rng.randint(2, max_region + 1)
+        return cascade_crash(graph, start, size, start=1.0, spacing=rng.uniform(0.5, 3.0))
+    region = random_connected_region(
+        graph, rng.randint(2, max_region + 1), seed=rng.randrange(10_000)
+    )
+    # Same region, but crashing very slowly: view construction keeps racing
+    # the consensus rounds, which is where arbitration earns its keep.
+    return region_crash(graph, region.members, at=1.0, spread=rng.uniform(6.0, 15.0))
+
+
+def random_churn_membership(
+    rng: random.Random,
+    graph,
+    schedule,
+    max_joins: int = 3,
+    min_downtime: float = 4.0,
+    max_downtime: float = 25.0,
+):
+    """A randomised membership schedule racing ``schedule``'s crashes.
+
+    A random subset of the crashed nodes recovers a short, random
+    downtime after its crash (often while the border is still agreeing on
+    the region — the adversarial race the epoch quotient exists for), and
+    up to ``max_joins`` brand-new nodes join by locality while the
+    cascade is in flight.  The result always validates against
+    ``(graph, schedule)``.
+    """
+    from ..churn import MembershipSchedule, flash_crowd_joins, recover
+
+    last_crash: dict = {}
+    for node, time in schedule.crashes:
+        last_crash[node] = max(time, last_crash.get(node, 0.0))
+    events = []
+    for node in sorted(last_crash, key=repr):
+        if rng.random() < 0.5:
+            downtime = rng.uniform(min_downtime, max_downtime)
+            events.append(recover(node, last_crash[node] + downtime))
+    membership = MembershipSchedule(tuple(sorted(events, key=lambda e: (e.time, repr(e.node)))))
+    join_count = rng.randrange(max_joins + 1)
+    if join_count:
+        joins = flash_crowd_joins(
+            graph,
+            count=join_count,
+            at=rng.uniform(1.0, 8.0),
+            spacing=rng.uniform(0.0, 2.0),
+            seed=rng.randrange(10_000),
+        )
+        membership = membership.merged(joins)
+    return membership
+
+
+def _exp_c1_case_spec(seed: int, churn: bool) -> ExperimentSpec:
+    """One EXP-C1 case, drawn from ``seed`` in one RNG stream: topology,
+    crash schedule, membership script (churn only), detector jitter."""
+    from ..churn import MembershipEventKind
+    from ..graph import faulty_domains
+    from .kinds import membership_rows
+
+    rng = random.Random(seed)
+    name, topology = _random_topology(rng)
+    graph = topology.build()
+    schedule = _random_crashes(rng, graph)
+    labels = {
+        "topology": name,
+        "crashed": len(schedule.nodes),
+        "domains": len(faulty_domains(graph, schedule.nodes)),
+    }
+    membership = MembershipSpec()
+    if churn:
+        drawn = random_churn_membership(rng, graph, schedule)
+        # ``explicit`` is a churn run even without rows: the static tie
+        # order would change an empty script's digest.
+        membership = MembershipSpec("explicit", {"rows": membership_rows(drawn)})
+        labels["joins"] = len(drawn.joining_nodes)
+        labels["recoveries"] = len(drawn.of_kind(MembershipEventKind.RECOVER))
+    detector = {"kind": "jittered", "low": 0.3, "high": rng.uniform(1.0, 3.0)}
+    return ExperimentSpec(
+        name=name,
+        topology=topology,
+        failure=FailureSpec("explicit", {"crashes": schedule.crashes}),
+        membership=membership,
+        runtime=RuntimeSpec(failure_detector=detector),
+        seed=seed,
+        check=True,
+        labels=labels,
+    )
+
+
+def property_case_spec(seed: int) -> ExperimentSpec:
+    """EXP-C1 case ``seed``: a random topology and crash schedule under a
+    jittered detector, checked against CD1–CD7 (the ``property`` family)."""
+    return _exp_c1_case_spec(seed, churn=False)
+
+
+def churn_property_case_spec(seed: int) -> ExperimentSpec:
+    """The adversarial churn case ``seed``: :func:`property_case_spec`'s
+    draw plus random recoveries and locality joins racing the crashes,
+    checked against the epoch-quotiented CD1–CD7 (``churn-property``)."""
+    return _exp_c1_case_spec(seed, churn=True)
 
 
 def torus_block_members(

@@ -320,6 +320,7 @@ _MEMBERSHIP_KINDS = {
     "flash_crowd": (_ADAPTERS, "flash_crowd"),
     "steady_churn": (_ADAPTERS, "steady_churn"),
     "race": (_ADAPTERS, "race"),
+    "explicit": (_ADAPTERS, "explicit_membership"),
 }
 
 _LATENCY_KINDS = {
@@ -472,6 +473,10 @@ class MembershipSpec(_SpecBase):
     * ``recoveries`` — explicit ``events=[[node, time], ...]`` recoveries
       (old edges);
     * ``leaves`` — explicit ``events=[[node, time], ...]`` departures;
+    * ``explicit`` — a whole script, ``rows=[["recover"|"leave", node, t]
+      | ["join", node, t, fanout, anchor], ...]`` run in the order written
+      (a join attaches to ``fanout`` live nodes near ``anchor``); a churn
+      run even when it lists no rows;
     * ``flash_crowd`` — ``count``, ``at``, ``spacing`` locality joins
       (+ optional ``join_seed``; the experiment seed otherwise);
     * ``steady_churn`` / ``race`` — the membership half of the coupled
@@ -486,7 +491,10 @@ class MembershipSpec(_SpecBase):
 
     @property
     def is_static(self) -> bool:
-        """True when the spec adds no membership events at all."""
+        """True for a static run: ``none``, or a kind that draws no events.
+
+        ``explicit`` is never static, rows or not: a static run and a churn
+        run with an empty script differ in tie order, and so in digest."""
         if self.kind == "none":
             return True
         if self.kind in ("recoveries", "leaves"):

@@ -33,8 +33,7 @@ __all__, __getattr__, __dir__ = facade(
             "join", "leave", "recover", "recovery_for", "steady_state_churn",
         ),
         "properties": (
-            "ChurnGroundTruth", "assert_churn_specification", "build_ground_truth",
-            "check_churn_all",
+            "ChurnGroundTruth", "build_ground_truth", "check_churn_all",
         ),
         "runner": ("ChurnRunResult", "run_churn", "run_churn_asyncio", "run_churn_virtual"),
     },

@@ -530,16 +530,3 @@ def check_churn_all(
         report.add(check_churn_progress(gt))
     return report
 
-
-def assert_churn_specification(
-    base_graph: KnowledgeGraph,
-    trace: TraceRecorder,
-    include_liveness: bool = True,
-) -> SpecificationReport:
-    """Like :func:`check_churn_all` but raises ``AssertionError``."""
-    report = check_churn_all(base_graph, trace, include_liveness)
-    if not report.holds:
-        raise AssertionError(
-            "epoch-quotiented specification violated:\n" + report.summary()
-        )
-    return report

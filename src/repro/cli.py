@@ -279,22 +279,11 @@ def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     if args.json:
         _write_json(write, report.as_dict())
         return 0 if report.all_hold else 1
-    cases = report.cases()
-    if args.churn:
-        write(
-            format_table(
-                [case.as_row() for case in cases],
-                title="EXP-C1 adversarial churn sweep",
-            )
-        )
-        ok = all(case.specification_holds for case in cases)
-        violating = [c.seed for c in cases if not c.specification_holds]
-        write(f"workers: {workers}  all hold: {ok}  violations: {violating}")
-        return 0 if ok else 1
-    from .experiments import sweep_summary
+    from .experiments import case_row, sweep_summary
 
-    write(format_table([case.as_row() for case in cases], title="EXP-C1 sweep"))
-    summary = sweep_summary(cases)
+    title = "EXP-C1 adversarial churn sweep" if args.churn else "EXP-C1 sweep"
+    write(format_table([case_row(case) for case in report.outcomes], title=title))
+    summary = sweep_summary(report.outcomes)
     write(
         f"workers: {workers}  all hold: {summary['all_hold']}  "
         f"violations: {summary['violating_seeds']}"

@@ -30,9 +30,7 @@ __all__, __getattr__, __dir__ = facade(
             "run_overlay_repair",
         ),
         "property_sweep": (
-            "ChurnSweepCase", "SweepCase", "churn_property_sweep", "property_sweep",
-            "random_churn_membership", "run_churn_sweep_case", "run_sweep_case",
-            "sweep_summary",
+            "case_row", "churn_property_sweep", "property_sweep", "sweep_summary",
         ),
         "report": ("ReportSection", "build_report", "failed_claims", "render_report"),
         "runner": ("RunResult", "build_simulator", "run_cliff_edge"),

@@ -23,7 +23,7 @@ from .baseline_comparison import (
 )
 from .locality import locality_is_flat, region_size_sweep, system_size_sweep
 from .overlay_repair import overlay_repair_sweep
-from .property_sweep import property_sweep, sweep_summary
+from .property_sweep import case_row, property_sweep, sweep_summary
 from .scenarios import fig1a_scenario, run_fig1b, run_fig2, run_fig3
 from .tables import format_markdown_table, format_table
 
@@ -182,7 +182,7 @@ def _property_section(quick: bool) -> ReportSection:
     seeds = tuple(range(10)) if quick else tuple(range(30))
     section = ReportSection("EXP-C1", "CD1–CD7 under adversarial crash schedules")
     cases = property_sweep(seeds)
-    section.rows = [case.as_row() for case in cases]
+    section.rows = [case_row(case) for case in cases]
     summary = sweep_summary(cases)
     section.notes = [f"violating seeds: {summary['violating_seeds']}"]
     section.claims = [

@@ -1,46 +1,53 @@
 """The scenario-family registry of the sharded sweep engine.
 
-A *family* is a named, picklable-parameterised builder that turns
-``(seed, **params)`` into one executed run and returns a compact
-:class:`~repro.scale.task.SweepOutcome`.  Workers resolve families by
+A *family* is a named document builder: it turns ``(seed, **params)``
+into one :class:`~repro.api.ExperimentSpec`.  Workers resolve families by
 name, so a :class:`~repro.scale.task.SweepTask` crossing a process
-boundary never carries live objects.
+boundary never carries live objects, and :func:`run_task` is the one
+place a task executes: the family's spec through
+:class:`~repro.api.ExperimentSession`, compressed into a
+:class:`~repro.scale.task.SweepOutcome`.
 
 Built-in families:
 
 * ``spec`` — the generic declarative family: ``params["spec"]`` is a
-  serialized :class:`~repro.api.ExperimentSpec`, executed through
-  :class:`~repro.api.ExperimentSession` (topology builds go through the
-  spec-keyed cache, shared by tasks landing on the same worker).  Tasks
-  cross the process boundary *as specs*, not as registered names — this
-  is what :meth:`repro.api.SweepSpec.tasks` produces;
-* ``property`` — one EXP-C1 randomised topology × crash-schedule case;
+  serialized :class:`~repro.api.ExperimentSpec` (topology builds go
+  through the spec-keyed cache, shared by tasks landing on the same
+  worker).  Tasks cross the process boundary *as specs*, not as
+  registered names — this is what :meth:`repro.api.SweepSpec.tasks`
+  produces;
+* ``property`` — one EXP-C1 randomised topology × crash-schedule case:
+  :func:`~repro.api.presets.property_case_spec`;
 * ``churn-property`` — the adversarial churn extension of EXP-C1
-  (random joins/recoveries racing cascades, epoch-quotiented CD1–CD7);
+  (random joins/recoveries racing cascades, epoch-quotiented CD1–CD7):
+  :func:`~repro.api.presets.churn_property_case_spec`;
 * ``churn-scenario`` — the churn scenario family (steady / race / flash
   crowd) at a parameterised size:
-  :func:`~repro.api.presets.churn_scenario_spec` through the session;
+  :func:`~repro.api.presets.churn_scenario_spec`;
 * ``torus-block`` — a square block crash on an ``side×side`` torus (the
   large-torus scale family; ``side=64`` is the 4096-node workload):
-  :func:`~repro.api.presets.torus_block_spec` through the session, so
-  repeated builds of the same big torus hit the topology cache.
+  :func:`~repro.api.presets.torus_block_spec`, so repeated builds of the
+  same big torus hit the topology cache.
 
-Every family that runs a described experiment runs its preset spec; only
-the two EXP-C1 families draw their scenario from the seed and have no
-spec to name.  Imports of the experiment harness happen lazily inside the
-family functions: :mod:`repro.experiments` itself uses the sweep runner,
-and the registry must stay importable from both directions.
+Every family is a view of a preset, so any task's document can be
+written down (``run_spec(property_case_spec(530))`` replays a case).
+The presets are imported inside the builders: :mod:`repro.experiments`
+itself uses the sweep runner, and the registry must stay importable from
+both directions.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from .seeding import derive_seed
 from .task import SweepOutcome, SweepTask, UnknownFamilyError
 
-FamilyFn = Callable[..., SweepOutcome]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.specs import ExperimentSpec
+
+FamilyFn = Callable[..., "ExperimentSpec"]
 
 _REGISTRY: dict[str, FamilyFn] = {}
 
@@ -77,35 +84,30 @@ def run_task(task: SweepTask, seed: Optional[int] = None) -> SweepOutcome:
     per-run seed); the outcome is stamped with its wall-clock cost but
     not with its sweep index — the runner does that on merge.
     """
+    from ..api.session import ExperimentSession
+
     family = get_family(task.family)
     effective_seed = seed if seed is not None else task.seed
     if effective_seed is None:
         effective_seed = derive_seed(0, task.family, task.params)
     started = time.perf_counter()
-    outcome = family(effective_seed, **task.params)
-    elapsed = time.perf_counter() - started
-    return outcome.with_position(outcome.index, elapsed)
+    spec = family(effective_seed, **task.params)
+    result = ExperimentSession().run(spec)
+    outcome = outcome_from_result(task.family, spec.display_name(), effective_seed, result)
+    return outcome.with_position(outcome.index, time.perf_counter() - started)
 
 
-# ---------------------------------------------------------------------------
-# Built-in families
-# ---------------------------------------------------------------------------
-def outcome_from_result(
-    family: str,
-    label: str,
-    seed: int,
-    result: Any,
-    extra_labels: Optional[dict[str, Any]] = None,
-) -> SweepOutcome:
+def outcome_from_result(family: str, label: str, seed: int, result: Any) -> SweepOutcome:
     """Compress any run-layer :class:`~repro.api.Result` into an outcome.
 
     A :class:`~repro.api.result.RunResult`'s ``quiescent``, ``metrics``,
-    ``specification`` and ``digest`` are all it needs.
+    ``specification``, ``epochs`` and ``digest`` are all it needs; a churn
+    run's epoch count rides along as the ``epochs`` label.
     """
     specification = getattr(result, "specification", None)
     labels = dict(result.labels)
-    if extra_labels:
-        labels.update(extra_labels)
+    if result.epochs is not None:
+        labels["epochs"] = len(result.epochs)
     return SweepOutcome(
         family=family,
         label=label,
@@ -126,84 +128,42 @@ def outcome_from_result(
     )
 
 
-def _spec_family(seed: int, spec: dict[str, Any]) -> SweepOutcome:
-    """One run of a serialized :class:`~repro.api.ExperimentSpec`.
+# ---------------------------------------------------------------------------
+# Built-in families: document builders
+# ---------------------------------------------------------------------------
+def _spec_family(seed: int, spec: dict[str, Any]) -> "ExperimentSpec":
+    """A serialized :class:`~repro.api.ExperimentSpec`; the runner-derived
+    (or task-pinned) ``seed`` overrides the document's own, so a spec
+    template swept over many seeds stays one spec."""
+    from ..api.specs import ExperimentSpec
 
-    The runner-derived (or task-pinned) ``seed`` overrides the spec's own
-    seed, so a spec template swept over many seeds stays one spec.
-    """
-    from ..api import ExperimentSession, ExperimentSpec
-
-    experiment = ExperimentSpec.from_dict(spec).with_seed(seed)
-    result = ExperimentSession().run(experiment)
-    return outcome_from_result("spec", experiment.display_name(), seed, result)
-
-
-def _outcome_from_case(family: str, case: Any, **labels: Any) -> SweepOutcome:
-    """Wrap an EXP-C1 case record (static or churn) as a sweep outcome."""
-    return SweepOutcome(
-        family=family,
-        label=case.topology,
-        seed=case.seed,
-        index=-1,
-        digest=case.digest,
-        nodes=case.nodes,
-        messages=case.messages,
-        decisions=case.decisions,
-        decided_views=case.decided_views,
-        quiescent=case.quiescent,
-        spec_holds=case.specification_holds,
-        violations=case.violations,
-        labels={"topology": case.topology, "crashed": case.crashed, **labels},
-        case=case,
-    )
+    return ExperimentSpec.from_dict(spec).with_seed(seed)
 
 
-def _property_family(seed: int) -> SweepOutcome:
-    """One EXP-C1 case (static topology + crash schedule)."""
-    from ..experiments.property_sweep import run_sweep_case
+def _property_family(seed: int) -> "ExperimentSpec":
+    from ..api.presets import property_case_spec
 
-    return _outcome_from_case("property", run_sweep_case(seed))
+    return property_case_spec(seed)
 
 
-def _churn_property_family(seed: int) -> SweepOutcome:
-    """One adversarial churn case (joins/recoveries racing cascades)."""
-    from ..experiments.property_sweep import run_churn_sweep_case
+def _churn_property_family(seed: int) -> "ExperimentSpec":
+    from ..api.presets import churn_property_case_spec
 
-    case = run_churn_sweep_case(seed)
-    return _outcome_from_case(
-        "churn-property",
-        case,
-        joins=case.joins,
-        recoveries=case.recoveries,
-        epochs=case.epochs,
-    )
+    return churn_property_case_spec(seed)
 
 
 def _churn_scenario_family(
-    seed: int,
-    scenario: str = "steady",
-    nodes: int = 64,
-    **scenario_params: Any,
-) -> SweepOutcome:
-    """One run of the churn scenario family on the simulator."""
-    from ..api import ExperimentSession, churn_scenario_spec
+    seed: int, scenario: str = "steady", **params: Any
+) -> "ExperimentSpec":
+    from ..api.presets import churn_scenario_spec
 
-    spec = churn_scenario_spec(scenario, nodes=nodes, seed=seed, **scenario_params)
-    result = ExperimentSession().run(spec)
-    return outcome_from_result(
-        "churn-scenario", spec.name, seed, result, {"epochs": len(result.epochs)}
-    )
+    return churn_scenario_spec(scenario, seed=seed, **params)
 
 
-def _torus_block_family(seed: int, **params: Any) -> SweepOutcome:
-    """A square block crash on a ``side×side`` torus (scale workload):
-    ``params`` are :func:`~repro.api.presets.torus_block_spec`'s."""
-    from ..api import ExperimentSession, torus_block_spec
+def _torus_block_family(seed: int, **params: Any) -> "ExperimentSpec":
+    from ..api.presets import torus_block_spec
 
-    spec = torus_block_spec(seed=seed, **params)
-    result = ExperimentSession().run(spec)
-    return outcome_from_result("torus-block", spec.name, seed, result)
+    return torus_block_spec(seed=seed, **params)
 
 
 register_family("spec", _spec_family)

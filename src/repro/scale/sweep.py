@@ -62,8 +62,9 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def _mp_context():
     """Prefer ``fork`` where available: workers inherit the family
-    registry (including dynamically registered families), the topology
-    cache and every module the parent has loaded, and start in
+    registry (document builders, dynamically registered ones included —
+    a task names its family, the worker builds the spec and runs it), the
+    topology cache and every module the parent has loaded, and start in
     milliseconds; elsewhere fall back to the platform default.
 
     Inheriting is all a worker gets for free: the packages load lazily, so
@@ -139,10 +140,6 @@ class SweepReport:
     def worker_time(self) -> float:
         """Sum of per-run wall times (the work actually parallelised)."""
         return sum(o.wall_time for o in self.outcomes)
-
-    def cases(self) -> list[Any]:
-        """The family-specific case records, in submission order."""
-        return [o.case for o in self.outcomes if o.case is not None]
 
     def as_rows(self) -> list[dict[str, Any]]:
         return [o.as_row() for o in self.outcomes]
@@ -331,17 +328,24 @@ class ShardedSweepRunner:
                     done_now = completed[0]
                 progress(done_now, total)
 
+        failures: list[tuple[int, BaseException]] = []
         try:
-            for index, (task, seed) in enumerate(zip(tasks, seeds)):
-                future = executor.submit(_execute_indexed, task, index, seed)
-                if progress is not None:
-                    future.add_done_callback(_tick)
-                futures[future] = index
+            try:
+                for index, (task, seed) in enumerate(zip(tasks, seeds)):
+                    future = executor.submit(_execute_indexed, task, index, seed)
+                    if progress is not None:
+                        future.add_done_callback(_tick)
+                    futures[future] = index
+            except BrokenProcessPool as exc:
+                # A worker died before the last task was queued.  Cancel what
+                # is queued (a broken pool never settles a cancelled future,
+                # so it is not waited on); what already ran is read below.
+                failures.append((index, exc))
+                futures = {f: i for f, i in futures.items() if not f.cancel()}
             # Wait for everything, stopping at the first failure so a
             # crashed worker does not stall the sweep behind queued work.
             done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
             by_index: dict[int, SweepOutcome] = {}
-            failures: list[tuple[int, BaseException]] = []
             for future in done:
                 index = futures[future]
                 exc = future.exception()

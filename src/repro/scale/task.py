@@ -83,9 +83,9 @@ class SweepOutcome:
 
     Heavy artefacts (traces, simulators) stay in the worker; what crosses
     the process boundary is the deterministic fingerprint (``digest``),
-    the specification verdict and the headline metrics.  ``case`` carries
-    an optional family-specific record (e.g. a
-    :class:`~repro.experiments.property_sweep.SweepCase`).
+    the specification verdict and the headline metrics.  What a family
+    says beyond those (an EXP-C1 case's topology, a churn run's epoch
+    count) is in ``labels``.
     """
 
     family: str
@@ -105,7 +105,6 @@ class SweepOutcome:
     #: Wall-clock seconds the run took inside its worker.
     wall_time: float = 0.0
     labels: dict[str, Any] = field(default_factory=dict)
-    case: Any = None
 
     def as_row(self) -> dict[str, Any]:
         """A flat table row (CLI / report rendering)."""

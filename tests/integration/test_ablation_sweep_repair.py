@@ -80,9 +80,9 @@ class TestPropertySweep:
         return property_sweep(seeds=tuple(range(12)))
 
     def test_specification_holds_for_every_case(self, cases):
-        failing = [case for case in cases if not case.specification_holds]
+        failing = [case for case in cases if not case.spec_holds]
         details = "\n".join(
-            f"seed={case.seed} topology={case.topology}: {case.violations}"
+            f"seed={case.seed} topology={case.label}: {case.violations}"
             for case in failing
         )
         assert not failing, details
@@ -91,12 +91,12 @@ class TestPropertySweep:
         assert all(case.quiescent for case in cases)
 
     def test_sweep_covers_multiple_topologies(self, cases):
-        families = {case.topology.split("-")[0] for case in cases}
+        families = {case.labels["topology"].split("-")[0] for case in cases}
         assert len(families) >= 3
 
     def test_decisions_happen_when_crashes_happen(self, cases):
         for case in cases:
-            if case.crashed > 0:
+            if case.labels["crashed"] > 0:
                 assert case.decisions > 0
 
     def test_summary_aggregates(self, cases):
@@ -107,10 +107,11 @@ class TestPropertySweep:
         assert summary["total_messages"] > 0
 
     def test_cases_are_reproducible(self, cases):
-        from repro.experiments import run_sweep_case
+        from repro.api import property_case_spec, run_spec
 
-        again = run_sweep_case(cases[0].seed)
-        assert again == cases[0]
+        again = run_spec(property_case_spec(cases[0].seed))
+        assert again.digest() == cases[0].digest
+        assert again.metrics.messages_sent == cases[0].messages
 
 
 class TestOverlayRepair:

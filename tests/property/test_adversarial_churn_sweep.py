@@ -27,7 +27,8 @@ from repro.churn import (
     run_churn,
     run_churn_asyncio,
 )
-from repro.experiments import random_churn_membership, run_churn_sweep_case
+from repro.api import churn_property_case_spec, run_spec
+from repro.api.presets import random_churn_membership
 from repro.failures import CrashSchedule, cascade_crash
 from repro.graph.generators import torus
 
@@ -101,15 +102,15 @@ class TestAdversarialChurnSimulator:
     )
     def test_generator_based_cases_hold(self, seed):
         """The seed-driven EXP-C1 churn generator, across arbitrary seeds."""
-        case = run_churn_sweep_case(seed)
-        assert case.quiescent
-        assert case.specification_holds, case.violations
+        result = run_spec(churn_property_case_spec(seed))
+        assert result.quiescent
+        assert result.specification.holds, result.specification.violations()
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: CD7 counterexample, seed 530")
     def test_known_cd7_counterexample_seed_530(self):
-        case = run_churn_sweep_case(530)
-        assert case.digest.startswith("b9efca3d3cc5")
-        assert case.specification_holds, case.violations
+        result = run_spec(churn_property_case_spec(530))
+        assert result.digest().startswith("b9efca3d3cc5")
+        assert result.specification.holds, result.specification.violations()
 
     def test_random_churn_membership_always_validates(self):
         rng = random.Random(1234)
@@ -152,7 +153,7 @@ class TestAdversarialChurnSweepDepth:
     def test_first_forty_seeds_hold(self):
         failing = []
         for seed in range(40):
-            case = run_churn_sweep_case(seed)
-            if not (case.specification_holds and case.quiescent):
-                failing.append((seed, case.violations))
+            result = run_spec(churn_property_case_spec(seed))
+            if not (result.specification.holds and result.quiescent):
+                failing.append((seed, result.specification.violations()))
         assert not failing, failing

@@ -158,7 +158,12 @@ class TestValidation:
         # error message lists are the table's keys, in table order.
         assert FailureSpec.KINDS == tuple(specs._FAILURE_KINDS)
         assert MembershipSpec.KINDS == tuple(specs._MEMBERSHIP_KINDS)
-        assert set(specs.COUPLED_KINDS) == set(FailureSpec.KINDS) & set(MembershipSpec.KINDS) - {"none"}
+        # A kind in both tables is coupled, except the two that each half
+        # writes down on its own: no events, and an explicit script.
+        assert set(specs.COUPLED_KINDS) == set(FailureSpec.KINDS) & set(MembershipSpec.KINDS) - {
+            "none",
+            "explicit",
+        }
         for field, table in (
             ("latency", specs._LATENCY_KINDS),
             ("failure_detector", specs._DETECTOR_KINDS),

@@ -51,6 +51,7 @@ from repro.cli import main
 from repro.experiments import (
     ChurnScenario,
     Scenario,
+    case_row,
     churn_flash_crowd_scenario,
     churn_property_sweep,
     churn_recovery_race_scenario,
@@ -288,14 +289,15 @@ def _overlay_sweep():
 
 
 def _property_sweeps():
+    def rows(sweep, workers):
+        cases = sweep(seeds=(0, 1, 2), workers=workers)
+        return [dict(case_row(case), digest=case.digest[:16]) for case in cases]
+
     record = {}
     for name, sweep in (("static", property_sweep), ("churn", churn_property_sweep)):
-        inline = sweep(seeds=(0, 1, 2), workers=1)
-        pooled = sweep(seeds=(0, 1, 2), workers=2)
-        assert inline == pooled
-        record[name] = json_safe(
-            [dict(case.as_row(), digest=case.digest[:16]) for case in inline]
-        )
+        inline = rows(sweep, workers=1)
+        assert inline == rows(sweep, workers=2)
+        record[name] = json_safe(inline)
     return record
 
 
@@ -431,6 +433,7 @@ FORMER_IMPERATIVE_PATH = (
     "experiments/scenarios.py",
     "experiments/locality.py",
     "experiments/overlay_repair.py",
+    "experiments/property_sweep.py",
     "scale/families.py",
     "cli.py",
 )

@@ -50,11 +50,13 @@ from repro.api import (
     SpecError,
     SweepSpec,
     TopologySpec,
+    churn_property_case_spec,
     churn_scenario_spec,
     fault_sweep_spec,
     figure_spec,
     load_spec,
     locality_sweep_spec,
+    property_case_spec,
     property_sweep_spec,
     quickstart_spec,
     repair_spec,
@@ -136,6 +138,8 @@ CORPUS = {
     "quickstart-partitions-digest": lambda: quickstart_spec().with_partitions(4).with_collection("digest"),
     "golden": lambda: load_spec((REPO / "tests" / "data" / "golden_spec.json").read_text()),
     "readme": _readme_spec,
+    "property-case-3": lambda: property_case_spec(3),
+    "churn-property-case-530": lambda: churn_property_case_spec(530),
     **_ledger_documents(),
 }
 
@@ -211,6 +215,19 @@ MEMBERSHIPS = {
     "flash_crowd-full": {"count": 3, "at": 2.0, "spacing": 0.5, "join_seed": 9},
 }
 
+#: ``explicit`` membership scripts (named apart from the ``explicit``
+#: failure kind's entries); rows run in the order written.
+SCRIPTS = {
+    "script-empty": {},
+    "script-full": {
+        "rows": [
+            ["leave", [5, 5], 4.0],
+            ["join", [9, 9], 6.0, 2, [4, 4]],
+            ["recover", [1, 1], 30.0],
+        ]
+    },
+}
+
 RUNTIMES = {
     "latency-default-kind": {"latency": {"delay": 2.0}},
     "constant-min": {"latency": {"kind": "constant"}},
@@ -258,6 +275,10 @@ BATTERY = {
         name: (lambda n=name, p=params: _run_spec(membership=MembershipSpec(_kind(n), p)))
         for name, params in MEMBERSHIPS.items()
     },
+    **{
+        name: (lambda p=params: _run_spec(membership=MembershipSpec("explicit", p)))
+        for name, params in SCRIPTS.items()
+    },
     **{name: (lambda r=runtime: _run_spec(**r)) for name, runtime in RUNTIMES.items()},
 }
 
@@ -281,6 +302,11 @@ def _document(**overrides) -> dict:
 
 def _sweep(**overrides) -> SweepSpec:
     return SweepSpec(experiment=quickstart_spec(), **overrides)
+
+
+def _membership(kind: str, **params):
+    """Resolve a membership block (the script kinds need no graph)."""
+    return MembershipSpec(kind, params).resolve(graph=None, schedule=None)
 
 
 MALFORMED = {
@@ -341,6 +367,10 @@ MALFORMED = {
     "extract-not-a-mapping": lambda: ExperimentSpec.from_dict(_document(extract="locality")),
     "extract-key": lambda: ExperimentSpec.from_dict(_document(extract={"kind": "locality", "parms": {}})),
     "extract-needs-kind": lambda: ExperimentSpec.from_dict(_document(extract={"params": {}})),
+    "membership-row-kind": lambda: _membership("explicit", rows=[["teleport", [1, 1], 3.0]]),
+    "membership-row-join-short": lambda: _membership("explicit", rows=[["join", "joiner-0", 3.0]]),
+    "membership-row-time-str": lambda: _membership("explicit", rows=[["leave", [1, 1], "3"]]),
+    "recoveries-row-time-str": lambda: _membership("recoveries", events=[[[1, 1], "3"]]),
 }
 
 #: The messages that were reworded when the hand-written checks became the
@@ -370,6 +400,11 @@ REWORDED = {
     "faults-key": "bad faults spec: unknown faults keys 'lss'; known: copies, duplication, loss, reorder, reorder_rate, seed",
     "faults-orphan": f"bad faults spec: {_ORPHANS}",
     "faults-seed": "bad faults spec: faults 'seed' must be an integer, got 'x'",
+    # The one kind added since: ``explicit`` membership scripts.
+    "membership-kind": (
+        "unknown membership kind 'teleport'; known: none, recoveries, leaves, "
+        "flash_crowd, steady_churn, race, explicit"
+    ),
 }
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.api import ExperimentSpec, FailureSpec, TopologySpec
 from repro.scale import (
     ShardedSweepRunner,
-    SweepOutcome,
     SweepTask,
     SweepTaskError,
     UnknownFamilyError,
@@ -21,45 +23,41 @@ from repro.scale import (
 )
 
 
-def _outcome(family: str, seed: int, **labels) -> SweepOutcome:
-    return SweepOutcome(
-        family=family,
-        label=family,
+def _spec(name: str, seed: int, **labels) -> ExperimentSpec:
+    """A tiny run whose trace (and so digest) depends on ``seed``."""
+    return ExperimentSpec(
+        name=name,
+        topology=TopologySpec("grid", {"width": 3, "height": 3}),
+        failure=FailureSpec("explicit", {"crashes": [[[1, 1], 1.0 + seed % 97]]}),
         seed=seed,
-        index=-1,
-        digest=f"digest-{seed}",
-        nodes=1,
-        messages=seed,
-        decisions=1,
-        decided_views=1,
-        quiescent=True,
-        spec_holds=True,
-        labels=dict(labels),
+        check=False,
+        labels=labels,
     )
 
 
-# Top-level family functions: picklable under any multiprocessing start
-# method, and inherited by forked workers after registration.
-def _echo_family(seed: int, **params) -> SweepOutcome:
-    return _outcome("echo", seed, **params)
+# Top-level family functions (document builders): picklable under any
+# multiprocessing start method, and inherited by forked workers after
+# registration.
+def _echo_family(seed: int, **params) -> ExperimentSpec:
+    return _spec("echo", seed, **params)
 
 
-def _slow_inverse_family(seed: int, delays=()) -> SweepOutcome:
+def _slow_inverse_family(seed: int, delays=()) -> ExperimentSpec:
     # Sleeps per-task so later-submitted tasks finish *first*: exercises
     # order-stable merging against completion order.
     time.sleep(delays[seed] if seed < len(delays) else 0.0)
-    return _outcome("slow-inverse", seed)
+    return _spec("slow-inverse", seed)
 
 
-def _failing_family(seed: int) -> SweepOutcome:
+def _failing_family(seed: int) -> ExperimentSpec:
     raise ValueError(f"boom at seed {seed}")
 
 
-def _dying_family(seed: int) -> SweepOutcome:
+def _dying_family(seed: int) -> ExperimentSpec:
     os._exit(3)  # simulate a worker process dying outright
 
 
-def _interrupt_family(seed: int) -> SweepOutcome:
+def _interrupt_family(seed: int) -> ExperimentSpec:
     raise KeyboardInterrupt
 
 
@@ -213,6 +211,34 @@ class TestPooledExecution:
         with pytest.raises(SweepTaskError) as info:
             ShardedSweepRunner(workers=2).run(tasks)
         assert "worker process died" in str(info.value)
+
+    def test_a_pool_that_breaks_between_submits_is_reported(self, monkeypatch):
+        # A worker dying before the last task is queued breaks ``submit``
+        # itself; that is the same dead worker the futures report.
+        queued = Future()
+        shutdowns = []
+
+        class BreakingExecutor:
+            submits = 0
+
+            def submit(self, fn, *args):
+                self.submits += 1
+                if self.submits == 2:
+                    raise BrokenProcessPool("a child process terminated abruptly")
+                return queued
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        monkeypatch.setattr(
+            ShardedSweepRunner, "_make_executor", lambda self: BreakingExecutor()
+        )
+        with pytest.raises(SweepTaskError) as info:
+            ShardedSweepRunner(workers=2).run([SweepTask("echo", seed=s) for s in range(3)])
+        assert "worker process died" in str(info.value)
+        assert info.value.index == 1 and info.value.seed == 1
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert queued.cancelled() and shutdowns == [True]
 
     def test_keyboard_interrupt_cancels_and_abandons_pool(self, monkeypatch):
         shutdown_calls = []
