@@ -50,15 +50,41 @@ def fig3_graph():
     return fig3_topology().graph
 
 
+def _rows(param, check):
+    """Mark a builder whose ``param`` lists rows: ``check`` validates one
+    (never coercing it) and returns what the builder builds from it.  A
+    spec runs the same check where it is constructed, so a bad row is a
+    :class:`SpecError` there, not in a worker (:func:`repro.api.specs.check_rows`)."""
+
+    def mark(builder):
+        builder.rows = (param, check)
+        return builder
+
+    return mark
+
+
+def _row_time(row, time, what):
+    """A row's time: an int or a float (not a bool), as a float."""
+    if isinstance(time, bool) or not isinstance(time, (int, float)):
+        raise SpecError(f"bad {what} row {thaw(row)}: time must be a number")
+    return float(time)
+
+
 # -- failure kinds ----------------------------------------------------------
 def no_crashes():
     return CrashSchedule()
 
 
+def _crash_row(row):
+    """One ``[node, t]`` crash row."""
+    if not isinstance(row, (list, tuple)) or len(row) != 2:
+        raise SpecError(f"bad crash row {thaw(row)}: rows are [node, t]")
+    return row[0], _row_time(row, row[1], "crash")
+
+
+@_rows("crashes", _crash_row)
 def explicit_crashes(crashes=(), allow_recrash=False):
-    return CrashSchedule(
-        tuple((node, float(time)) for node, time in crashes), allow_recrash=allow_recrash
-    )
+    return CrashSchedule(tuple(map(_crash_row, crashes)), allow_recrash=allow_recrash)
 
 
 def growing_region(graph, initial, growth, initial_at=1.0, growth_at=10.0, growth_spacing=2.0):
@@ -96,24 +122,23 @@ _ROW_LENGTHS = {"recover": 3, "leave": 3, "join": 5}
 
 
 def _membership_event(row):
-    """One membership row as an event (validated, never coerced)."""
+    """One membership row as an event."""
     kind = row[0] if isinstance(row, (list, tuple)) and row else None
     if not isinstance(kind, str) or _ROW_LENGTHS.get(kind) != len(row):
         raise SpecError(
             f"bad membership row {thaw(row)}: rows are [recover|leave, node, t] "
             "or [join, node, t, fanout, anchor]"
         )
-    node, time = row[1], row[2]
-    if isinstance(time, bool) or not isinstance(time, (int, float)):
-        raise SpecError(f"bad membership row {thaw(row)}: time must be a number")
+    node, time = row[1], _row_time(row, row[2], "membership")
     if kind != "join":
-        return (recover if kind == "recover" else leave)(node, float(time))
+        return (recover if kind == "recover" else leave)(node, time)
     fanout, anchor = row[3], row[4]
     if isinstance(fanout, bool) or not isinstance(fanout, int):
         raise SpecError(f"bad membership row {thaw(row)}: fanout must be an integer")
-    return join(node, float(time), FreshJoinByLocality(fanout=fanout, anchor=anchor))
+    return join(node, time, FreshJoinByLocality(fanout=fanout, anchor=anchor))
 
 
+@_rows("rows", _membership_event)
 def explicit_membership(rows=()):
     """The script as written, in its order (an empty one is still churn)."""
     return MembershipSchedule(tuple(_membership_event(row) for row in rows))
@@ -132,17 +157,29 @@ def membership_rows(schedule):
     ]
 
 
-def _scripted(kind, events):
-    built = (_membership_event((kind, *row)) for row in events)
+def _recovery_row(row):
+    """One ``[node, t]`` row of ``recoveries``."""
+    return _membership_event(("recover", *row) if isinstance(row, (list, tuple)) else row)
+
+
+def _leave_row(row):
+    """One ``[node, t]`` row of ``leaves``."""
+    return _membership_event(("leave", *row) if isinstance(row, (list, tuple)) else row)
+
+
+def _scripted(events, check):
+    built = map(check, events)
     return MembershipSchedule(tuple(sorted(built, key=lambda e: (e.time, repr(e.node)))))
 
 
+@_rows("events", _recovery_row)
 def recoveries(events=()):
-    return _scripted("recover", events)
+    return _scripted(events, _recovery_row)
 
 
+@_rows("events", _leave_row)
 def leaves(events=()):
-    return _scripted("leave", events)
+    return _scripted(events, _leave_row)
 
 
 def flash_crowd(graph, seed, count=0, at=3.0, spacing=1.0, join_seed=None):

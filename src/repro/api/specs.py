@@ -215,6 +215,7 @@ class _SpecBase:
                 raise SpecError(f"{owner}.{row.name} must be {row.annotation}, got {value!r}")
         if self.WHAT is not None:
             check_kind(self.WHAT, self.kind, tuple(self.params))
+            check_rows(self.WHAT, self.kind, self.params)
 
     def to_dict(self) -> dict[str, Any]:
         """The JSON-safe document (see :func:`_schema` for the key order)."""
@@ -385,6 +386,21 @@ def check_kind(what: str, kind: str, names: tuple[str, ...]) -> None:
         signature.bind(**dict.fromkeys(takes), **dict.fromkeys(names))
     except TypeError as exc:
         raise SpecError(f"bad {what} spec for kind {kind!r}: {exc}") from None
+
+
+def check_rows(what: str, kind: str, params: Mapping[str, Any]) -> None:
+    """Validate every row of a kind whose params list rows (an explicit
+    crash schedule or membership script) with the check its builder runs
+    on them — where the block is written, not in a worker."""
+    rows = getattr(_locate(what, kind)[0], "rows", None)
+    if rows is None:
+        return
+    param, check = rows
+    value = params.get(param, ())
+    if not isinstance(value, tuple):
+        raise SpecError(f"bad {what} spec for kind {kind!r}: {param!r} must be a list of rows")
+    for row in value:
+        check(row)
 
 
 def build_kind(what: str, kind: str, params: Mapping[str, Any], **supplied: Any) -> Any:

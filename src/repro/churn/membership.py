@@ -25,13 +25,15 @@ The builders produce the scenario families of the churn experiments:
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..failures import CrashSchedule, ScheduleError, random_connected_region
+from ..failures import CrashSchedule, ScheduleError
+from ..failures.schedules import _grow_region
 from ..graph import KnowledgeGraph, NodeId
 from .attachment import FreshJoinByLocality
 
@@ -315,6 +317,11 @@ def steady_state_churn(
     Cycle starts are spread uniformly over ``[start, start + duration]``;
     cycles that cannot be placed when the graph is momentarily saturated
     are dropped (the returned schedules reveal the realised count).
+
+    The cost is linear in what is placed: occupied zones expire off a heap
+    as time advances, a per-node count says which nodes are busy, and a
+    start that finds every node busy draws its sub-seed and nothing else —
+    ``O(starts + placed * |Pi|)``.
     """
     if churn_rate <= 0:
         raise MembershipError("churn rate must be positive")
@@ -325,32 +332,44 @@ def steady_state_churn(
     rng = random.Random(seed)
     wanted = max(1, math.floor(churn_rate * len(graph) * duration + 0.5))
     starts = sorted(start + rng.random() * duration for _ in range(wanted))
-    #: Cycles still occupying their neighbourhood: (busy_until, forbidden).
-    active: list[tuple[float, frozenset[NodeId]]] = []
+    ordered = sorted(graph.nodes, key=repr)
+    #: Cycles still occupying their neighbourhood: (busy_until, seq, zone).
+    active: list[tuple[float, int, frozenset[NodeId]]] = []
+    #: Per node, how many active zones hold it (a free node is absent).
+    busy: dict[NodeId, int] = {}
     crash_events: list[tuple[NodeId, float]] = []
     membership_events: list[MembershipEvent] = []
     placed = 0
     for at in starts:
-        active = [(until, zone) for until, zone in active if until > at]
-        forbidden: set[NodeId] = set()
-        for _, zone in active:
-            forbidden |= zone
+        while active and active[0][0] <= at:
+            for node in heapq.heappop(active)[2]:
+                busy[node] -= 1
+                if not busy[node]:
+                    del busy[node]
+        # One sub-seed per start, placeable or not: the stream stays the
+        # one every recorded schedule was drawn from.
+        sub_seed = rng.randrange(2**31)
+        if region_size < 1 or len(busy) == len(graph):
+            # No region can be drawn: the graph is momentarily saturated
+            # with in-flight cycles (or the size is impossible).  Drop the
+            # cycle rather than violate independence.
+            continue
         try:
-            region = random_connected_region(
+            region = _grow_region(
                 graph,
                 region_size,
-                seed=rng.randrange(2**31),
-                forbidden=forbidden,
+                random.Random(sub_seed),
+                [node for node in ordered if node not in busy],
+                busy,
             )
         except ScheduleError:
-            # The graph is momentarily saturated with in-flight cycles;
-            # drop this cycle rather than violate independence.
             continue
         members = frozenset(region.members)
         neighbourhood = graph.closed_neighbourhood(members)
-        active.append(
-            (at + downtime + settle_margin, neighbourhood | graph.border(neighbourhood))
-        )
+        zone = neighbourhood | graph.border(neighbourhood)
+        heapq.heappush(active, (at + downtime + settle_margin, placed, zone))
+        for node in zone:
+            busy[node] = busy.get(node, 0) + 1
         placed += 1
         for node in sorted(members, key=repr):
             crash_events.append((node, at))

@@ -40,13 +40,12 @@ original property, so these checkers are a strict generalisation of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.properties import Decision, PropertyReport, SpecificationReport, locality_leaks
 from ..graph import KnowledgeGraph, NodeId, Region, cluster_border, faulty_clusters
-from bisect import bisect_left, bisect_right
-
 from ..sim.events import EventKind
 from ..trace import TraceRecorder
 from .epochs import MembershipEpoch, build_epochs
@@ -78,6 +77,17 @@ class ChurnGroundTruth:
     #: Epoch start indices, precomputed for the hot ``epoch_at`` lookups.
     epoch_starts: list[int]
     trace_length: int = 0
+    #: ``changed_node -> sorted trace indices`` of every announcement about
+    #: it, to whichever subscriber (derived from ``notifications``).
+    waves: dict[NodeId, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        waves: dict[NodeId, list[int]] = {}
+        for (_, changed), indices in self.notifications.items():
+            waves.setdefault(changed, []).extend(indices)
+        for indices in waves.values():
+            indices.sort()
+        self.waves = waves
 
     # -- membership status ------------------------------------------------
     def status_at(self, node: NodeId, index: int) -> str:
@@ -164,24 +174,11 @@ class ChurnGroundTruth:
             ),
             default=self.trace_length + 1,
         )
-        wave_still_propagating = any(
-            index < notified < next_change
-            for (_, changed), indices in self.notifications.items()
-            if changed == node
-            for notified in indices
-        )
-        return wave_still_propagating
-
-    def ever_faulty_until(self, index: int) -> frozenset[NodeId]:
-        """Nodes with a crash/leave at some trace index < ``index``."""
-        return frozenset(
-            node
-            for node, transitions in self.history.items()
-            if any(
-                event_index < index and status in (_CRASHED, _DEPARTED)
-                for event_index, status in transitions
-            )
-        )
+        # Still propagating: the first announcement after ``index`` comes
+        # before the node's next change.
+        wave = self.waves.get(node, ())
+        position = bisect_right(wave, index)
+        return position < len(wave) and wave[position] < next_change
 
     def causally_stale(self, node: NodeId, view: Region, index: int) -> bool:
         """Whether a decision at ``index`` belongs to an earlier epoch.
@@ -331,11 +328,21 @@ def check_churn_locality(
     report = PropertyReport("CD3 Locality (epoch-quotiented)")
     columns = trace.columns
     sent = columns.rows_of(EventKind.MESSAGE_SENT)
+    # An epoch's scope is every node whose first crash/leave precedes the
+    # epoch's end: a prefix of the nodes ordered by first failure.
+    first_failure: dict[NodeId, int] = {}
+    for node, transitions in gt.history.items():
+        failed = [index for index, status in transitions if status in (_CRASHED, _DEPARTED)]
+        if failed:
+            first_failure[node] = min(failed)
+    by_failure = sorted(first_failure, key=first_failure.__getitem__)
+    failure_indices = [first_failure[node] for node in by_failure]
     for epoch in gt.epochs:
         rows = sent[bisect_left(sent, epoch.start_index) : bisect_left(sent, epoch.end_index)]
         if not rows:
             continue
-        faulty = gt.ever_faulty_until(epoch.end_index) & epoch.graph.nodes
+        ever_faulty = by_failure[: bisect_left(failure_indices, epoch.end_index)]
+        faulty = frozenset(ever_faulty) & epoch.graph.nodes
         for sender, receiver in locality_leaks(columns, rows, epoch.graph, faulty):
             report.fail(
                 f"message from {sender!r} to {receiver!r} leaves every "
@@ -357,21 +364,27 @@ def check_churn_border_agreement(gt: ChurnGroundTruth) -> PropertyReport:
         by_epoch.setdefault(gt.epoch_at(index).index, []).append((index, decision))
     for epoch_index, decisions in by_epoch.items():
         graph = gt.epochs[epoch_index].graph
-        for index, decision in decisions:
+        # Only decisions on the same view can disagree: each view's
+        # deciders with their rendered values, in decision order.
+        on_view: dict[Region, list[tuple[NodeId, str]]] = {}
+        rendered = []
+        for _, decision in decisions:
+            value = repr(decision.value)
+            rendered.append(value)
+            on_view.setdefault(decision.view, []).append((decision.node, value))
+        for (_, decision), value in zip(decisions, rendered):
             if decision.view.members - graph.nodes:
                 continue  # reported by CD2
             border = graph.border(decision.view.members)
-            for _, other in decisions:
-                if other.node not in border or other.node == decision.node:
+            for other_node, other_value in on_view[decision.view]:
+                if other_node not in border or other_node == decision.node:
                     continue
-                if other.view != decision.view:
-                    continue
-                if repr(other.value) != repr(decision.value):
+                if other_value != value:
                     report.fail(
                         f"{decision.node!r} decided "
                         f"({sorted(map(repr, decision.view.members))}, "
-                        f"{decision.value!r}) but border node {other.node!r} "
-                        f"decided value {other.value!r} in epoch {epoch_index}"
+                        f"{value}) but border node {other_node!r} "
+                        f"decided value {other_value} in epoch {epoch_index}"
                     )
     return report
 
@@ -387,9 +400,20 @@ def check_churn_view_convergence(gt: ChurnGroundTruth) -> PropertyReport:
             continue
         by_epoch.setdefault(gt.epoch_at(index).index, []).append((index, decision))
     for epoch_index, decisions in by_epoch.items():
+        # Views overlap exactly when they share a member: pair each
+        # decision with the later ones sharing one, in decision order.
+        positions_of: dict[NodeId, list[int]] = {}
+        for position, (_, decision) in enumerate(decisions):
+            for member in decision.view.members:
+                positions_of.setdefault(member, []).append(position)
         for position, (_, first) in enumerate(decisions):
-            for _, second in decisions[position + 1 :]:
-                if first.view.overlaps(second.view) and first.view != second.view:
+            later = set()
+            for member in first.view.members:
+                positions = positions_of[member]
+                later.update(positions[bisect_right(positions, position) :])
+            for other in sorted(later):
+                second = decisions[other][1]
+                if first.view != second.view:
                     report.fail(
                         f"overlapping but different views decided in epoch "
                         f"{epoch_index} by {first.node!r} "

@@ -14,7 +14,7 @@ paper reasons about:
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from ..graph import GraphError, KnowledgeGraph, NodeId, Region
@@ -188,21 +188,34 @@ def random_connected_region(
     """A random connected region of ``size`` nodes (seeded BFS growth)."""
     if size < 1:
         raise ScheduleError("region size must be positive")
-    rng = random.Random(seed)
     forbidden_set = frozenset(forbidden)
     candidates = sorted(graph.nodes - forbidden_set, key=repr)
+    return _grow_region(graph, size, random.Random(seed), candidates, forbidden_set)
+
+
+def _grow_region(
+    graph: KnowledgeGraph,
+    size: int,
+    rng: random.Random,
+    candidates: Sequence[NodeId],
+    forbidden: Collection[NodeId],
+) -> Region:
+    """The draw of :func:`random_connected_region` from its ``repr``-ordered
+    candidates (the nodes not in ``forbidden``); shared with
+    :func:`repro.churn.steady_state_churn`, which filters one ordering per
+    schedule instead of sorting per draw."""
     if not candidates:
         raise ScheduleError("no candidate nodes available")
     for _ in range(256):
         start = rng.choice(candidates)
         members = {start}
-        frontier = list(graph.neighbours(start) - forbidden_set)
+        frontier = list(graph.neighbours(start).difference(forbidden))
         while frontier and len(members) < size:
             next_node = frontier.pop(rng.randrange(len(frontier)))
             if next_node in members:
                 continue
             members.add(next_node)
-            frontier.extend(graph.neighbours(next_node) - members - forbidden_set)
+            frontier.extend((graph.neighbours(next_node) - members).difference(forbidden))
         if len(members) == size:
             return Region(frozenset(members))
     raise ScheduleError(

@@ -40,6 +40,8 @@ class JobLedger:
         self.journal_path = self.root / "ledger.jsonl"
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
+        #: Notified only when a job enters the queue (idle workers wait on it).
+        self._enqueued = threading.Condition(self._lock)
         self._jobs: dict[str, JobRecord] = {}
         self._specs: dict[str, Mapping[str, Any]] = {}
         self._queue: list[str] = []
@@ -192,6 +194,7 @@ class JobLedger:
             if not job.terminal:
                 self._specs[job_id] = spec
                 self._queue.append(job_id)
+                self._enqueued.notify_all()
             self._append_journal(
                 "submit", {"job": job.to_dict(), "spec": spec, "version": version}
             )
@@ -277,6 +280,21 @@ class JobLedger:
             counts["executions"] = self.executions
             counts["queue"] = len(self._queue)
             return counts
+
+    def wait_for_queued(self, timeout: float, stopped: Callable[[], bool]) -> None:
+        """Block until the queue holds a job, ``stopped()`` turns true (see
+        :meth:`wake`) or ``timeout`` seconds pass.
+
+        Only an enqueue wakes the waiters: a cached submission is born
+        ``done`` and never does.
+        """
+        with self._lock:
+            self._enqueued.wait_for(lambda: bool(self._queue) or stopped(), timeout)
+
+    def wake(self) -> None:
+        """Make every :meth:`wait_for_queued` caller re-check ``stopped``."""
+        with self._lock:
+            self._enqueued.notify_all()
 
     @property
     def version(self) -> int:

@@ -102,6 +102,14 @@ class LocalBroker:
     def fail(self, job_id: str, error: str) -> None:
         self.ledger.fail(job_id, error)
 
+    def wait_for_work(self, timeout: float, stopped: Callable[[], bool]) -> None:
+        """Idle until a job is queued (or ``stopped()``), at most ``timeout`` s."""
+        self.ledger.wait_for_queued(timeout, stopped)
+
+    def wake(self) -> None:
+        """Cut every :meth:`wait_for_work` short so it re-checks ``stopped``."""
+        self.ledger.wake()
+
 
 class WorkerLoop:
     """Claim → execute → report, until stopped or the queue runs dry.
@@ -114,7 +122,9 @@ class WorkerLoop:
     name:
         Reported as the job's ``worker`` field.
     poll_interval:
-        Seconds to sleep between claims when the queue is empty.
+        Seconds to wait between claims when the queue is empty.  A
+        :class:`LocalBroker` ends the wait as soon as a job is queued; a
+        remote broker is polled.
     drain:
         When True the loop exits as soon as a claim comes back empty
         (the ``repro work --drain`` one-shot mode); otherwise it keeps
@@ -151,6 +161,16 @@ class WorkerLoop:
 
     def stop(self) -> None:
         self._stop.set()
+        if isinstance(self.broker, LocalBroker):
+            self.broker.wake()
+
+    def _idle(self) -> None:
+        """Wait ``poll_interval`` for work, or until :meth:`stop`: a local
+        broker ends the wait when a job is queued, a remote one is polled."""
+        if isinstance(self.broker, LocalBroker):
+            self.broker.wait_for_work(self.poll_interval, self._stop.is_set)
+        else:
+            self._stop.wait(self.poll_interval)
 
     def run_one(self) -> bool:
         """Claim and execute at most one job; True when one was run."""
@@ -191,7 +211,7 @@ class WorkerLoop:
                 continue
             if self.drain:
                 return
-            self._stop.wait(self.poll_interval)
+            self._idle()
 
     def _run_pooled(self) -> None:
         """Claim up to ``processes`` jobs and run them in a process pool.
@@ -226,7 +246,7 @@ class WorkerLoop:
                 if not in_flight:
                     if self.drain or self._stop.is_set():
                         return
-                    self._stop.wait(self.poll_interval)
+                    self._idle()
                     continue
                 done, _ = concurrent.futures.wait(
                     in_flight,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -32,6 +33,9 @@ from repro.api import (
     run_spec,
 )
 from repro.service import (
+    ExperimentService,
+    JobLedger,
+    LocalBroker,
     ServiceClient,
     ServiceError,
     WorkerLoop,
@@ -250,6 +254,15 @@ class TestSubmissionContract:
                 "bad failure spec for kind 'region': got an unexpected keyword argument 'spred'",
             ),
             (edited("runtime", max_events="abc"), "RuntimeSpec.max_events must be int, got 'abc'"),
+            # Rows used to be checked only when a worker resolved them.
+            (
+                edited("failure", kind="explicit", params={"crashes": [[[1, 1], "3"]]}),
+                "bad crash row [[1, 1], '3']: time must be a number",
+            ),
+            (
+                dict(clean, membership={"kind": "explicit", "params": {"rows": [["teleport", [1, 1], 3.0]]}}),
+                "bad membership row ['teleport', [1, 1], 3.0]: rows are",
+            ),
             # This one used to be accepted and die in a worker as SweepTaskError.
             (
                 {"spec": "sweep", "family": "nope", "seeds": [0]},
@@ -267,6 +280,46 @@ class TestSubmissionContract:
         assert first["state"] == "done" and not first["cached"]
         assert client.submit(clean)["job"]["cached"]
         assert executions(client) == 1
+
+
+class TestIdleLocalWorker:
+    def test_a_queued_job_wakes_an_idle_worker_and_stop_wakes_it_too(self, tmp_path):
+        service = ExperimentService(tmp_path / "service", workers=0)
+        loop = WorkerLoop(LocalBroker(service.ledger, service.store), poll_interval=30)
+        thread = threading.Thread(target=loop.run, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.3)  # the loop finds the queue empty and idles
+            job, created = service.submit(small_spec(seed=2).to_dict())
+            assert created
+            done = service.ledger.wait_for(
+                job.id, job.version, timeout=5.0, predicate=lambda record: record.terminal
+            )
+            assert done is not None and done.state == "done"
+            assert loop.completed == 1
+        finally:
+            loop.stop()
+            thread.join(timeout=2.0)
+        assert not thread.is_alive()
+
+    def test_only_an_enqueue_ends_the_wait(self, tmp_path):
+        ledger = JobLedger(tmp_path / "ledger")
+        spec = small_spec().to_dict()
+        cached = threading.Timer(
+            0.05, ledger.submit, ("key-1", "digest", 0, "experiment", spec, 1), {"cached_digest": "d"}
+        )
+        cached.start()
+        started = time.monotonic()
+        ledger.wait_for_queued(0.5, lambda: False)
+        assert time.monotonic() - started >= 0.5  # a cached job is born done
+        cached.join()
+        queued = threading.Timer(0.05, ledger.submit, ("key-2", "digest", 0, "experiment", spec, 1))
+        queued.start()
+        started = time.monotonic()
+        ledger.wait_for_queued(30.0, lambda: False)
+        assert time.monotonic() - started < 5.0
+        queued.join()
+        assert ledger.counts()["queue"] == 1
 
 
 class TestRemoteWorker:
@@ -293,6 +346,21 @@ class TestRemoteWorker:
         assert finished["worker"] == "remote-test"
         assert finished["digest"] == local_digest
         assert client.result(job["id"])["envelope"]["digest"] == local_digest
+
+    def test_a_polling_http_worker_runs_a_job_and_stops(self, workerless_server):
+        client = ServiceClient(workerless_server.url)
+        loop = WorkerLoop(ServiceClient(workerless_server.url), poll_interval=0.05)
+        thread = threading.Thread(target=loop.run, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.2)  # a few empty polls first
+            job = client.submit(small_spec(seed=4).to_dict())["job"]
+            assert client.wait(job["id"], timeout=60.0)["state"] == "done"
+        finally:
+            loop.stop()
+            thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert (loop.completed, loop.failed) == (1, 0)
 
     def test_process_pool_worker_matches_inline_digests(self, workerless_server):
         """``repro work --processes N``: jobs run in forked children, and

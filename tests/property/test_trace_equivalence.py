@@ -320,6 +320,10 @@ class TestReadersFromRows:
         static = scopes(RING, trace.crashed_nodes())
         report = check_locality(RING, trace, trace.crashed_nodes() & RING.nodes)
         assert len(report.violations) == leaks(events, lambda index: static)
-        churned = {e.index: scopes(e.graph, gt.ever_faulty_until(e.end_index)) for e in epochs}
+        failed = of(K.NODE_CRASHED, K.NODE_LEFT)
+        churned = {
+            e.index: scopes(e.graph, frozenset(f.node for i, f in failed if i < e.end_index))
+            for e in epochs
+        }
         report = check_churn_locality(gt, trace)
         assert len(report.violations) == leaks(events, lambda index: churned[gt.epoch_at(index).index])

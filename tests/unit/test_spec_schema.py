@@ -305,8 +305,12 @@ def _sweep(**overrides) -> SweepSpec:
 
 
 def _membership(kind: str, **params):
-    """Resolve a membership block (the script kinds need no graph)."""
-    return MembershipSpec(kind, params).resolve(graph=None, schedule=None)
+    """Construct a membership block: its rows are checked there."""
+    return MembershipSpec(kind, params)
+
+
+def _crashes(*rows):
+    return FailureSpec("explicit", {"crashes": rows})
 
 
 MALFORMED = {
@@ -371,6 +375,15 @@ MALFORMED = {
     "membership-row-join-short": lambda: _membership("explicit", rows=[["join", "joiner-0", 3.0]]),
     "membership-row-time-str": lambda: _membership("explicit", rows=[["leave", [1, 1], "3"]]),
     "recoveries-row-time-str": lambda: _membership("recoveries", events=[[[1, 1], "3"]]),
+    # Rows used to be checked only when the run resolved them, and a crash
+    # row's time was float()-coerced: "3" ran at 3.0, True at 1.0.
+    "crash-row-time-str": lambda: _crashes([[1, 1], "3"]),
+    "crash-row-time-bool": lambda: _crashes([[1, 1], 2.0], [[2, 2], True]),
+    "crash-row-short": lambda: _crashes([[1, 1]]),
+    "membership-row-kind-document": lambda: load_spec(
+        json.dumps(_document(membership={"kind": "explicit", "params": {"rows": [["teleport", [1, 1], 3.0]]}}))
+    ),
+    "membership-rows-not-a-list": lambda: _membership("explicit", rows="recover"),
 }
 
 #: The messages that were reworded when the hand-written checks became the
