@@ -12,8 +12,7 @@ Run with:  python examples/asyncio_runtime.py
 
 from __future__ import annotations
 
-from repro import CliffEdgeNode, generators, region_crash, run_cliff_edge
-from repro.runtime import run_cliff_edge_asyncio
+from repro import generators, region_crash, run_asyncio, run_cliff_edge
 
 
 def main() -> None:
@@ -31,9 +30,7 @@ def main() -> None:
 
     print()
     print("=== asyncio runtime (one task per node) ===")
-    async_result = run_cliff_edge_asyncio(
-        graph, schedule, node_factory=CliffEdgeNode, timeout=20.0
-    )
+    async_result = run_asyncio(graph, schedule, timeout=20.0)
     async_views = {
         tuple(sorted(map(str, view.members))) for view in async_result.decided_views
     }

@@ -22,8 +22,8 @@ Run with:  python examples/churn_recovery.py
 
 from __future__ import annotations
 
-from repro import generators
-from repro.churn import crash_recover_recrash, run_churn, run_churn_asyncio
+from repro import generators, run_asyncio, run_cliff_edge
+from repro.churn import crash_recover_recrash
 from repro.sim.events import EventKind
 
 
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"block {sorted(block)}: crash at t=1, recover at t=40, re-crash at t=80")
 
     # 2. Run on the deterministic simulator with the epoch-quotiented check.
-    result = run_churn(graph, crashes, membership, check=True)
+    result = run_cliff_edge(graph, crashes, membership, check=True)
     print()
     print("=== simulator ===")
     print(result.summary())
@@ -62,7 +62,7 @@ def main() -> None:
     print(result.specification.summary())
 
     # 4. Credibility check: the asyncio runtime reaches the same views.
-    async_result = run_churn_asyncio(graph, crashes, membership, check=True)
+    async_result = run_asyncio(graph, crashes, membership, check=True)
     print()
     print("=== asyncio runtime ===")
     print(f"quiescent: {async_result.quiescent}")

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro import CliffEdgeNode, generators, region_crash
-from repro.runtime import run_cliff_edge_asyncio
-from repro.vtime import run_cliff_edge_virtual
+from repro import generators, region_crash, run_asyncio
 
 
 def main() -> None:
@@ -34,9 +32,7 @@ def main() -> None:
 
     print("=== wall-clock asyncio (really sleeps) ===")
     started = perf_counter()
-    wall_result = run_cliff_edge_asyncio(
-        graph, schedule, node_factory=CliffEdgeNode, timeout=20.0
-    )
+    wall_result = run_asyncio(graph, schedule, timeout=20.0)
     wall_elapsed = perf_counter() - started
     print(f"decisions: {wall_result.metrics.decisions}  "
           f"quiescent: {wall_result.quiescent}  wall time: {wall_elapsed:.3f}s")
@@ -44,13 +40,9 @@ def main() -> None:
     print()
     print("=== virtual-time asyncio (same code, simulator clock) ===")
     started = perf_counter()
-    first = run_cliff_edge_virtual(
-        graph, schedule, node_factory=CliffEdgeNode, timeout=20.0
-    )
+    first = run_asyncio(graph, schedule, virtual=True, timeout=20.0)
     virtual_elapsed = perf_counter() - started
-    second = run_cliff_edge_virtual(
-        graph, schedule, node_factory=CliffEdgeNode, timeout=20.0
-    )
+    second = run_asyncio(graph, schedule, virtual=True, timeout=20.0)
     print(f"decisions: {first.metrics.decisions}  "
           f"quiescent: {first.quiescent}  wall time: {virtual_elapsed:.3f}s")
     print(f"digest, run 1: {first.trace.digest()[:16]}…")

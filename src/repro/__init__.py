@@ -35,9 +35,8 @@ __all__, _export, __dir__ = facade(
             "run_spec",
         ),
         "churn": (
-            "ChurnRunResult", "MembershipEvent", "MembershipSchedule",
-            "check_churn_all", "crash_recover_recrash", "flash_crowd_joins",
-            "run_churn", "run_churn_asyncio", "steady_state_churn",
+            "MembershipEvent", "MembershipSchedule", "check_churn_all",
+            "crash_recover_recrash", "flash_crowd_joins", "steady_state_churn",
         ),
         "core": (
             "CliffEdgeNode", "CoordinatorElectionPolicy", "DecisionPolicy",
@@ -60,6 +59,7 @@ __all__, _export, __dir__ = facade(
             "PartitionedRunResult", "PartitionError", "partition_graph",
             "run_partitioned",
         ),
+        "runtime": ("run_asyncio",),
         "trace": ("RunMetrics", "TraceRecorder", "collect_metrics"),
     },
 )

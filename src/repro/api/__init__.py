@@ -70,8 +70,7 @@ __all__, __getattr__, __dir__ = facade(
             "torus_sweep_spec",
         ),
         "result": (
-            "AggregateSpecification", "DecisionResultMixin", "Result", "RunResult",
-            "json_safe",
+            "AggregateSpecification", "Result", "RunResult", "json_safe",
         ),
         "session": ("ExperimentSession", "run_spec", "run_spec_json"),
         "specs": (

@@ -1,7 +1,7 @@
 """The one written-down description of every experiment the repo ships.
 
 A block coordinate, a detector window, a default time or a label is
-spelled out here and nowhere else: the scenario builders
+spelled out here and nowhere else: the figure observations
 (:mod:`repro.experiments.scenarios`), the sweep families
 (:mod:`repro.scale.families`) and the CLI subcommands (whose
 ``--emit-spec`` prints these documents) all run a spec built here through
@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from ..graph.generators import square_region
 from .specs import (
@@ -27,6 +28,9 @@ from .specs import (
     SweepSpec,
     TopologySpec,
 )
+
+if TYPE_CHECKING:
+    from ..failures import CrashSchedule
 
 
 def quickstart_spec(side: int = 6, block: int = 2, seed: int = 0) -> ExperimentSpec:
@@ -42,22 +46,108 @@ def quickstart_spec(side: int = 6, block: int = 2, seed: int = 0) -> ExperimentS
     )
 
 
+def _figure(
+    name: str,
+    topology: str,
+    crashes: CrashSchedule,
+    failure_detector: Optional[Mapping[str, Any]] = None,
+    labels: Optional[Mapping[str, Any]] = None,
+) -> ExperimentSpec:
+    """A figure run: its layout's crash script, spelled out."""
+    return ExperimentSpec(
+        name=name,
+        topology=TopologySpec(topology),
+        failure=FailureSpec("explicit", {"crashes": crashes.crashes}),
+        runtime=RuntimeSpec(failure_detector=failure_detector),
+        labels=labels or {},
+    )
+
+
+# The figure layouts live in repro.experiments.topologies (imported when a
+# figure is built, so loading the presets loads no experiment module).
+def fig1a_scenario() -> ExperimentSpec:
+    """Fig. 1a: regions F1 (Europe) and F2 (Pacific) crash independently.
+
+    Each border agrees locally, and nodes such as vancouver never talk to
+    madrid (CD3).
+    """
+    from ..experiments.topologies import FIG1_F1, FIG1_F2, fig1_topology
+    from ..failures import multi_region_crash
+
+    return _figure("fig1a", "fig1", multi_region_crash(fig1_topology(), [FIG1_F1, FIG1_F2], at=1.0))
+
+
+def fig1b_scenario(madrid_detection_delay: float = 40.0) -> ExperimentSpec:
+    """Fig. 1b: paris crashes mid-protocol; madrid is slow to notice.
+
+    F1 grows into F3 = F1 ∪ {paris} before agreement completes.  The
+    scripted failure detector delays madrid's detection of paris' crash,
+    so madrid keeps trying to agree on F1 with london and roma while berlin
+    (paris' surviving neighbour) pushes for F3.  The protocol must resolve
+    the conflict through ranking-based rejection and converge on F3.
+    """
+    from ..experiments.topologies import FIG1_F1, fig1_topology
+    from ..failures import growing_region_crash
+
+    return _figure(
+        "fig1b",
+        "fig1",
+        growing_region_crash(
+            fig1_topology(), FIG1_F1, growth_members=["paris"], initial_at=1.0, growth_at=4.0
+        ),
+        failure_detector={
+            "kind": "scripted",
+            "default_delay": 1.0,
+            "delays": [["madrid", "paris", madrid_detection_delay]],
+        },
+        labels={"madrid_detection_delay": madrid_detection_delay},
+    )
+
+
+def fig2_scenario() -> ExperimentSpec:
+    """Fig. 2: four adjacent faulty domains crash simultaneously.
+
+    A faulty cluster F1‖F2‖F3‖F4: shared border nodes can only commit to
+    one domain, so some lower-ranked domains may stay undecided while CD7
+    still holds for the cluster.
+    """
+    from ..experiments.topologies import fig2_topology
+    from ..failures import multi_region_crash
+
+    layout = fig2_topology()
+    return _figure("fig2", "fig2", multi_region_crash(layout.graph, layout.domains, at=1.0))
+
+
+def fig3_scenario(growth_at: float = 120.0) -> ExperimentSpec:
+    """Fig. 3: a region is agreed, then grows after the agreement.
+
+    The grown region overlaps the decided one over part of its own border,
+    so CD6 forbids any conflicting second decision.
+    """
+    from ..experiments.topologies import fig3_topology
+    from ..failures import CrashSchedule, region_crash
+
+    layout = fig3_topology()
+    first = region_crash(layout.graph, layout.first_wave, at=1.0)
+    second = CrashSchedule(
+        tuple((node, growth_at + index) for index, node in enumerate(layout.second_wave))
+    )
+    return _figure("fig3", "fig3", first.merged(second), labels={"growth_at": growth_at})
+
+
 def figure_spec(which: str, seed: int = 0) -> ExperimentSpec:
     """The run behind ``repro figure {1a,1b,2,3}`` as a spec.
 
     The figure commands derive extra observations from the trace (who
     proposed what, which domains decided); the spec is the *run* itself —
-    the figure builder's own spec (topology, explicit crash script,
-    detector timing) at ``seed``.
+    the figure's topology, explicit crash script and detector timing — at
+    ``seed``.
     """
-    # Imported here: repro.experiments builds its scenarios from this module.
-    from ..experiments import scenarios
-
     builders = {
-        "1a": scenarios.fig1a_scenario,
-        "1b": scenarios.fig1b_scenario,
-        "2": scenarios.fig2_scenario,
-        "3": scenarios.fig3_scenario,
+        "1a": fig1a_scenario,
+        "1b": fig1b_scenario,
+        "2": fig2_scenario,
+        "3": fig3_scenario,
     }
     try:
         builder = builders[which]
@@ -65,7 +155,7 @@ def figure_spec(which: str, seed: int = 0) -> ExperimentSpec:
         raise SpecError(
             f"unknown figure {which!r}; known: {', '.join(sorted(builders))}"
         ) from None
-    return builder().spec.with_seed(seed)
+    return builder().with_seed(seed)
 
 
 #: The crashed block shared by the race and flash-crowd churn scenarios.
@@ -91,13 +181,25 @@ def churn_scenario_spec(
     recrash_at: float = 60.0,
     crowd: int = 8,
 ) -> ExperimentSpec:
-    """The churn scenario family: ``repro churn --scenario {steady,race,flash}``,
-    the ``churn-scenario`` sweep family and the ``churn_*_scenario``
-    builders of :mod:`repro.experiments.scenarios` (whose docstrings say
-    what each scenario exercises).
+    """The churn scenario family: ``repro churn --scenario {steady,race,flash}``
+    and the ``churn-scenario`` sweep family.
 
-    ``churn_rate``/``duration``/``downtime`` shape ``steady``,
-    ``recover_at``/``recrash_at`` shape ``race``, ``crowd`` shapes ``flash``.
+    * ``steady`` — independent crash→recover cycles on a torus:
+      ``churn_rate`` is the fraction of the population starting a cycle per
+      unit time, each node down for ``downtime``, over ``duration``; the
+      workload keeps detection and agreement permanently in flight.
+    * ``race`` — crash → recover → re-crash of a 2x2 block, the recovery
+      at ``recover_at`` racing the border's agreement (in-flight state must
+      be discarded) before the re-crash at ``recrash_at``.
+    * ``flash`` — ``crowd`` brand-new nodes join by locality from t=3
+      while the border agrees on a crashed block; they must neither
+      disturb it nor leak messages outside the faulty-domain scopes.
+
+    ``seed`` seeds the run, and the steady cycles and the flash joiners'
+    anchors are drawn from it when the spec is resolved.  To keep one
+    script at several run seeds, pin the draw: ``churn_seed`` in both the
+    failure and membership params of ``steady``, ``join_seed`` in the
+    membership params of ``flash``.
     """
     side = torus_side_for(nodes)
     topology = TopologySpec("torus", {"width": side, "height": side})
@@ -544,12 +646,11 @@ def torus_block_spec(
 ) -> ExperimentSpec:
     """A ``block_side²`` block crash on a ``side×side`` torus.
 
-    The workhorse of the scale sweeps (``torus_block_scenario``, the
-    ``torus-block`` family): ``side=32`` is the 1024-node point,
-    ``side=64`` the 4096-node one.  The block wraps around when the
-    origin sits near an edge (the torus has none, so the region stays
-    connected), which lets callers spread blocks anywhere without bounds
-    checking.
+    The workhorse of the scale sweeps (the ``torus-block`` family):
+    ``side=32`` is the 1024-node point, ``side=64`` the 4096-node one.  The
+    block wraps around when the origin sits near an edge (the torus has
+    none, so the region stays connected), which lets callers spread blocks
+    anywhere without bounds checking.
     """
     if side < 3:
         raise SpecError("torus side must be at least 3")

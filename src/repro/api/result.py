@@ -351,10 +351,6 @@ class RunResult:
         return "\n".join(lines)
 
 
-#: The decision helpers' former home, folded into its one remaining user.
-DecisionResultMixin = RunResult
-
-
 # ---------------------------------------------------------------------------
 # Aggregate specification verdict (sweeps)
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ def runner_for(runtime: RuntimeSpec) -> Callable[..., RunResult]:
     ledger wraps ``repro.sim.partition.run_partitioned`` there.
     """
     if runtime.engine != "sim":
-        from ..churn.runner import run_churn_asyncio
+        from ..runtime.async_runtime import run_asyncio
 
-        return run_churn_asyncio
+        return run_asyncio
     from ..experiments.runner import run_cliff_edge
 
     if runtime.partitions > 1:
@@ -63,22 +63,14 @@ def runner_for(runtime: RuntimeSpec) -> Callable[..., RunResult]:
 class ExperimentSession:
     """Resolve and execute declarative experiment specs.
 
-    Parameters
-    ----------
-    use_cache:
-        When True (the default) topology builds go through the
-        process-local spec-keyed cache (:mod:`repro.api.cache`).
+    Topology builds go through the process-local spec-keyed cache
+    (:mod:`repro.api.cache`).
     """
-
-    def __init__(self, use_cache: bool = True) -> None:
-        self.use_cache = use_cache
 
     # ------------------------------------------------------------------
     def build_graph(self, spec: ExperimentSpec):
         """Build (or fetch from cache) the spec's topology."""
-        if self.use_cache:
-            return build_topology(spec.topology)
-        return spec.topology.build_uncached()
+        return build_topology(spec.topology)
 
     def resolve(self, spec: ExperimentSpec):
         """Materialise ``(graph, crash schedule, membership schedule)``."""

@@ -12,9 +12,11 @@ checkable:
   entering a new membership epoch;
 * :mod:`repro.churn.epochs` — slicing a churned trace into
   constant-membership epochs with their graphs;
-* :mod:`repro.churn.properties` — the epoch-quotiented CD1–CD7 checkers;
-* :mod:`repro.churn.runner` — one-call execution on the simulator and the
-  asyncio runtime.
+* :mod:`repro.churn.properties` — the epoch-quotiented CD1–CD7 checkers.
+
+A churn run starts like any other: ``run_cliff_edge(graph, schedule,
+membership)`` on the simulator, ``run_asyncio(graph, schedule,
+membership)`` on asyncio, or a spec with a membership block.
 """
 
 from .._lazy import facade
@@ -35,6 +37,5 @@ __all__, __getattr__, __dir__ = facade(
         "properties": (
             "ChurnGroundTruth", "build_ground_truth", "check_churn_all",
         ),
-        "runner": ("ChurnRunResult", "run_churn", "run_churn_asyncio", "run_churn_virtual"),
     },
 )

@@ -157,7 +157,8 @@ class MembershipSchedule:
         carrying priority 0 and membership events priority 1, so
         same-timestamp ties resolve crash-first, then by the node's
         deterministic ``repr``.  Every consumer — :meth:`validate`, the
-        simulator application in :func:`repro.churn.runner.run_churn`,
+        simulator application in
+        :func:`repro.experiments.runner.build_simulator`,
         and the asyncio runtime's schedule task — iterates this one
         ordering, which keeps the two runtimes in lockstep on ties.
         """

@@ -34,8 +34,12 @@ the strongest claim that survives recovery races:
   Clusters that recovered before the run ended demand nothing.
 
 On a run with no membership events every quotient collapses to the
-original property, so these checkers are a strict generalisation of
-:mod:`repro.core.properties`.
+original property but one, so these checkers are *not* a strict
+generalisation of :mod:`repro.core.properties`: the static CD5 also fails
+a border node of a decided view that decided a *different* view, while
+the quotiented CD5 compares only decisions on the same view.  No recorded
+static run tells the two apart (the four figures and EXP-C1 property
+cases 0–199 get the same CD5 verdict from both).
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ class ChurnGroundTruth:
     #: ``changed_node -> sorted trace indices`` of every announcement about
     #: it, to whichever subscriber (derived from ``notifications``).
     waves: dict[NodeId, list[int]] = field(init=False, repr=False, compare=False)
+    #: Per decision (parallel to ``decisions``), :meth:`causally_stale` of
+    #: it — asked by CD4, CD5 and CD6, so derived once.
+    stale: list[bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         waves: dict[NodeId, list[int]] = {}
@@ -88,6 +95,10 @@ class ChurnGroundTruth:
         for indices in waves.values():
             indices.sort()
         self.waves = waves
+        self.stale = [
+            self.causally_stale(decision.node, decision.view, index)
+            for index, decision in self.decisions
+        ]
 
     # -- membership status ------------------------------------------------
     def status_at(self, node: NodeId, index: int) -> str:
@@ -355,8 +366,8 @@ def check_churn_border_agreement(gt: ChurnGroundTruth) -> PropertyReport:
     """CD5, quotiented: same-epoch border deciders agree on (V, d)."""
     report = PropertyReport("CD5 Uniform Border Agreement (epoch-quotiented)")
     by_epoch: dict[int, list[tuple[int, Decision]]] = {}
-    for index, decision in gt.decisions:
-        if gt.causally_stale(decision.node, decision.view, index):
+    for (index, decision), stale in zip(gt.decisions, gt.stale, strict=True):
+        if stale:
             # Recorded after a newer epoch started but made in an older
             # one; comparing it against genuinely-new decisions would mix
             # epochs.  Its own epoch's comparisons already covered it.
@@ -393,10 +404,8 @@ def check_churn_view_convergence(gt: ChurnGroundTruth) -> PropertyReport:
     """CD6, quotiented: same-epoch views of surviving deciders don't clash."""
     report = PropertyReport("CD6 View Convergence (epoch-quotiented)")
     by_epoch: dict[int, list[tuple[int, Decision]]] = {}
-    for index, decision in gt.decisions:
-        if gt.fails_at_or_after(decision.node, index):
-            continue
-        if gt.causally_stale(decision.node, decision.view, index):
+    for (index, decision), stale in zip(gt.decisions, gt.stale, strict=True):
+        if stale or gt.fails_at_or_after(decision.node, index):
             continue
         by_epoch.setdefault(gt.epoch_at(index).index, []).append((index, decision))
     for epoch_index, decisions in by_epoch.items():
@@ -431,7 +440,7 @@ def check_churn_border_termination(gt: ChurnGroundTruth) -> PropertyReport:
     """
     report = PropertyReport("CD4 Border Termination (epoch-quotiented)")
     deciders = {decision.node for _, decision in gt.decisions}
-    for index, decision in gt.decisions:
+    for (index, decision), stale in zip(gt.decisions, gt.stale, strict=True):
         graph = gt.epoch_at(index).graph
         if decision.view.members - graph.nodes:
             continue  # reported by CD2
@@ -450,7 +459,7 @@ def check_churn_border_termination(gt: ChurnGroundTruth) -> PropertyReport:
                 gt.recovers_after(participant, index)
                 for participant in graph.border(decision.view.members)
             )
-            or gt.causally_stale(decision.node, decision.view, index)
+            or stale
             # The participant-level mirror of causal staleness: a border
             # participant recovered before the decision but the
             # announcement wave had not yet reached the decider.  The

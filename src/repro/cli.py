@@ -147,10 +147,10 @@ def _cmd_figure(args: argparse.Namespace, write: Callable[[str], object]) -> int
     if args.emit_spec:
         write(figure_spec(args.which, seed=args.seed).to_json())
         return 0
-    from .experiments import fig1a_scenario, format_table, run_fig1b, run_fig2, run_fig3
+    from .experiments import format_table, run_fig1b, run_fig2, run_fig3
 
     if args.which == "1a":
-        result = fig1a_scenario().run(seed=args.seed)
+        result = ExperimentSession().run(figure_spec("1a", seed=args.seed))
         write(result.summary())
         write(result.specification.summary())
         return 0 if result.specification.holds else 1
@@ -653,14 +653,9 @@ def _cmd_work(args: argparse.Namespace, write: Callable[[str], object]) -> int:
 
     client = ServiceClient(_server_url(args), timeout=args.timeout)
     loop = WorkerLoop(
-        client,
-        name=args.name,
-        poll_interval=args.poll_interval,
-        drain=args.drain,
-        processes=args.processes,
+        client, name=args.name, poll_interval=args.poll_interval, drain=args.drain
     )
-    mode = f" ({args.processes} processes)" if args.processes else ""
-    write(f"worker {args.name!r} polling {client.base_url}{mode}")
+    write(f"worker {args.name!r} polling {client.base_url}")
     try:
         loop.run()
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
@@ -1009,7 +1004,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     work = sub.add_parser(
         "work",
-        help="run a worker against a (possibly remote) experiment server",
+        help="run one worker against a (possibly remote) experiment server "
+        "(N workers: start N of these)",
     )
     work.add_argument("--name", default="worker", help="reported worker name")
     work.add_argument(
@@ -1026,14 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     work.add_argument(
         "--timeout", type=float, default=60.0, help="per-request HTTP timeout"
-    )
-    work.add_argument(
-        "--processes",
-        type=int,
-        default=0,
-        help="run up to N jobs concurrently in a local process pool "
-        "(0 = inline in this process); results are digest-identical "
-        "either way",
     )
     _add_server_flag(work)
     work.set_defaults(func=_cmd_work)

@@ -186,17 +186,22 @@ def locality_leaks(columns, rows, graph, faulty) -> list[tuple[NodeId, NodeId]]:
 
     Judged once per channel, on the interned endpoints of the raw columns:
     a run sends thousands of messages over a few hundred channels, and no
-    event is rebuilt to look at one.
+    event is rebuilt to look at one.  A channel stays inside a scope when
+    the scopes its two endpoints lie in intersect.
     """
-    scopes = [domain.closed_neighbourhood(graph) for domain in faulty_domains(graph, faulty)]
+    scopes_of: dict[NodeId, set[int]] = {}
+    for scope, domain in enumerate(faulty_domains(graph, faulty)):
+        for node in domain.closed_neighbourhood(graph):
+            scopes_of.setdefault(node, set()).add(scope)
     _, _, nodes, peers, _, _, ids = columns.arrays()
+    outside: frozenset[int] = frozenset()
     leaking = {
         (sender, receiver)
         for sender, receiver in {(nodes[index], peers[index]) for index in rows}
         if sender >= 0
         and receiver >= 0
         and sender != receiver
-        and not any(ids[sender] in scope and ids[receiver] in scope for scope in scopes)
+        and scopes_of.get(ids[sender], outside).isdisjoint(scopes_of.get(ids[receiver], outside))
     }
     if not leaking:
         return []

@@ -1,4 +1,4 @@
-"""Experiment harness: scenario builders, sweeps and table printers."""
+"""Experiment harness: figure runs, sweeps and table printers."""
 
 import sys
 
@@ -35,12 +35,9 @@ __all__, __getattr__, __dir__ = facade(
         "report": ("ReportSection", "build_report", "failed_claims", "render_report"),
         "runner": ("RunResult", "build_simulator", "run_cliff_edge"),
         "scenarios": (
-            "ChurnScenario", "Fig1bObservations", "Fig2Observations",
-            "Fig3Observations", "Scenario", "churn_flash_crowd_scenario",
-            "churn_recovery_race_scenario", "churn_steady_scenario",
+            "Fig1bObservations", "Fig2Observations", "Fig3Observations",
             "fig1a_scenario", "fig1b_scenario", "fig2_scenario", "fig3_scenario",
-            "run_fig1b", "run_fig2", "run_fig3", "torus_block_scenario",
-            "torus_scale_family",
+            "run_fig1b", "run_fig2", "run_fig3",
         ),
         "tables": (
             "format_markdown_table", "format_table", "rows_to_csv",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..api.session import run_spec
 from .ablation import (
     arbitration_ablation,
     early_termination_ablation,
@@ -65,7 +66,7 @@ def _spec_holds(rows: Sequence[dict]) -> tuple[str, bool]:
 
 def _fig1_section() -> ReportSection:
     section = ReportSection("FIG-1", "Conflicting views resolved by arbitration")
-    result_a = fig1a_scenario().run()
+    result_a = run_spec(fig1a_scenario())
     observations = run_fig1b()
     section.rows = [
         {

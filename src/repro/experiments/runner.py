@@ -6,8 +6,7 @@ consensus scenario in one call: build a simulator over a graph, install a
 schedule, run to quiescence, and package the outcome (trace, metrics,
 decisions, property report) into a
 :class:`~repro.api.result.RunResult`.  With a membership schedule the
-same body is the churn runner (:func:`repro.churn.run_churn` forwards
-here).
+same body is the churn runner.
 """
 
 from __future__ import annotations

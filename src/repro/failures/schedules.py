@@ -203,10 +203,15 @@ def _grow_region(
     """The draw of :func:`random_connected_region` from its ``repr``-ordered
     candidates (the nodes not in ``forbidden``); shared with
     :func:`repro.churn.steady_state_churn`, which filters one ordering per
-    schedule instead of sorting per draw."""
+    schedule instead of sorting per draw.
+
+    A failed attempt has grown its start's whole free component, so after
+    the first one the draw gives up at once when no free component holds
+    ``size`` nodes — every further attempt would fail the same way.
+    """
     if not candidates:
         raise ScheduleError("no candidate nodes available")
-    for _ in range(256):
+    for attempt in range(256):
         start = rng.choice(candidates)
         members = {start}
         frontier = list(graph.neighbours(start).difference(forbidden))
@@ -218,10 +223,37 @@ def _grow_region(
             frontier.extend((graph.neighbours(next_node) - members).difference(forbidden))
         if len(members) == size:
             return Region(frozenset(members))
+        if attempt == 0 and not _free_component_holds(graph, size, candidates, forbidden):
+            break
     raise ScheduleError(
         f"could not grow a connected region of size {size} "
         f"(graph too small or too constrained)"
     )
+
+
+def _free_component_holds(
+    graph: KnowledgeGraph,
+    size: int,
+    candidates: Sequence[NodeId],
+    forbidden: Collection[NodeId],
+) -> bool:
+    """Whether ``size`` of the free ``candidates`` are connected to each other
+    without crossing a ``forbidden`` node."""
+    seen: set[NodeId] = set()
+    for root in candidates:
+        if root in seen:
+            continue
+        seen.add(root)
+        component, stack = 1, [root]
+        while stack:
+            for neighbour in graph.neighbours(stack.pop()):
+                if neighbour not in seen and neighbour not in forbidden:
+                    seen.add(neighbour)
+                    component += 1
+                    if component >= size:
+                        return True
+                    stack.append(neighbour)
+    return False
 
 
 def random_crashes(

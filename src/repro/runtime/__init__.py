@@ -3,11 +3,5 @@
 from .._lazy import facade
 
 __all__, __getattr__, __dir__ = facade(
-    __name__,
-    {
-        "async_runtime": (
-            "AsyncRunResult", "AsyncRuntime", "run_cliff_edge_async",
-            "run_cliff_edge_asyncio",
-        ),
-    },
+    __name__, {"async_runtime": ("AsyncRuntime", "run_asyncio")}
 )

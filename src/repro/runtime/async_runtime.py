@@ -30,6 +30,7 @@ from collections.abc import Callable
 from typing import Any, Optional
 
 from ..api.result import RunResult
+from ..core import CliffEdgeNode
 from ..failures import CrashSchedule
 from ..graph import KnowledgeGraph, NodeId
 from ..sim.events import EventKind
@@ -38,9 +39,6 @@ from ..sim.faults import FaultModel
 from ..sim.process import Process
 from ..sim.substrate import SimulationError, Substrate
 from ..trace import collect_metrics  # noqa: F401  (the perf ledger wraps this binding)
-
-
-AsyncRunResult = RunResult
 
 
 class AsyncRuntime(Substrate):
@@ -345,55 +343,56 @@ class AsyncRuntime(Substrate):
         return False
 
 
-async def run_cliff_edge_async(
+def run_asyncio(
     graph: KnowledgeGraph,
     schedule: CrashSchedule,
-    node_factory: Callable[[NodeId], Process],
+    membership: Any = None,
+    *,
+    virtual: bool = False,
+    node_factory: Callable[[NodeId], Process] = CliffEdgeNode,
     detection_delay: float = 0.01,
     time_scale: float = 0.01,
-    timeout: float = 30.0,
-    membership: Any = None,
+    timeout: float = 60.0,
     seed: int = 0,
+    check: bool = False,
     failure_detector: Optional[FailureDetectorPolicy] = None,
     faults: Optional[FaultModel] = None,
+    max_events: Optional[int] = None,
 ) -> RunResult:
-    """Convenience wrapper: populate, run, and collect results."""
-    runtime = AsyncRuntime(
-        graph,
-        detection_delay=detection_delay,
-        time_scale=time_scale,
-        seed=seed,
-        failure_detector=failure_detector,
-        faults=faults,
-    )
-    runtime.populate(node_factory)
-    return await runtime.run(schedule, timeout=timeout, membership=membership)
+    """Run the protocol on asyncio: populate, run to quiescence, package.
 
+    ``virtual=False`` drives the stock wall-clock event loop;
+    ``virtual=True`` the same runtime on
+    :class:`~repro.vtime.runtime.VirtualRuntime`'s virtual clock (zero real
+    sleeps, digest-reproducible), where ``max_events`` bounds the loop's
+    callbacks — the wall-clock loop counts none.  ``membership=None`` is
+    the paper's static run; a ``MembershipSchedule`` (even an empty one)
+    makes it a churn run, as on the simulator.  ``timeout`` is in loop
+    seconds, virtual or real.  ``check`` runs CD1–CD7 (liveness only when
+    the run went quiescent) and attaches the report.
+    """
+    knobs = {
+        "detection_delay": detection_delay,
+        "time_scale": time_scale,
+        "seed": seed,
+        "failure_detector": failure_detector,
+        "faults": faults,
+    }
+    if virtual:
+        from ..vtime.runtime import VirtualRuntime
 
-def run_cliff_edge_asyncio(
-    graph: KnowledgeGraph,
-    schedule: CrashSchedule,
-    node_factory: Callable[[NodeId], Process],
-    detection_delay: float = 0.01,
-    time_scale: float = 0.01,
-    timeout: float = 30.0,
-    membership: Any = None,
-    seed: int = 0,
-    failure_detector: Optional[FailureDetectorPolicy] = None,
-    faults: Optional[FaultModel] = None,
-) -> RunResult:
-    """Synchronous entry point (creates and drives its own event loop)."""
-    return asyncio.run(
-        run_cliff_edge_async(
-            graph,
-            schedule,
-            node_factory,
-            detection_delay=detection_delay,
-            time_scale=time_scale,
-            timeout=timeout,
-            membership=membership,
-            seed=seed,
-            failure_detector=failure_detector,
-            faults=faults,
+        runtime = VirtualRuntime(graph, **knobs)
+        runtime.populate(node_factory)
+        result = runtime.run(
+            schedule, timeout=timeout, membership=membership, max_events=max_events
         )
-    )
+    else:
+        runtime = AsyncRuntime(graph, **knobs)
+        runtime.populate(node_factory)
+        result = asyncio.run(runtime.run(schedule, timeout=timeout, membership=membership))
+    # The result keeps the trace, not the runtime: free the processes and
+    # the loop now rather than hold them through the check.
+    del runtime
+    if check:
+        result.check_specification(include_liveness=result.quiescent)
+    return result

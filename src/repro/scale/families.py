@@ -224,10 +224,9 @@ def torus_scale_tasks(
     check: bool = True,
 ) -> list[SweepTask]:
     """The large-torus scale family as sweep tasks (``side=64`` → 4096
-    nodes): the blocks of
-    :func:`repro.experiments.scenarios.torus_scale_family`, one
-    ``torus-block`` task each, labelled with the name of the spec the task
-    will run.
+    nodes): ``scenarios`` blocks spread along the torus diagonal
+    (:func:`~repro.api.presets.torus_block_origins`), one ``torus-block``
+    task each, labelled with the name of the spec the task will run.
     """
     from ..api.presets import torus_block_origins, torus_block_spec
 

@@ -24,15 +24,6 @@ from ..api import ExperimentSession, SweepSpec
 from .protocol import result_envelope, spec_from_document
 
 
-def _execute_in_child(document: Mapping[str, Any]) -> dict[str, Any]:
-    """Pool entry point: must be module-level so fork children can run it.
-
-    No progress callback — the broker lives in the parent, and the
-    completion report carries the final state.
-    """
-    return execute_document(document)
-
-
 def execute_document(
     document: Mapping[str, Any],
     progress: Optional[Callable[[int, int], None]] = None,
@@ -129,14 +120,9 @@ class WorkerLoop:
         When True the loop exits as soon as a claim comes back empty
         (the ``repro work --drain`` one-shot mode); otherwise it keeps
         polling until :meth:`stop`.
-    processes:
-        When > 0, :meth:`run` executes jobs in a pool of that many
-        *processes* (the ``repro work --processes N`` mode) instead of
-        inline: up to N jobs run concurrently, sidestepping the GIL for
-        CPU-bound specs.  The pool forks where the platform allows, and
-        every digest guarantee survives the boundary — run results are
-        pure functions of their spec documents, independent of which
-        process (or ``PYTHONHASHSEED``) computes them.
+
+    A loop runs one job at a time; N concurrent jobs are N loops (N
+    ``repro work`` processes, or ``serve(workers=N)`` threads).
     """
 
     def __init__(
@@ -145,15 +131,11 @@ class WorkerLoop:
         name: str = "worker",
         poll_interval: float = 0.2,
         drain: bool = False,
-        processes: int = 0,
     ) -> None:
         self.broker = broker
         self.name = name
         self.poll_interval = poll_interval
         self.drain = drain
-        self.processes = int(processes)
-        if self.processes < 0:
-            raise ValueError("processes must be >= 0 (0 = run jobs inline)")
         self._stop = threading.Event()
         #: Jobs this loop completed (inspectable by tests and ``repro work``).
         self.completed = 0
@@ -202,9 +184,6 @@ class WorkerLoop:
 
     def run(self) -> None:
         """Loop until :meth:`stop` (or, with ``drain``, an empty queue)."""
-        if self.processes > 0:
-            self._run_pooled()
-            return
         while not self._stop.is_set():
             ran = self.run_one()
             if ran:
@@ -212,63 +191,3 @@ class WorkerLoop:
             if self.drain:
                 return
             self._idle()
-
-    def _run_pooled(self) -> None:
-        """Claim up to ``processes`` jobs and run them in a process pool.
-
-        Claims happen in the parent (the broker never crosses the fork);
-        only the picklable spec document does, and the result envelope
-        comes back the same way.  ``stop()`` lets in-flight jobs finish;
-        ``drain`` exits once the queue and the pool are both empty.
-        """
-        import concurrent.futures
-        import multiprocessing
-
-        try:
-            # Fork keeps child interpreters byte-identical to the parent
-            # (same imports, same environment); spawn works too — results
-            # are spec-pure either way — it is just slower to start.
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        in_flight: dict[Any, str] = {}
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.processes, mp_context=context
-        ) as pool:
-            while True:
-                while len(in_flight) < self.processes and not self._stop.is_set():
-                    claimed = self.broker.claim(self.name)
-                    if claimed is None:
-                        break
-                    job, spec_document = claimed
-                    future = pool.submit(_execute_in_child, dict(spec_document))
-                    in_flight[future] = job["id"]
-                if not in_flight:
-                    if self.drain or self._stop.is_set():
-                        return
-                    self._idle()
-                    continue
-                done, _ = concurrent.futures.wait(
-                    in_flight,
-                    timeout=self.poll_interval,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    job_id = in_flight.pop(future)
-                    try:
-                        envelope = future.result()
-                        self.broker.complete(job_id, envelope)
-                        self.completed += 1
-                    except (KeyboardInterrupt, SystemExit):
-                        self.broker.fail(job_id, "worker interrupted")
-                        raise
-                    except BaseException as exc:
-                        self.failed += 1
-                        self.broker.fail(
-                            job_id,
-                            "".join(
-                                traceback.format_exception(
-                                    type(exc), exc, exc.__traceback__, limit=20
-                                )
-                            ),
-                        )

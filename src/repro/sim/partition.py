@@ -908,8 +908,8 @@ def run_partitioned(
     """Run one scenario on the partitioned backend.
 
     Digest-identical to :func:`~repro.experiments.runner.run_cliff_edge`
-    (static) or :func:`~repro.churn.runner.run_churn` (with a
-    ``membership`` schedule) for the same inputs, at any partition count.
+    for the same inputs (static, or with a ``membership`` schedule), at
+    any partition count.
 
     ``backend`` selects where shards run: ``"process"`` (one OS process
     per shard — the parallel path), ``"inline"`` (all shards in the

@@ -11,7 +11,8 @@ sweepable (:mod:`repro.scale`) and servable (:mod:`repro.service`).
 
 Spec surface: ``RuntimeSpec(engine="asyncio-virtual")`` /
 ``repro churn --runtime asyncio-virtual`` / ``repro run SPEC --runtime
-asyncio-virtual``.
+asyncio-virtual``; library surface: ``run_asyncio(..., virtual=True)``
+(:mod:`repro.runtime`).
 """
 
 from .._lazy import facade
@@ -20,6 +21,6 @@ __all__, __getattr__, __dir__ = facade(
     __name__,
     {
         "loop": ("VirtualClockEventLoop", "VirtualTimeDeadlock", "VirtualTimeError"),
-        "runtime": ("VirtualRuntime", "run_cliff_edge_virtual"),
+        "runtime": ("VirtualRuntime",),
     },
 )

@@ -113,31 +113,3 @@ class VirtualRuntime:
         # The wrapped runtime does not know which loop drives it.
         result.runtime = "asyncio-virtual"
         return result
-
-
-def run_cliff_edge_virtual(
-    graph: KnowledgeGraph,
-    schedule: CrashSchedule,
-    node_factory: Callable[[NodeId], Process],
-    detection_delay: float = 0.01,
-    time_scale: float = 0.01,
-    timeout: float = 30.0,
-    membership: Any = None,
-    seed: int = 0,
-    failure_detector: Optional[FailureDetectorPolicy] = None,
-    faults: Optional[FaultModel] = None,
-    max_events: Optional[int] = None,
-) -> RunResult:
-    """Convenience wrapper mirroring ``run_cliff_edge_asyncio``, virtual."""
-    runtime = VirtualRuntime(
-        graph,
-        detection_delay=detection_delay,
-        time_scale=time_scale,
-        seed=seed,
-        failure_detector=failure_detector,
-        faults=faults,
-    )
-    runtime.populate(node_factory)
-    return runtime.run(
-        schedule, timeout=timeout, membership=membership, max_events=max_events
-    )

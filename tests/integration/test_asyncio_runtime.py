@@ -10,7 +10,7 @@ from repro import CliffEdgeNode, region_crash, run_cliff_edge
 from repro.failures import growing_region_crash
 from repro.graph import Region
 from repro.graph.generators import grid, ring
-from repro.runtime import AsyncRuntime, run_cliff_edge_async, run_cliff_edge_asyncio
+from repro.runtime import AsyncRuntime, run_asyncio
 from repro.core.properties import check_all
 
 
@@ -24,9 +24,7 @@ class TestQuickstartParity:
     @pytest.fixture(scope="class")
     def async_result(self, scenario):
         graph, schedule, _ = scenario
-        return run_cliff_edge_asyncio(
-            graph, schedule, node_factory=CliffEdgeNode, timeout=30.0
-        )
+        return run_asyncio(graph, schedule, timeout=30.0)
 
     def test_reaches_quiescence(self, async_result):
         assert async_result.quiescent
@@ -57,9 +55,7 @@ class TestAsyncRuntimeBehaviour:
         schedule = growing_region_crash(
             graph, [4, 5], growth_members=[6], initial_at=1.0, growth_at=6.0
         )
-        result = run_cliff_edge_asyncio(
-            graph, schedule, node_factory=CliffEdgeNode, timeout=30.0
-        )
+        result = run_asyncio(graph, schedule, timeout=30.0)
         assert result.quiescent
         report = check_all(graph, result.trace, faulty=schedule.nodes)
         assert report.holds, report.summary()
@@ -85,12 +81,12 @@ class TestAsyncRuntimeBehaviour:
             runtime.add_process("nope", CliffEdgeNode("nope"))
 
     def test_async_entry_point_composes(self):
+        # Inside a caller's own event loop the runtime is awaited directly.
         async def scenario():
             graph = grid(4, 4)
-            schedule = region_crash(graph, [(1, 1)], at=1.0)
-            return await run_cliff_edge_async(
-                graph, schedule, node_factory=CliffEdgeNode, timeout=20.0
-            )
+            runtime = AsyncRuntime(graph)
+            runtime.populate(CliffEdgeNode)
+            return await runtime.run(region_crash(graph, [(1, 1)], at=1.0), timeout=20.0)
 
         result = asyncio.run(scenario())
         assert result.decided_views == {Region(frozenset({(1, 1)}))}

@@ -6,24 +6,20 @@ import os
 
 import pytest
 
+from repro.api import ExperimentSession, churn_scenario_spec
 from repro.churn import (
     MembershipSchedule,
     check_churn_all,
     crash_recover_recrash,
     leave,
     recover,
-    run_churn,
-    run_churn_asyncio,
-)
-from repro.experiments import (
-    churn_flash_crowd_scenario,
-    churn_recovery_race_scenario,
-    churn_steady_scenario,
 )
 from repro.cli import main as cli_main
+from repro.experiments import run_cliff_edge
 from repro.failures import CrashSchedule, region_crash
 from repro.graph import KnowledgeGraph, Region
 from repro.graph.generators import grid
+from repro.runtime import run_asyncio
 from repro.sim.events import EventKind
 
 
@@ -41,7 +37,7 @@ def churn_asyncio(*args, **kwargs):
     kwargs.setdefault(
         "virtual", os.environ.get("REPRO_CHURN_WALLCLOCK", "") != "1"
     )
-    return run_churn_asyncio(*args, **kwargs)
+    return run_asyncio(*args, **kwargs)
 
 
 class TestCrashRecoverRecrash:
@@ -56,7 +52,7 @@ class TestCrashRecoverRecrash:
     @pytest.fixture(scope="class")
     def sim_result(self, scenario):
         graph, crashes, membership = scenario
-        return run_churn(graph, crashes, membership, check=True)
+        return run_cliff_edge(graph, crashes, membership, check=True)
 
     @pytest.fixture(scope="class")
     def async_result(self, scenario):
@@ -102,8 +98,7 @@ class TestCrashRecoverRecrash:
 
 class TestRecoveryRace:
     def test_recovery_racing_agreement_stays_within_spec(self):
-        scenario = churn_recovery_race_scenario(seed=1)
-        result = scenario.run(check=True, seed=1)
+        result = ExperimentSession().run(churn_scenario_spec("race", seed=1))
         assert result.quiescent
         assert result.specification.holds, result.specification.summary()
         # Whatever the interleaving, only the block itself is ever decided.
@@ -113,17 +108,16 @@ class TestRecoveryRace:
 
 class TestSteadyChurn:
     def test_steady_scenario_holds_and_decides_every_cycle(self):
-        scenario = churn_steady_scenario(nodes=64, churn_rate=0.05, seed=1)
-        result = scenario.run(check=True, seed=1)
+        spec = churn_scenario_spec("steady", nodes=64, churn_rate=0.05, seed=1)
+        result = ExperimentSession().run(spec)
         assert result.quiescent
         assert result.specification.holds, result.specification.summary()
-        assert result.metrics.decisions >= len(scenario.membership)
+        assert result.metrics.decisions >= len(result.membership)
 
 
 class TestFlashCrowd:
     def test_joins_grow_graph_without_disturbing_agreement(self):
-        scenario = churn_flash_crowd_scenario(nodes=64, crowd=6, seed=2)
-        result = scenario.run(check=True, seed=2)
+        result = ExperimentSession().run(churn_scenario_spec("flash", crowd=6, seed=2))
         assert result.quiescent
         assert result.specification.holds, result.specification.summary()
         assert len(result.final_graph) == len(result.base_graph) + 6
@@ -142,7 +136,7 @@ class TestGracefulLeave:
         graph = grid(6, 6)
         crashes = region_crash(graph, [(2, 2), (2, 3)], at=1.0)
         leaves = MembershipSchedule((leave((1, 2), 2.5), leave((5, 5), 4.0)))
-        result = run_churn(graph, crashes, leaves, check=True)
+        result = run_cliff_edge(graph, crashes, leaves, check=True)
         assert result.quiescent
         assert result.specification.holds, result.specification.summary()
         merged = Region(frozenset({(1, 2), (2, 2), (2, 3)}))
@@ -152,7 +146,7 @@ class TestGracefulLeave:
     def test_static_checkers_still_work_on_unchurned_runs(self):
         graph = grid(6, 6)
         crashes = region_crash(graph, BLOCK, at=1.0)
-        result = run_churn(graph, crashes, MembershipSchedule(), check=True)
+        result = run_cliff_edge(graph, crashes, MembershipSchedule(), check=True)
         assert len(result.epochs) == 1
         assert result.specification.holds
         # The epoch-quotiented checkers agree with the static ones here.
@@ -175,7 +169,7 @@ class TestDistantWatcherRecovery:
             (("A", 1.0), ("B", 1.0), ("A", 80.0)), allow_recrash=True
         )
         membership = MembershipSchedule((recover("A", 40.0), recover("B", 40.0)))
-        for runner in (run_churn, churn_asyncio):
+        for runner in (run_cliff_edge, churn_asyncio):
             result = runner(graph, crashes, membership, check=True)
             assert result.quiescent
             assert result.specification.holds, (
@@ -201,13 +195,13 @@ class TestScheduleErrorSurfacing:
             (recover((1, 1), 5.0, ExplodingPolicy()),)
         )
         with pytest.raises(RuntimeError, match="attachment exploded"):
-            run_churn_asyncio(graph, crashes, membership)
+            run_asyncio(graph, crashes, membership)
 
     def test_asyncio_validates_membership_upfront(self):
         graph = grid(4, 4)
         bad = MembershipSchedule((recover((1, 1), 5.0),))  # never crashed
         with pytest.raises(Exception):
-            run_churn_asyncio(graph, CrashSchedule(), bad)
+            run_asyncio(graph, CrashSchedule(), bad)
 
 
 class TestChurnCli:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run_spec
 from repro.experiments import (
     FIG1_F1,
     FIG1_F2,
@@ -23,7 +24,7 @@ from repro.trace import communicating_nodes
 class TestFig1a:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig1a_scenario().run()
+        return run_spec(fig1a_scenario())
 
     def test_specification_holds(self, result):
         assert result.specification.holds, result.specification.summary()
@@ -94,7 +95,7 @@ class TestFig1b:
         )
 
     def test_scenario_is_parameterisable(self):
-        quick = fig1b_scenario(madrid_detection_delay=5.0).run()
+        quick = run_spec(fig1b_scenario(madrid_detection_delay=5.0))
         assert quick.specification.holds
         assert quick.decided_views == {Region(frozenset(FIG1_F3))}
 
@@ -139,7 +140,7 @@ class TestFig2:
             )
 
     def test_scenario_runs_standalone(self):
-        result = fig2_scenario().run()
+        result = run_spec(fig2_scenario())
         assert result.specification.holds
 
 
@@ -170,7 +171,7 @@ class TestFig3:
     def test_growth_timing_matters(self):
         """If the growth happens *before* the first agreement completes, the
         protocol converges on the combined region instead (Fig. 1b style)."""
-        early_growth = fig3_scenario(growth_at=3.0).run()
+        early_growth = run_spec(fig3_scenario(growth_at=3.0))
         assert early_growth.specification.holds
         from repro.experiments.topologies import fig3_topology
 

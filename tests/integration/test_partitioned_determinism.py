@@ -26,7 +26,6 @@ from repro.api import (
 )
 from repro.churn import crash_recover_recrash, flash_crowd_joins, steady_state_churn
 from repro.churn.membership import MembershipSchedule, leave
-from repro.churn.runner import run_churn
 from repro.experiments.runner import run_cliff_edge
 from repro.failures import cascade_crash, region_crash
 from repro.graph.generators import grid, torus
@@ -139,7 +138,7 @@ class TestChurnDeterminism:
         schedule, membership = steady_state_churn(
             graph, churn_rate=0.05, duration=40.0, seed=3
         )
-        sequential = run_churn(graph, schedule, membership, seed=3, check=True)
+        sequential = run_cliff_edge(graph, schedule, membership, seed=3, check=True)
         for partitions in (1, 2, 4):
             partitioned = run_partitioned(
                 graph,
@@ -160,7 +159,7 @@ class TestChurnDeterminism:
         schedule, membership = crash_recover_recrash(
             graph, [(1, 1), (1, 2)], crash_at=1.0, recover_at=6.0, recrash_at=14.0
         )
-        sequential = run_churn(graph, schedule, membership, seed=4)
+        sequential = run_cliff_edge(graph, schedule, membership, seed=4)
         partitioned = run_partitioned(
             graph, schedule, membership, partitions=3, seed=4, backend="inline"
         )
@@ -173,7 +172,7 @@ class TestChurnDeterminism:
         graph = torus(10, 10)
         schedule = region_crash(graph, [(7, 7), (7, 8)], at=2.0)
         membership = flash_crowd_joins(graph, count=5, at=3.0, spacing=0.8, seed=9)
-        sequential = run_churn(graph, schedule, membership, seed=9)
+        sequential = run_cliff_edge(graph, schedule, membership, seed=9)
         partitioned = run_partitioned(
             graph, schedule, membership, partitions=4, seed=9, backend="inline"
         )
@@ -183,7 +182,7 @@ class TestChurnDeterminism:
         graph = torus(10, 10)
         schedule = region_crash(graph, [(7, 7), (7, 8)], at=2.0)
         membership = MembershipSchedule((leave((0, 5), 2.5), leave((9, 1), 3.1)))
-        sequential = run_churn(graph, schedule, membership, seed=5)
+        sequential = run_cliff_edge(graph, schedule, membership, seed=5)
         partitioned = run_partitioned(
             graph, schedule, membership, partitions=2, seed=5, backend="inline"
         )

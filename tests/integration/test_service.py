@@ -362,9 +362,9 @@ class TestRemoteWorker:
         assert not thread.is_alive()
         assert (loop.completed, loop.failed) == (1, 0)
 
-    def test_process_pool_worker_matches_inline_digests(self, workerless_server):
-        """``repro work --processes N``: jobs run in forked children, and
-        every digest equals what an inline run of the same spec produces."""
+    def test_remote_worker_matches_inline_digests(self, workerless_server):
+        """``repro work --drain`` over several queued jobs: every digest it
+        reports equals what a local run of the same spec produces."""
         client = ServiceClient(workerless_server.url)
         expected = {}
         for seed in (3, 4, 5):
@@ -374,10 +374,9 @@ class TestRemoteWorker:
 
         loop = WorkerLoop(
             ServiceClient(workerless_server.url),
-            name="pooled-test",
+            name="batch-test",
             poll_interval=0.05,
             drain=True,
-            processes=2,
         )
         loop.run()
         assert loop.completed == 3
@@ -385,22 +384,22 @@ class TestRemoteWorker:
         for job_id, digest in expected.items():
             finished = client.job(job_id)
             assert finished["state"] == "done"
+            assert finished["worker"] == "batch-test"
             assert finished["digest"] == digest
 
-    def test_pool_reports_child_failures(self, workerless_server):
+    def test_remote_worker_reports_job_failures(self, workerless_server):
         client = ServiceClient(workerless_server.url)
         bad = small_spec(seed=6).to_dict()
         bad["topology"]["params"]["width"] = 0  # resolves, then fails to build
         job = client.submit(bad)["job"]
         loop = WorkerLoop(
             ServiceClient(workerless_server.url),
-            name="pooled-fail",
+            name="remote-fail",
             poll_interval=0.05,
             drain=True,
-            processes=1,
         )
         loop.run()
-        assert loop.failed == 1
+        assert (loop.completed, loop.failed) == (0, 1)
         finished = client.job(job["id"])
         assert finished["state"] == "failed"
         assert finished["error"]

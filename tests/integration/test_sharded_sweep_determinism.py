@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.api import SweepSpec, run_spec
-from repro.churn import crash_recover_recrash, run_churn
+from repro.churn import crash_recover_recrash
 from repro.core import CliffEdgeNode
-from repro.experiments import churn_property_sweep, property_sweep, torus_scale_family
+from repro.experiments import churn_property_sweep, property_sweep, run_cliff_edge
 from repro.failures import region_crash
 from repro.graph.generators import grid, torus
 from repro.scale import ShardedSweepRunner, churn_property_tasks, property_tasks, torus_scale_tasks
@@ -168,13 +168,13 @@ class TestBatchedDispatchDeterminism:
         assert len(digests) == 1
 
     def test_run_churn_default_matches_unbatched_outcomes(self):
-        # run_churn uses the default (batched) scheduler; its decisions
+        # run_cliff_edge uses the default (batched) scheduler; its decisions
         # must match an explicitly unbatched execution of the same script.
         graph = torus(6, 6)
         crashes, membership = crash_recover_recrash(
             graph, [(2, 2)], crash_at=1.0, recover_at=10.0, recrash_at=25.0
         )
-        batched_result = run_churn(graph, crashes, membership, seed=3, check=True)
+        batched_result = run_cliff_edge(graph, crashes, membership, seed=3, check=True)
         sim = Simulator(
             graph,
             latency=ConstantLatency(1.0),
@@ -194,9 +194,8 @@ class TestLargeTorusFamily:
     """The 4096-node scale family (ROADMAP item); slow-marked."""
 
     def test_4096_node_family_runs_and_verifies(self):
-        family = torus_scale_family(side=64, scenarios=4)
-        assert all(len(scenario.graph) == 4096 for scenario in family)
         tasks = torus_scale_tasks(side=64, scenarios=4)
         report = ShardedSweepRunner(workers=2).run(tasks)
+        assert [outcome.nodes for outcome in report.outcomes] == [4096] * 4
         assert report.all_hold and report.all_quiescent
         assert report.digest() == ShardedSweepRunner(workers=1).run(tasks).digest()

@@ -20,13 +20,11 @@ import time
 import pytest
 
 from repro import CliffEdgeNode, region_crash, run_cliff_edge
-from repro.api import ExperimentSession, ExperimentSpec
-from repro.churn import MembershipSchedule, recover, run_churn_virtual
-from repro.experiments.scenarios import churn_recovery_race_scenario
+from repro.api import ExperimentSession, ExperimentSpec, churn_scenario_spec
+from repro.churn import MembershipSchedule, recover
 from repro.graph.generators import grid
-from repro.runtime import run_cliff_edge_asyncio
+from repro.runtime import run_asyncio
 from repro.sim import EventKind, ScriptedFailureDetector, SimulationError
-from repro.vtime import run_cliff_edge_virtual
 
 
 VIRTUAL_SPEC = {
@@ -78,8 +76,8 @@ class TestDigestDeterminism:
         assert len(digests[0]) == 64
 
     def test_churn_scenario_virtual_reproducible(self):
-        built = churn_recovery_race_scenario(nodes=16, seed=5)
-        results = [built.run(check=True, runtime="asyncio-virtual") for _ in range(2)]
+        spec = churn_scenario_spec("race", nodes=16, seed=5, runtime="asyncio-virtual")
+        results = [ExperimentSession().run(spec) for _ in range(2)]
         assert results[0].digest() == results[1].digest()
         assert all(r.quiescent for r in results)
         assert all(r.specification.holds for r in results)
@@ -103,9 +101,7 @@ class TestVirtualMatchesSimulator:
         detector = ScriptedFailureDetector(delays, default_delay=1.0)
 
         sim_result = run_cliff_edge(graph, schedule, failure_detector=detector)
-        virtual_result = run_cliff_edge_virtual(
-            graph, schedule, node_factory=CliffEdgeNode, failure_detector=detector
-        )
+        virtual_result = run_asyncio(graph, schedule, virtual=True, failure_detector=detector)
         assert virtual_result.decided_views == sim_result.decided_views
         assert virtual_result.deciding_nodes == sim_result.deciding_nodes
 
@@ -116,10 +112,10 @@ class TestVirtualMatchesSimulator:
         graph = grid(5, 5)
         schedule = region_crash(graph, [(2, 2), (2, 3)], at=1.0)
         start = time.perf_counter()
-        result = run_cliff_edge_virtual(
+        result = run_asyncio(
             graph,
             schedule,
-            node_factory=CliffEdgeNode,
+            virtual=True,
             detection_delay=10.0,
             time_scale=1.0,  # 1 virtual unit = 1 "second" of sleeps
             timeout=120.0,
@@ -145,10 +141,11 @@ class TestMembershipAnnouncementTiming:
     def test_recover_is_announced_after_the_detector_delay(self, detector, expected):
         graph = grid(4, 4)
         time_scale = 0.5  # every time below is an exact binary fraction
-        result = run_churn_virtual(
+        result = run_asyncio(
             graph,
             region_crash(graph, [(1, 1)], at=1.0),
             MembershipSchedule((recover((1, 1), 20.0),)),
+            virtual=True,
             detection_delay=0.25,
             time_scale=time_scale,
             failure_detector=detector,
@@ -178,13 +175,13 @@ class TestHandlerErrorFailsTheRun:
     burning its whole timeout (30 wall-clock seconds), while the
     simulator raised at once."""
 
-    @pytest.mark.parametrize("run", [run_cliff_edge_asyncio, run_cliff_edge_virtual])
-    def test_both_loops_raise_naming_the_node_and_the_cause(self, run):
+    @pytest.mark.parametrize("virtual", [False, True], ids=["wall-clock", "virtual"])
+    def test_both_loops_raise_naming_the_node_and_the_cause(self, virtual):
         graph = grid(4, 4)
         schedule = region_crash(graph, [(1, 1)], at=1.0)
         started = time.perf_counter()
         with pytest.raises(SimulationError) as raised:
-            run(graph, schedule, _RaisesOnMessage)
+            run_asyncio(graph, schedule, virtual=virtual, node_factory=_RaisesOnMessage)
         assert time.perf_counter() - started < 2.0
         assert "(0, 1)" in str(raised.value) and "message" in str(raised.value)
         assert "KeyError('boom')" in str(raised.value)
@@ -223,11 +220,11 @@ class TestSweepAndServiceIntegration:
 
 class TestChurnHarness:
     def test_run_churn_virtual_equals_run_twice(self):
-        built = churn_recovery_race_scenario(nodes=16, seed=9)
+        graph, schedule, membership = ExperimentSession().resolve(
+            churn_scenario_spec("race", nodes=16, seed=9)
+        )
         results = [
-            run_churn_virtual(
-                built.graph, built.schedule, built.membership, seed=9, check=True
-            )
+            run_asyncio(graph, schedule, membership, virtual=True, seed=9, check=True)
             for _ in range(2)
         ]
         assert results[0].digest() == results[1].digest()

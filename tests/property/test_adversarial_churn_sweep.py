@@ -20,17 +20,13 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.churn import (
-    MembershipSchedule,
-    flash_crowd_joins,
-    recover,
-    run_churn,
-    run_churn_asyncio,
-)
+from repro.churn import MembershipSchedule, flash_crowd_joins, recover
 from repro.api import churn_property_case_spec, run_spec
 from repro.api.presets import random_churn_membership
+from repro.experiments import run_cliff_edge
 from repro.failures import CrashSchedule, cascade_crash
 from repro.graph.generators import torus
+from repro.runtime import run_asyncio
 
 from .test_graph_invariants import connected_graphs
 
@@ -87,7 +83,7 @@ class TestAdversarialChurnSimulator:
     def test_epoch_specification_holds(self, scenario, seed):
         graph, crashes, membership = scenario
         membership.validate(graph, crashes)
-        result = run_churn(graph, crashes, membership, seed=seed, check=True)
+        result = run_cliff_edge(graph, crashes, membership, seed=seed, check=True)
         assert result.quiescent
         assert result.specification.holds, result.specification.summary()
 
@@ -139,9 +135,7 @@ class TestAdversarialChurnAsyncio:
     def test_epoch_specification_holds_on_asyncio(self, scenario, seed):
         graph, crashes, membership = scenario
         membership.validate(graph, crashes)
-        result = run_churn_asyncio(
-            graph, crashes, membership, seed=seed, check=True, timeout=60.0
-        )
+        result = run_asyncio(graph, crashes, membership, seed=seed, check=True, timeout=60.0)
         assert result.quiescent
         assert result.specification.holds, result.specification.summary()
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.churn import crash_recover_recrash, run_churn
+from repro.churn import crash_recover_recrash
+from repro.experiments import run_cliff_edge
 from repro.graph import GraphError, KnowledgeGraph
 
 from .test_graph_invariants import connected_graphs
@@ -100,7 +101,7 @@ class TestChurnProtocolInvariants:
         crashes, membership = crash_recover_recrash(
             graph, [victim], crash_at=1.0, recover_at=40.0, recrash_at=80.0
         )
-        result = run_churn(graph, crashes, membership, seed=seed, check=True)
+        result = run_cliff_edge(graph, crashes, membership, seed=seed, check=True)
         assert result.quiescent
         assert result.specification.holds, result.specification.summary()
         # The victim's region is decided in both crash epochs.

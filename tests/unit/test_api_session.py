@@ -3,6 +3,7 @@ unified Result protocol."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
@@ -28,16 +29,21 @@ from repro.api import (
     run_spec_json,
     topology_cache_info,
 )
-from repro.churn.runner import ChurnRunResult
-from repro.experiments import (
-    churn_flash_crowd_scenario,
-    churn_recovery_race_scenario,
-    churn_steady_scenario,
-    fig1a_scenario,
-)
+from repro.experiments import fig1a_scenario
 from repro.experiments.runner import RunResult, run_cliff_edge
 from repro.failures import region_crash
 from repro.graph.generators import grid, square_region
+
+
+def _with_pinned(spec, params):
+    """``spec`` with ``params`` merged into the named sub-specs' params."""
+    blocks = {
+        name: dataclasses.replace(
+            getattr(spec, name), params={**getattr(spec, name).params, **extra}
+        )
+        for name, extra in params.items()
+    }
+    return dataclasses.replace(spec, **blocks)
 
 
 @pytest.fixture(autouse=True)
@@ -130,12 +136,11 @@ class TestSessionEquivalence:
         assert via_spec.digest() == direct.digest()
         assert via_spec.specification.holds
 
-    # The scenario builders run their preset spec through the session, so
-    # comparing one to the other proves nothing any more: the digests below
-    # are what the builders produced while they still called the runners
-    # themselves (tests/unit/test_one_description.py has the full battery).
+    # The digests below are what the classic builders produced while they
+    # still called the runners themselves (tests/unit/test_one_description.py
+    # has the full battery).
     def test_figure_1a_spec_matches_scenario(self):
-        assert figure_spec("1a") == fig1a_scenario().spec
+        assert figure_spec("1a") == fig1a_scenario()
         assert figure_spec("1a").digest().startswith("7ab8d5aa96bb2984")
         # Its trace digest moves with the hash seed (str node ids, pinned in
         # a PYTHONHASHSEED=0 subprocess by the battery); the decided views
@@ -147,14 +152,17 @@ class TestSessionEquivalence:
         ]
 
     @pytest.mark.parametrize(
-        "name, builder",
+        "name, pinned",
         [
-            ("steady", churn_steady_scenario),
-            ("race", churn_recovery_race_scenario),
-            ("flash", churn_flash_crowd_scenario),
+            ("steady", {"failure": {"churn_seed": 2}, "membership": {"churn_seed": 2}}),
+            ("race", {}),
+            ("flash", {"membership": {"join_seed": 2}}),
         ],
+        ids=["steady", "race", "flash"],
     )
-    def test_churn_scenario_specs_match_builders(self, name, builder):
+    def test_churn_presets_match_recorded(self, name, pinned):
+        # ``pinned`` is the script seed the classic builders wrote into
+        # their spec; drawing the script from the run seed is the same draw.
         digest = {
             "steady": "8badf79ab3b0988b",
             "race": "d307aa830fd1aab0",
@@ -162,10 +170,10 @@ class TestSessionEquivalence:
         }[name]
         spec = churn_scenario_spec(name, nodes=36, seed=2)
         via_spec = ExperimentSession().run(spec)
-        direct = builder(nodes=36, seed=2).run(check=True, seed=2, runtime="sim")
+        with_pinned_script = ExperimentSession().run(_with_pinned(spec, pinned))
         assert via_spec.digest().startswith(digest)
-        assert direct.digest().startswith(digest)
-        assert isinstance(via_spec, ChurnRunResult)
+        assert with_pinned_script.digest().startswith(digest)
+        assert via_spec.as_dict()["type"] == "churn-run"
 
     def test_session_routes_static_specs_to_run_result(self):
         result = ExperimentSession().run(quickstart_spec())
@@ -245,15 +253,14 @@ class TestResultProtocol:
             assert isinstance(outcome.digest(), str) and outcome.digest()
             json.dumps(outcome.as_dict())
 
-    def test_shared_mixin_backs_both_run_results(self):
-        from repro.api import DecisionResultMixin
-
-        assert issubclass(RunResult, DecisionResultMixin)
-        assert issubclass(ChurnRunResult, DecisionResultMixin)
+    def test_one_class_backs_static_and_churn_runs(self):
         run_result = ExperimentSession().run(quickstart_spec(side=5))
-        assert run_result.deciding_nodes
-        view = next(iter(run_result.decided_views))
-        assert run_result.decisions_on(view)
+        churn_result = ExperimentSession().run(churn_scenario_spec("flash", nodes=16))
+        for result in (run_result, churn_result):
+            assert type(result) is RunResult
+            assert result.deciding_nodes
+            view = next(iter(result.decided_views))
+            assert result.decisions_on(view)
 
     def test_sweep_report_check_specification_aggregates(self):
         report = ExperimentSession().run_sweep(

@@ -1,32 +1,46 @@
-"""One description per experiment: the classic entry points, pinned.
+"""One description per experiment, one way in per substrate: pinned.
 
 Every experiment the repo ships is one spec (:mod:`repro.api.presets`) run
-through :class:`~repro.api.ExperimentSession`; the scenario builders, sweep
+through :class:`~repro.api.ExperimentSession`; the figure runs, sweep
 families and classic CLI subcommands are views of that spec, not a second
-copy of it.
+copy of it.  Below the session there is one entry point per substrate:
+``run_cliff_edge`` (simulator), ``run_partitioned`` and ``run_asyncio``
+(either clock).
 
-The first half of this file is a battery over the classic entry points —
-names, descriptions, sizes, rows, labels and trace digests — whose values
-were **recorded at the commit where those entry points still ran their own
-imperative path** (``run_cliff_edge`` / ``run_churn`` / ``run_churn_asyncio``
-called from ``experiments/`` directly) and live in
-``tests/data/one_description.json``.  It is what the refactor onto the spec
-layer was checked against, and what a changed preset default trips.  Result
-``labels`` are compared without the keys a run gains by going through the
-session (``spec_digest``, ``extract``).
+The first part of this file is a battery over the classic entry points —
+names, sizes, rows, labels and trace digests — whose values were
+**recorded at the commit where those entry points still ran their own
+imperative path** (the simulator and churn runners called from
+``experiments/`` directly) and live in ``tests/data/one_description.json``.
+It is what the refactor onto the spec layer was checked against, and what a
+changed preset default trips.  Result ``labels`` are compared without the
+keys a run gains by going through the session (``spec_digest``,
+``extract``), and records without the one-line ``description`` the scenario
+wrapper objects used to carry (the figures' now live in their builders'
+docstrings, the churn scenarios' in ``churn_scenario_description``).
 
-Figure scenarios use ``str`` node ids, so their trace digests depend on
+The second part replays ``tests/data/removed_entry_points.json``: the
+digest, verdict and quiescence of every call a test or example made
+through the asyncio wrappers, the churn forwarder and the scenario
+wrappers that were folded into ``run_asyncio``, ``run_cliff_edge`` and
+plain specs — recorded through the removed calls, replayed through the
+surviving ones.
+
+Figure runs use ``str`` node ids, so their trace digests depend on
 ``PYTHONHASHSEED`` (docs/ARCHITECTURE.md, "Determinism and the hash seed");
-they are pinned in a ``PYTHONHASHSEED=0`` subprocess, everything else
-in-process.
+they and the replayed calls are pinned in a ``PYTHONHASHSEED=0``
+subprocess, everything else in-process.
 
-The second half holds the guards that make the fork impossible again.
+The last part holds the guards that make the fork impossible again.
 """
 
 from __future__ import annotations
 
+import ast
+import asyncio
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -36,8 +50,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import CliffEdgeNode, region_crash, run_cliff_edge
 from repro.api import (
     ExperimentSession,
+    build_topology,
     churn_scenario_spec,
     json_safe,
     load_spec,
@@ -46,16 +62,20 @@ from repro.api import (
     torus_block_spec,
     torus_region_spec,
 )
+from repro.api.presets import torus_block_origins
+from repro.churn import (
+    MembershipSchedule,
+    crash_recover_recrash,
+    flash_crowd_joins,
+    leave,
+    recover,
+    steady_state_churn,
+)
 from repro.churn.membership import MembershipError
 from repro.cli import main
 from repro.experiments import (
-    ChurnScenario,
-    Scenario,
     case_row,
-    churn_flash_crowd_scenario,
     churn_property_sweep,
-    churn_recovery_race_scenario,
-    churn_steady_scenario,
     fig1a_scenario,
     fig1b_scenario,
     fig2_scenario,
@@ -69,10 +89,13 @@ from repro.experiments import (
     run_overlay_repair,
     run_torus_region_scenario,
     system_size_sweep,
-    torus_block_scenario,
-    torus_scale_family,
 )
+from repro.failures import CrashSchedule, growing_region_crash
+from repro.graph import KnowledgeGraph
+from repro.graph.generators import grid, ring, torus
+from repro.runtime import AsyncRuntime, run_asyncio
 from repro.scale import SweepTask, run_task, torus_scale_tasks
+from repro.sim import ScriptedFailureDetector
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -90,17 +113,59 @@ def _fingerprint(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def _scenario_record(scenario) -> dict:
+def _without_descriptions(record):
+    """``record`` without its (nested) ``description`` keys."""
+    if isinstance(record, dict):
+        return {
+            key: _without_descriptions(value)
+            for key, value in record.items()
+            if key != "description"
+        }
+    if isinstance(record, list):
+        return [_without_descriptions(value) for value in record]
+    return record
+
+
+def _pinned(spec):
+    """``spec`` with its churn script drawn from its own seed at any run
+    seed: a ``churn_seed``/``join_seed`` param, as the classic builders
+    wrote it."""
+
+    def pin(block, key):
+        return dataclasses.replace(block, params={**block.params, key: spec.seed})
+
+    if spec.failure.kind == "steady_churn":
+        return dataclasses.replace(
+            spec,
+            failure=pin(spec.failure, "churn_seed"),
+            membership=pin(spec.membership, "churn_seed"),
+        )
+    if spec.membership.kind == "flash_crowd":
+        return dataclasses.replace(spec, membership=pin(spec.membership, "join_seed"))
+    return spec
+
+
+def _run(spec, engine=None, timeout=None, **changes):
+    """The session's run of ``spec`` with ``changes`` (and the runtime's
+    ``engine``/``timeout``, when given)."""
+    runtime = spec.runtime
+    if engine is not None:
+        runtime = dataclasses.replace(runtime, engine=engine)
+    if timeout is not None:
+        runtime = dataclasses.replace(runtime, timeout=timeout)
+    return ExperimentSession().run(dataclasses.replace(spec, runtime=runtime, **changes))
+
+
+def _spec_record(spec) -> dict:
+    graph, schedule, membership = ExperimentSession().resolve(spec)
     record = {
-        "name": scenario.name,
-        "description": scenario.description,
-        "nodes": len(scenario.graph),
-        "crashes": len(scenario.schedule),
-        "script": _fingerprint(scenario.schedule.crashes),
-        "labels": dict(scenario.labels),
+        "name": spec.name,
+        "nodes": len(graph),
+        "crashes": len(schedule),
+        "script": _fingerprint(schedule.crashes),
+        "labels": dict(spec.labels),
     }
-    membership = getattr(scenario, "membership", None)
-    if membership is not None and len(membership):
+    if len(membership):
         record["membership"] = len(membership)
         record["membership_script"] = _fingerprint(
             [(e.kind.name, e.node, e.time) for e in membership]
@@ -158,16 +223,16 @@ FIGURES = {
 }
 
 CHURN = {
-    "steady": lambda: churn_steady_scenario(nodes=36, seed=2),
-    "steady-args": lambda: churn_steady_scenario(
-        nodes=36, churn_rate=0.1, duration=40.0, seed=5, downtime=8.0
+    "steady": lambda: churn_scenario_spec("steady", nodes=36, seed=2),
+    "steady-args": lambda: churn_scenario_spec(
+        "steady", nodes=36, churn_rate=0.1, duration=40.0, seed=5, downtime=8.0
     ),
-    "race": lambda: churn_recovery_race_scenario(nodes=36, seed=2),
-    "race-args": lambda: churn_recovery_race_scenario(
-        nodes=36, recover_at=4.0, recrash_at=30.0, seed=1
+    "race": lambda: churn_scenario_spec("race", nodes=36, seed=2),
+    "race-args": lambda: churn_scenario_spec(
+        "race", nodes=36, recover_at=4.0, recrash_at=30.0, seed=1
     ),
-    "flash": lambda: churn_flash_crowd_scenario(nodes=36, crowd=3, seed=5),
-    "flash-default-crowd": lambda: churn_flash_crowd_scenario(nodes=16, seed=2),
+    "flash": lambda: churn_scenario_spec("flash", nodes=36, crowd=3, seed=5),
+    "flash-default-crowd": lambda: churn_scenario_spec("flash", nodes=16, seed=2),
 }
 
 CHURN_FAMILY_TASKS = {
@@ -190,10 +255,10 @@ CHURN_FAMILY_TASKS = {
 
 def _figure_entry(build):
     def observe():
-        scenario = build()
-        record = _scenario_record(scenario)
-        record["crash_list"] = json_safe(scenario.schedule.crashes)
-        detector = scenario.failure_detector
+        spec = build()
+        record = _spec_record(spec)
+        record["crash_list"] = json_safe(ExperimentSession().resolve(spec)[1].crashes)
+        detector = spec.runtime.resolve_failure_detector()
         record["detector"] = (
             None
             if detector is None
@@ -208,7 +273,7 @@ def _figure_entry(build):
         )
         # Message counts and digests of the figure runs move with the hash
         # seed; the verdict and the result's shape do not.
-        result = scenario.run(seed=1)
+        result = _run(spec, seed=1)
         run = _result_record(result, digest=False)
         record["run"] = {key: run[key] for key in ("type", "nodes", "holds", "labels")}
         return record
@@ -218,27 +283,30 @@ def _figure_entry(build):
 
 def _churn_entry(build, runtime):
     def observe():
-        scenario = build()
-        record = _scenario_record(scenario)
-        record["run"] = _result_record(scenario.run(seed=2, runtime=runtime))
+        spec = _pinned(build())
+        record = _spec_record(spec)
+        record["run"] = _result_record(_run(spec, seed=2, engine=runtime))
         return record
 
     return observe
 
 
 def _torus_block():
-    scenario = torus_block_scenario(side=12, origin=(11, 11))
-    record = _scenario_record(scenario)
-    record["run"] = _result_record(scenario.run(seed=1))
+    spec = torus_block_spec(side=12, origin=(11, 11))
+    record = _spec_record(spec)
+    record["run"] = _result_record(_run(spec, seed=1))
     return record
 
 
 def _torus_scale():
-    family = torus_scale_family(side=12, scenarios=3, block_side=3)
+    family = [
+        torus_block_spec(side=12, block_side=3, origin=origin)
+        for origin in torus_block_origins(12, 3, 3)
+    ]
     tasks = torus_scale_tasks(side=12, scenarios=3, block_side=3, check=False)
     outcome = run_task(tasks[1], seed=5)
     return {
-        "family": [_scenario_record(scenario) for scenario in family],
+        "family": [_spec_record(spec) for spec in family],
         "tasks": json_safe(
             [[task.family, task.params, task.seed, task.label] for task in tasks]
         ),
@@ -380,27 +448,36 @@ def _emit_spec_digest(argv) -> str:
 def _hashseed0_figure_digests() -> dict:
     """Figure run digests, computed under ``PYTHONHASHSEED=0``."""
     script = (
+        "import dataclasses\n"
+        "from repro.api import run_spec\n"
         "from repro.experiments import *\n"
         "for name, build in [('fig1a', fig1a_scenario), ('fig1b', fig1b_scenario),\n"
         "                    ('fig2', fig2_scenario), ('fig3', fig3_scenario)]:\n"
-        "    print(name, build().run(seed=0).digest()[:16])\n"
+        "    print(name, run_spec(build()).digest()[:16])\n"
         "print('fig1b-delay10-seed3',\n"
-        "      fig1b_scenario(madrid_detection_delay=10.0).run(seed=3).digest()[:16])\n"
-        "print('fig3-growth60', fig3_scenario(growth_at=60.0).run(check=False).digest()[:16])\n"
+        "      run_spec(fig1b_scenario(madrid_detection_delay=10.0).with_seed(3)).digest()[:16])\n"
+        "grown = dataclasses.replace(fig3_scenario(growth_at=60.0), check=False)\n"
+        "print('fig3-growth60', run_spec(grown).digest()[:16])\n"
     )
+    return dict(line.split() for line in _hashseed0(script).splitlines())
+
+
+def _hashseed0(script: str) -> str:
+    """What ``script`` prints in a fresh ``PYTHONHASHSEED=0`` interpreter."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH", "")])
+        filter(None, [str(REPO / "src"), str(REPO), env.get("PYTHONPATH", "")])
     )
     output = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
+        cwd=REPO,
         check=True,
         timeout=120,
     )
-    return dict(line.split() for line in output.stdout.splitlines())
+    return output.stdout
 
 
 RECORDED = json.loads((REPO / "tests" / "data" / "one_description.json").read_text())
@@ -413,7 +490,7 @@ class TestRecordedBattery:
 
     @pytest.mark.parametrize("name", sorted(ENTRIES))
     def test_classic_entry_point_matches_the_record(self, name):
-        assert ENTRIES[name]() == RECORDED["entries"][name]
+        assert ENTRIES[name]() == _without_descriptions(RECORDED["entries"][name])
 
     @pytest.mark.parametrize("name", sorted(EMIT_SPEC))
     def test_emit_spec_document_matches_the_record(self, name):
@@ -421,6 +498,291 @@ class TestRecordedBattery:
 
     def test_figure_digests_under_hashseed_0(self):
         assert _hashseed0_figure_digests() == RECORDED["figure_digests_hashseed0"]
+
+
+# ---------------------------------------------------------------------------
+# The removed entry points, replayed through the surviving calls
+# ---------------------------------------------------------------------------
+_BLOCK = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+class _RaisesOnMessage(CliffEdgeNode):
+    def on_message(self, ctx, sender, message):
+        if self.node_id == (0, 1):
+            raise KeyError("boom")
+        super().on_message(ctx, sender, message)
+
+
+class _ExplodingPolicy:
+    def neighbours_for(self, node, *, current, base, crashed, rng):
+        raise RuntimeError("attachment exploded")
+
+
+def _grid6():
+    graph = grid(6, 6)
+    return graph, region_crash(graph, _BLOCK, at=1.0)
+
+
+def _grid4():
+    graph = grid(4, 4)
+    return graph, region_crash(graph, [(1, 1)], at=1.0)
+
+
+def _crash_recover_recrash6():
+    graph = grid(6, 6)
+    return (
+        graph,
+        *crash_recover_recrash(graph, _BLOCK, crash_at=1.0, recover_at=40.0, recrash_at=80.0),
+    )
+
+
+def _distant_watcher():
+    graph = KnowledgeGraph([("t", "a"), ("a", "A"), ("A", "B")])
+    crashes = CrashSchedule((("A", 1.0), ("B", 1.0), ("A", 80.0)), allow_recrash=True)
+    return graph, crashes, MembershipSchedule((recover("A", 40.0), recover("B", 40.0)))
+
+
+def _scripted_detector():
+    delays = {}
+    for crashed in _BLOCK:
+        delays[((2, 1), crashed)] = 8.0
+        delays[((1, 2), crashed)] = 8.0
+    return ScriptedFailureDetector(delays, default_delay=1.0)
+
+
+def _growing_ring():
+    graph = ring(12, successors=2)
+    return graph, growing_region_crash(
+        graph, [4, 5], growth_members=[6], initial_at=1.0, growth_at=6.0
+    )
+
+
+def _announced(detector):
+    graph = grid(4, 4)
+    return run_asyncio(
+        graph,
+        region_crash(graph, [(1, 1)], at=1.0),
+        MembershipSchedule((recover((1, 1), 20.0),)),
+        virtual=True,
+        detection_delay=0.25,
+        time_scale=0.5,
+        failure_detector=detector,
+    )
+
+
+def _adversarial():
+    graph = grid(3, 3)
+    crashes = CrashSchedule((((1, 1), 1.0), ((1, 2), 2.5)))
+    membership = MembershipSchedule((recover((1, 1), 9.0),)).merged(
+        flash_crowd_joins(graph, count=2, at=3.0, spacing=0.5, seed=7)
+    )
+    return graph, crashes, membership
+
+
+def _torus10_block():
+    graph = torus(10, 10)
+    return graph, region_crash(graph, [(7, 7), (7, 8)], at=2.0)
+
+
+def _awaited(graph, schedule, timeout):
+    async def run():
+        runtime = AsyncRuntime(graph)
+        runtime.populate(CliffEdgeNode)
+        return await runtime.run(schedule, timeout=timeout)
+
+    return asyncio.run(run())
+
+
+#: Each recorded call shape, as the call that replaces it.  ``wall`` entries
+#: ran on the wall-clock loop, whose interleaving (and so digest) the host
+#: decides: they record verdict and quiescence only.
+SURVIVING_CALLS = {
+    "asyncio/grid6-block-timeout30": lambda: run_asyncio(*_grid6(), timeout=30.0),
+    "asyncio/grid6-block-timeout20": lambda: run_asyncio(*_grid6(), timeout=20.0),
+    "asyncio/ring12-growing": lambda: run_asyncio(*_growing_ring(), timeout=30.0),
+    "asyncio/handler-error": lambda: run_asyncio(*_grid4(), node_factory=_RaisesOnMessage),
+    "asyncio/awaited-grid4": lambda: _awaited(*_grid4(), timeout=20.0),
+    "virtual/grid6-scripted-detector": lambda: run_asyncio(
+        *_grid6(), virtual=True, failure_detector=_scripted_detector()
+    ),
+    "virtual/grid5-slow-detector": lambda: run_asyncio(
+        grid(5, 5),
+        region_crash(grid(5, 5), [(2, 2), (2, 3)], at=1.0),
+        virtual=True,
+        detection_delay=10.0,
+        time_scale=1.0,
+        timeout=120.0,
+    ),
+    "virtual/grid6-block-timeout20": lambda: run_asyncio(*_grid6(), virtual=True, timeout=20.0),
+    "virtual/handler-error": lambda: run_asyncio(
+        *_grid4(), virtual=True, node_factory=_RaisesOnMessage
+    ),
+    "churn-sim/grid6-crash-recover-recrash": lambda: run_cliff_edge(
+        *_crash_recover_recrash6(), check=True
+    ),
+    "churn-sim/grid6-leaves": lambda: run_cliff_edge(
+        grid(6, 6),
+        region_crash(grid(6, 6), [(2, 2), (2, 3)], at=1.0),
+        MembershipSchedule((leave((1, 2), 2.5), leave((5, 5), 4.0))),
+        check=True,
+    ),
+    "churn-sim/grid6-empty-membership": lambda: run_cliff_edge(
+        *_grid6(), MembershipSchedule(), check=True
+    ),
+    "churn-sim/distant-watcher": lambda: run_cliff_edge(*_distant_watcher(), check=True),
+    "churn-sim/torus6-crash-recover-recrash-seed3": lambda: run_cliff_edge(
+        torus(6, 6),
+        *crash_recover_recrash(
+            torus(6, 6), [(2, 2)], crash_at=1.0, recover_at=10.0, recrash_at=25.0
+        ),
+        seed=3,
+        check=True,
+    ),
+    "churn-sim/torus8-steady-seed3": lambda: run_cliff_edge(
+        torus(8, 8),
+        *steady_state_churn(torus(8, 8), churn_rate=0.05, duration=40.0, seed=3),
+        seed=3,
+        check=True,
+    ),
+    "churn-sim/torus10-race-seed4": lambda: run_cliff_edge(
+        torus(10, 10),
+        *crash_recover_recrash(
+            torus(10, 10), [(1, 1), (1, 2)], crash_at=1.0, recover_at=6.0, recrash_at=14.0
+        ),
+        seed=4,
+    ),
+    "churn-sim/torus10-flash-seed9": lambda: run_cliff_edge(
+        *_torus10_block(),
+        flash_crowd_joins(torus(10, 10), count=5, at=3.0, spacing=0.8, seed=9),
+        seed=9,
+    ),
+    "churn-sim/torus10-leaves-seed5": lambda: run_cliff_edge(
+        *_torus10_block(),
+        MembershipSchedule((leave((0, 5), 2.5), leave((9, 1), 3.1))),
+        seed=5,
+    ),
+    "churn-sim/torus8-tie-order-empty": lambda: run_cliff_edge(
+        torus(8, 8), CrashSchedule((((1, 3), 1.0), ((1, 1), 1.0))), MembershipSchedule()
+    ),
+    "churn-sim/grid3-adversarial-seed2": lambda: run_cliff_edge(
+        *_adversarial(), seed=2, check=True
+    ),
+    "churn-virtual/grid6-crash-recover-recrash": lambda: run_asyncio(
+        *_crash_recover_recrash6(), virtual=True, check=True
+    ),
+    "churn-virtual/distant-watcher": lambda: run_asyncio(
+        *_distant_watcher(), virtual=True, check=True
+    ),
+    "churn-virtual/announce-policy": lambda: _announced(
+        ScriptedFailureDetector({((1, 2), (1, 1)): 7.0}, default_delay=1.0)
+    ),
+    "churn-virtual/announce-flat": lambda: _announced(None),
+    "churn-virtual/race16-seed9": lambda: run_asyncio(
+        *ExperimentSession().resolve(churn_scenario_spec("race", nodes=16, seed=9)),
+        virtual=True,
+        seed=9,
+        check=True,
+    ),
+    "churn-asyncio/grid6-crash-recover-recrash": lambda: run_asyncio(
+        *_crash_recover_recrash6(), check=True
+    ),
+    "churn-asyncio/grid3-adversarial-seed1": lambda: run_asyncio(
+        *_adversarial(), seed=1, check=True, timeout=60.0
+    ),
+    "churn-asyncio/exploding-attachment": lambda: run_asyncio(
+        grid(4, 4),
+        CrashSchedule((((1, 1), 1.0),)),
+        MembershipSchedule((recover((1, 1), 5.0, _ExplodingPolicy()),)),
+    ),
+    "churn-asyncio/unvalidated-membership": lambda: run_asyncio(
+        grid(4, 4), CrashSchedule(), MembershipSchedule((recover((1, 1), 5.0),))
+    ),
+    "spec/steady64-seed1": lambda: _run(churn_scenario_spec("steady", seed=1)),
+    "spec/race64-seed1": lambda: _run(churn_scenario_spec("race", seed=1)),
+    "spec/flash64-crowd6-seed2": lambda: _run(churn_scenario_spec("flash", crowd=6, seed=2)),
+    "spec/race16-seed5-virtual": lambda: _run(
+        churn_scenario_spec("race", nodes=16, seed=5), engine="asyncio-virtual", seed=0
+    ),
+    "spec/steady36-seed2": lambda: _run(churn_scenario_spec("steady", nodes=36, seed=2)),
+    "spec/race36-seed2": lambda: _run(churn_scenario_spec("race", nodes=36, seed=2)),
+    "spec/flash36-seed2": lambda: _run(churn_scenario_spec("flash", nodes=36, seed=2)),
+    "spec/steady36-script5-run7": lambda: _run(
+        _pinned(churn_scenario_spec("steady", nodes=36, seed=5)), seed=7
+    ),
+    "spec/flash36-script5-run7": lambda: _run(
+        _pinned(churn_scenario_spec("flash", nodes=36, seed=5)), seed=7
+    ),
+    **{
+        name: (
+            lambda spec=spec: _run(
+                spec, engine="asyncio-virtual", timeout=5.0, check=False, seed=3
+            )
+        )
+        for name, spec in (
+            ("spec/fig1b-virtual-seed3", fig1b_scenario()),
+            ("spec/race16-seed1-virtual-seed3", churn_scenario_spec("race", nodes=16, seed=1)),
+            ("spec/torus8-block-virtual-seed3", torus_block_spec(side=8)),
+        )
+    },
+}
+WALL = {name for name in SURVIVING_CALLS if name.startswith(("asyncio/", "churn-asyncio/"))}
+
+
+def _replay_record(name: str) -> dict:
+    """What the recorder kept of one call: the error it raised, or its
+    verdict (checked here when the call did not ask), quiescence, shape and
+    — off the wall clock — digest."""
+    try:
+        result = SURVIVING_CALLS[name]()
+    except Exception as exc:
+        return {"raises": f"{type(exc).__name__}: {exc}"}
+    report = result.specification or result.check_specification(
+        include_liveness=result.quiescent
+    )
+    record = {
+        "holds": report.holds,
+        "quiescent": result.quiescent,
+        "runtime": result.runtime,
+        "type": result.as_dict()["type"],
+    }
+    if name not in WALL and "raises" not in REMOVED[name]:
+        record["digest"] = result.digest()[:16]
+    return record
+
+
+def replay_removed_entry_points() -> dict:
+    """Every recorded call shape, replayed (run in a ``PYTHONHASHSEED=0``
+    child: the figure and ``str``-id scripts are hash-seed dependent)."""
+    replayed = {name: _replay_record(name) for name in SURVIVING_CALLS}
+    replayed["family/torus64-4-nodes"] = {
+        "nodes": [
+            len(build_topology(torus_block_spec(side=64, origin=origin).topology))
+            for origin in torus_block_origins(64, 4)
+        ]
+    }
+    return replayed
+
+
+REMOVED = json.loads((REPO / "tests" / "data" / "removed_entry_points.json").read_text())
+
+
+class TestRemovedEntryPoints:
+    def test_every_recorded_call_shape_is_replayed(self):
+        assert sorted(REMOVED) == sorted([*SURVIVING_CALLS, "family/torus64-4-nodes"])
+
+    def test_the_surviving_calls_reproduce_the_record(self):
+        script = (
+            "import json\n"
+            "from tests.unit.test_one_description import replay_removed_entry_points\n"
+            "print(json.dumps(replay_removed_entry_points(), sort_keys=True))\n"
+        )
+        replayed = json.loads(_hashseed0(script))
+        mismatched = {
+            name: (replayed[name], recorded)
+            for name, recorded in REMOVED.items()
+            if replayed[name] != recorded
+        }
+        assert mismatched == {}
 
 
 # ---------------------------------------------------------------------------
@@ -458,32 +820,109 @@ def _experiment_only(spec):
     return dataclasses.replace(spec, name="", labels={}, extract=None)
 
 
-class TestOneRunPath:
-    def test_churn_scenario_is_scenario(self):
-        assert ChurnScenario is Scenario
+def _constructions(tree: ast.AST, classes: frozenset) -> list[tuple[str, str]]:
+    """``(enclosing qualified name, class)`` of every call of one of
+    ``classes`` in a module's syntax tree."""
+    found = []
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            fig1b_scenario,
-            lambda: churn_recovery_race_scenario(nodes=16, seed=1),
-            lambda: torus_block_scenario(side=8),
-        ],
-    )
-    def test_scenario_run_is_the_session_on_its_spec(self, build, session_runs):
-        scenario = build()
-        result = scenario.run(check=False, seed=3, runtime="asyncio-virtual", timeout=5.0)
-        ran = dataclasses.replace(
-            scenario.spec,
-            check=False,
-            seed=3,
-            runtime=dataclasses.replace(
-                scenario.spec.runtime, engine="asyncio-virtual", timeout=5.0
-            ),
-        )
-        assert session_runs == [ran]
-        assert result.runtime == "asyncio-virtual"
-        assert result.labels["spec_digest"] == ran.digest()
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in classes:
+                    found.append((".".join(scope), name))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def _facade_exports() -> set[str]:
+    """Every name a ``repro`` package's table re-exports."""
+    exported = set()
+    for init in sorted(SRC.rglob("__init__.py")):
+        package = ".".join(("repro", *init.parent.relative_to(SRC).parts))
+        exported.update(getattr(importlib.import_module(package), "__all__", ()))
+    return exported
+
+
+class TestOneRunPath:
+    @pytest.mark.parametrize("engine", ["asyncio", "asyncio-virtual"])
+    def test_both_asyncio_engines_run_through_run_asyncio(self, engine, monkeypatch):
+        import repro.runtime.async_runtime as async_runtime
+
+        virtual = []
+        real = async_runtime.run_asyncio
+
+        def spy(*args, **kwargs):
+            virtual.append(kwargs["virtual"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(async_runtime, "run_asyncio", spy)
+        spec = torus_block_spec(side=8, seed=3, check=False).with_engine(engine)
+        result = ExperimentSession().run(spec)
+        assert virtual == [engine == "asyncio-virtual"]
+        assert result.runtime == engine
+        assert result.labels["spec_digest"] == spec.digest()
+
+    def test_only_run_asyncio_builds_an_asyncio_runtime(self):
+        # VirtualRuntime wraps the AsyncRuntime it drives; nothing else in
+        # src/ builds either, so there is one way onto the asyncio substrate.
+        classes = frozenset({"AsyncRuntime", "VirtualRuntime"})
+        built = [
+            (path.relative_to(SRC).as_posix(), scope, name)
+            for path in sorted(SRC.rglob("*.py"))
+            for scope, name in _constructions(ast.parse(path.read_text()), classes)
+        ]
+        assert sorted(built) == [
+            ("runtime/async_runtime.py", "run_asyncio", "AsyncRuntime"),
+            ("runtime/async_runtime.py", "run_asyncio", "VirtualRuntime"),
+            ("vtime/runtime.py", "VirtualRuntime.__init__", "AsyncRuntime"),
+        ]
+
+    def test_no_facade_exports_a_second_way_in(self):
+        """One runner per substrate, one result class, no wrapper around a
+        spec: no package table lists another substrate runner, a second
+        run-result name, a scenario object, a scenario family or a mixin."""
+        exported = _facade_exports()
+        runners = {
+            name
+            for name in exported
+            if re.fullmatch(r"run_(cliff|churn|async|virtual|partition|sim).*", name)
+        }
+        assert runners == {"run_asyncio", "run_cliff_edge", "run_partitioned"}
+        assert {name for name in exported if name.endswith("RunResult")} == {
+            "PartitionedRunResult",
+            "RunResult",
+        }
+        assert {name for name in exported if "scenario" in name.lower()} == {
+            "churn_scenario_description",
+            "churn_scenario_spec",
+            "fig1a_scenario",
+            "fig1b_scenario",
+            "fig2_scenario",
+            "fig3_scenario",
+            "run_torus_region_scenario",
+        }
+        # The torus experiments are spec builders and the sweep's tasks.
+        assert {name for name in exported if name.startswith("torus_")} == {
+            "torus_block_spec",
+            "torus_region_spec",
+            "torus_scale_tasks",
+            "torus_sweep_spec",
+        }
+        assert not {name for name in exported if name.endswith("Mixin")}
+        # What the perf ledger wraps, and nothing more (ROADMAP item 5).
+        import repro.churn.runner as churn_runner
+
+        assert {name for name in vars(churn_runner) if not name.startswith("_")} == {
+            "check_churn_all",
+            "collect_metrics",
+        }
 
     def test_wrappers_and_families_run_their_preset(self, session_runs):
         run_torus_region_scenario(8, 3, seed=2, jittered_detection=False, check=False)
@@ -546,7 +985,7 @@ class TestOneRunPath:
         assert as_spec.nodes == as_family.nodes == result.as_dict()["nodes"] == 16
 
     def test_no_imperative_runner_call_is_left(self):
-        call = re.compile(r"\b(run_cliff_edge|run_churn|run_churn_asyncio)\(")
+        call = re.compile(r"\b(run_cliff_edge|run_asyncio|run_partitioned)\(")
         hits = [
             f"{path}:{number}"
             for path in FORMER_IMPERATIVE_PATH
@@ -576,25 +1015,27 @@ class TestOneRunPath:
 
 
 class TestScriptIsFixedAtBuildTime:
-    """A scenario's crash and membership script is drawn by the seed it was
-    *built* with; ``run(seed=…)`` seeds the run only."""
+    """A churn script pinned in the spec (``churn_seed`` / ``join_seed``) is
+    drawn by that seed, fixed when the spec is built; the spec's ``seed``
+    then seeds the run only.  An unpinned preset draws it from the run seed."""
 
     @pytest.mark.parametrize(
         "build, digest",
         [
-            (lambda: churn_steady_scenario(nodes=36, seed=5), "929bc14eda74"),
-            (lambda: churn_flash_crowd_scenario(nodes=36, seed=5), "ba66922f9d62"),
+            (lambda: _pinned(churn_scenario_spec("steady", nodes=36, seed=5)), "929bc14eda74"),
+            (lambda: _pinned(churn_scenario_spec("flash", nodes=36, seed=5)), "ba66922f9d62"),
         ],
     )
     def test_run_seed_does_not_redraw_the_script(self, build, digest, session_runs):
-        scenario = build()
-        result = scenario.run(seed=7)
+        spec = build()
+        result = _run(spec, seed=7)
         assert result.digest().startswith(digest)
-        assert result.digest() == build().run(seed=5).digest()
-        # What ran is what the scenario shows.
-        assert result.schedule == scenario.schedule
+        assert result.digest() == _run(spec, seed=5).digest()
+        # What ran is what the spec resolves to at its own seed.
+        _, schedule, membership = ExperimentSession().resolve(spec)
+        assert result.schedule == schedule
         assert [(e.kind, e.node, e.time) for e in result.membership] == [
-            (e.kind, e.node, e.time) for e in scenario.membership
+            (e.kind, e.node, e.time) for e in membership
         ]
         assert session_runs[0].seed == 7
 
@@ -608,4 +1049,4 @@ class TestScriptIsFixedAtBuildTime:
 
     def test_an_empty_flash_crowd_is_still_an_error(self):
         with pytest.raises(MembershipError, match="at least one newcomer"):
-            churn_flash_crowd_scenario(crowd=0)
+            churn_scenario_spec("flash", crowd=0)

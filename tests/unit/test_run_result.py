@@ -31,10 +31,9 @@ from repro.api import (
     repair_spec,
 )
 from repro.api.result import RunResult
-from repro.churn import ChurnRunResult, MembershipSchedule, run_churn
+from repro.churn import MembershipSchedule
 from repro.failures import CrashSchedule
 from repro.graph.generators import torus
-from repro.runtime import AsyncRunResult
 from repro.sim.partition import PartitionedRunResult
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -133,10 +132,6 @@ def results() -> dict[str, RunResult]:
 # One class
 # ---------------------------------------------------------------------------
 class TestOneClass:
-    def test_former_names_are_the_class(self):
-        assert ChurnRunResult is RunResult
-        assert AsyncRunResult is RunResult
-
     def test_partitioned_result_adds_two_fields_and_nothing_else(self):
         assert issubclass(PartitionedRunResult, RunResult)
         added = {
@@ -237,7 +232,6 @@ class TestScheduleTieOrder:
         graph, schedule = torus(8, 8), CrashSchedule(self.CRASHES)
         assert run_cliff_edge(graph, schedule).digest() == self.STATIC
         empty = MembershipSchedule()
-        assert run_churn(graph, schedule, empty).digest() == self.TIMELINE
         assert run_cliff_edge(graph, schedule, membership=empty).digest() == self.TIMELINE
 
     def test_session_keeps_the_schedule_order(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,34 @@ def test_the_ledger_document_draws_one_region_per_placed_cycle(monkeypatch):
     spec = churn_scenario_spec("steady", nodes=256, churn_rate=0.1, duration=200.0, seed=0)
     _, crashes, schedule = ExperimentSession().resolve(spec)
     assert len(grown) == len(crashes.crashes) == len(schedule) == 284
+
+
+def test_a_draw_that_cannot_succeed_gives_up_after_one_attempt(monkeypatch):
+    # Region size 2 on a saturated 10x10 grid: 1 500 draws, 1 478 of them
+    # with no two adjacent free nodes left.  Each of those used to retry 256
+    # seeded attempts (378 392 in all); one attempt grows a whole free
+    # component, so one is enough to know.
+    class CountingRandom(random.Random):
+        attempts = 0
+
+        def choice(self, seq):
+            CountingRandom.attempts += 1
+            return super().choice(seq)
+
+    draws = []
+    real = membership._grow_region
+
+    def counting(graph, size, rng, candidates, forbidden):
+        draws.append(size)
+        counted = CountingRandom()
+        counted.setstate(rng.getstate())  # the same stream, counted
+        return real(graph, size, counted, candidates, forbidden)
+
+    monkeypatch.setattr(membership, "_grow_region", counting)
+    case = {"graph": "grid10", "churn_rate": 0.3, "duration": 50.0, "seed": 1, "region_size": 2}
+    assert draw(case) == RECORDED[case_id(case)]
+    assert len(draws) == 1_500
+    assert CountingRandom.attempts < 2 * len(draws)
 
 
 if __name__ == "__main__":
