@@ -13,6 +13,9 @@ system is.  This example measures it:
 3. the same scenario is run with the whole-network consensus baseline to
    show the curve the paper wants to avoid.
 
+Steps 1 and 2 are sweep documents (``repro locality --emit-spec`` prints
+the first); each run's ``locality`` extractor reports its cost row.
+
 Run with:  python examples/locality_scaling.py          (quick sweep)
            python examples/locality_scaling.py --full   (larger sweep)
 """
@@ -21,13 +24,13 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import (
-    format_table,
-    global_consensus_comparison,
-    locality_is_flat,
-    region_size_sweep,
-    system_size_sweep,
-)
+from repro.api import locality_sweep_spec, run_spec
+from repro.experiments import format_table, global_consensus_comparison, locality_is_flat
+
+
+def cost_rows(sweep) -> list[dict]:
+    """The ``locality`` extractor's row of every run of ``sweep``."""
+    return [outcome.labels["extract"] for outcome in run_spec(sweep).outcomes]
 
 
 def main() -> None:
@@ -37,14 +40,13 @@ def main() -> None:
     baseline_sides = (6, 8, 10, 12, 16) if full else (6, 8, 10)
 
     print("EXP-L1: fixed 3x3 crashed region, growing torus")
-    points = system_size_sweep(sides=sides)
-    print(format_table([point.as_row() for point in points]))
-    print(f"-> message cost flat across system sizes: {locality_is_flat(points)}")
+    rows = cost_rows(locality_sweep_spec("l1", sides=sides))
+    print(format_table(rows))
+    print(f"-> message cost flat across system sizes: {locality_is_flat(rows)}")
     print()
 
     print("EXP-L2: fixed 32x32 torus, growing crashed block")
-    points = region_size_sweep(region_sides=region_sides)
-    print(format_table([point.as_row() for point in points]))
+    print(format_table(cost_rows(locality_sweep_spec("l2", region_sides=region_sides))))
     print("-> cost tracks the crashed region's border, not the system size")
     print()
 

@@ -7,14 +7,16 @@ cliff-edge consensus with a repair-plan decision policy: the agreed value
 is simultaneously (a) the exact extent of the crashed arc, (b) the bridge
 edges that stitch the ring back together, and (c) the coordinator elected
 to drive the repair.  The script applies the plan and verifies the ring is
-whole again.
+whole again.  Last, the EXP-R1 sweep document runs the same repair over
+a grid of ring sizes and arc lengths.
 
 Run with:  python examples/overlay_repair.py
 """
 
 from __future__ import annotations
 
-from repro.experiments import run_overlay_repair
+from repro.api import repair_sweep_spec, run_spec
+from repro.experiments import format_table, run_overlay_repair
 
 
 def main() -> None:
@@ -47,6 +49,13 @@ def main() -> None:
     print()
     print("=== specification (CD1-CD7) ===")
     print(run.result.specification.summary())
+
+    print()
+    print("=== EXP-R1: every ring size x arc length ===")
+    sweep = run_spec(repair_sweep_spec(ring_sizes=(16, 32), arc_lengths=(2, 4)))
+    rows = [outcome.labels["extract"] for outcome in sweep.outcomes]
+    print(format_table(rows))
+    print(f"every ring restored: {all(row['ring_restored'] for row in rows)}")
 
 
 if __name__ == "__main__":

@@ -1,18 +1,17 @@
 """Result extractors: domain rows computed from a finished run.
 
-The locality and overlay-repair experiments wrap their runs in
-experiment-specific post-processing — locality cost rows
-(:class:`~repro.experiments.locality.LocalityPoint`), overlay repair
-verdicts (:class:`~repro.experiments.overlay_repair.OverlayRepairPoint`).
-An *extractor* makes that declarative: an
-:class:`~repro.api.specs.ExperimentSpec` may carry an ``extract`` block
-(``{"kind": ..., "params": {...}}``), and the session then
+An :class:`~repro.api.specs.ExperimentSpec` may carry an ``extract`` block
+(``{"kind": ..., "params": {...}}``); its kind names one of the classes
+below, whose constructor signature is the schema of ``params`` (checked
+where the spec is written, like every other kind block).  The session
+builds the extractor and then
 
-1. asks the extractor for an optional **decision policy** before the run
+1. asks it for an optional **decision policy** before the run
    (overlay repair decides repair *plans*, not plain views), and
 2. asks it for a **row** afterwards, attached as
    ``result.labels["extract"]`` — which rides through JSON results,
-   sweep reports and the experiment service untouched.
+   sweep reports and the experiment service untouched.  The EXP-L1/L2
+   and EXP-R1 tables are these rows.
 
 Extractors only *observe* (and, via the policy, parameterise) the run;
 the trace digest is exactly that of the same spec without post-hoc
@@ -21,116 +20,94 @@ extraction (``tests/unit/test_extractors.py`` pins both).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Protocol
+from typing import Any, Optional
 
 from .specs import ExperimentSpec, SpecError
 
 
-class Extractor(Protocol):  # pragma: no cover - typing only
-    """What the session needs from a registered extractor."""
+def _crashed(spec: ExperimentSpec, what: str) -> tuple:
+    """The members of the spec's ``region`` failure."""
+    if spec.failure.kind != "region":
+        raise SpecError(
+            f"the {spec.extract['kind']} extractor reads the crashed {what} from a "
+            f"failure of kind 'region', got {spec.failure.kind!r}"
+        )
+    return spec.failure.params["members"]
 
-    kind: str
 
-    def decision_policy(self, spec: ExperimentSpec, graph) -> Optional[Any]:
-        """A decision policy for the run, or ``None`` for the default."""
-        ...
-
-    def row(self, spec: ExperimentSpec, result) -> dict[str, Any]:
-        """The domain row derived from the finished run."""
-        ...
+def _holds(result) -> bool:
+    return result.specification.holds if result.specification is not None else True
 
 
 class LocalityExtractor:
     """EXP-L1/EXP-L2 cost rows: border size, messages, bytes, timing.
 
     The crashed region is read from the spec's own ``failure.params``
-    (kind ``region``), so the extractor needs no parameters of its own.
+    (kind ``region``), so the extractor takes no parameters of its own.
     """
-
-    kind = "locality"
 
     def decision_policy(self, spec: ExperimentSpec, graph) -> Optional[Any]:
         return None
 
     def row(self, spec: ExperimentSpec, result) -> dict[str, Any]:
-        from ..experiments.locality import _point_from_result
         from ..graph import Region
 
-        if spec.failure.kind != "region":
-            raise SpecError(
-                "the locality extractor reads the crashed region from a "
-                f"failure of kind 'region', got {spec.failure.kind!r}"
-            )
-        members = spec.failure.params["members"]
-        region = Region.of(result.graph, members)
-        return dict(_point_from_result(result, region).as_row())
+        region = Region.of(result.graph, _crashed(spec, "region"))
+        metrics = result.metrics
+        return {
+            "system_size": len(result.graph),
+            "region_size": len(region),
+            "border_size": len(result.graph.border(region.members)),
+            "messages": metrics.messages_sent,
+            "bytes": metrics.bytes_sent,
+            "speaking_nodes": metrics.speaking_nodes,
+            "decisions": metrics.decisions,
+            "decided_views": metrics.decided_views,
+            "rejections": metrics.rejections,
+            "decision_time": metrics.last_decision_time,
+            "spec_holds": _holds(result),
+        }
 
 
 class RepairExtractor:
     """EXP-R1 overlay repair: decide plans, apply them, report the verdict.
 
-    ``params`` must carry ``ring_size`` and ``successors`` (the
-    :class:`~repro.repair.RingOverlay` the topology was generated from);
-    the crashed arc is the spec's ``region`` failure members.  The
-    decision policy makes border nodes agree on *repair plans*;
-    :func:`~repro.experiments.overlay_repair.run_overlay_repair` returns
-    this extractor's :meth:`repair_run`.
+    ``ring_size`` and ``successors`` name the
+    :class:`~repro.repair.RingOverlay` the topology was generated from; the
+    crashed arc is the spec's ``region`` failure members.  The decision
+    policy makes border nodes agree on *repair plans*.
     """
 
-    kind = "repair"
-
-    def _overlay(self, spec: ExperimentSpec):
+    def __init__(self, ring_size: int, successors: int = 2) -> None:
         from ..repair import RingOverlay
 
-        params = dict(spec.extract.get("params", {})) if spec.extract else {}
-        try:
-            ring_size = int(params["ring_size"])
-        except KeyError:
-            raise SpecError(
-                "the repair extractor needs extract.params.ring_size"
-            ) from None
-        successors = int(params.get("successors", 2))
-        return RingOverlay(ring_size, successors)
+        self.overlay = RingOverlay(ring_size, successors)
 
     def decision_policy(self, spec: ExperimentSpec, graph) -> Optional[Any]:
         from ..repair import RingRepairPolicy
 
-        return RingRepairPolicy(self._overlay(spec))
+        return RingRepairPolicy(self.overlay)
 
-    def repair_run(self, spec: ExperimentSpec, result):
-        """Apply the run's decided plans to the spec's overlay: the
-        :class:`~repro.experiments.overlay_repair.OverlayRepairRun`."""
-        from ..experiments.overlay_repair import OverlayRepairRun
+    def outcome(self, result):
+        """The run's decided plans applied to the overlay (a
+        :class:`~repro.repair.RepairOutcome`)."""
         from ..repair import apply_decisions
 
-        if spec.failure.kind != "region":
-            raise SpecError(
-                "the repair extractor reads the crashed arc from a failure "
-                f"of kind 'region', got {spec.failure.kind!r}"
-            )
-        overlay = self._overlay(spec)
-        arc = tuple(spec.failure.params["members"])
-        outcome = apply_decisions(overlay, result.schedule.nodes, result.decisions)
-        return OverlayRepairRun(overlay=overlay, arc=arc, result=result, outcome=outcome)
+        return apply_decisions(self.overlay, result.schedule.nodes, result.decisions)
 
     def row(self, spec: ExperimentSpec, result) -> dict[str, Any]:
-        return dict(self.repair_run(spec, result).point().as_row())
-
-
-_EXTRACTORS: dict[str, Any] = {
-    LocalityExtractor.kind: LocalityExtractor(),
-    RepairExtractor.kind: RepairExtractor(),
-}
-
-#: Extractor kinds resolvable from an ``extract`` block.
-EXTRACTOR_KINDS = tuple(sorted(_EXTRACTORS))
-
-
-def get_extractor(kind: str) -> Extractor:
-    """Look up a registered extractor by its ``extract.kind``."""
-    try:
-        return _EXTRACTORS[kind]
-    except KeyError:
-        raise SpecError(
-            f"unknown extract kind {kind!r}; known: {', '.join(EXTRACTOR_KINDS)}"
-        ) from None
+        arc = _crashed(spec, "arc")
+        outcome = self.outcome(result)
+        coordinators = sorted(map(repr, outcome.coordinators.values()))
+        return {
+            "ring_size": self.overlay.size,
+            "successors": self.overlay.successors,
+            "arc_length": len(arc),
+            "decisions": result.metrics.decisions,
+            "views": result.metrics.decided_views,
+            "messages": result.metrics.messages_sent,
+            "ring_restored": outcome.ring_restored,
+            "survivors_connected": outcome.survivors_connected,
+            "coordinator": coordinators[0] if coordinators else None,
+            "spec_holds": _holds(result),
+        }

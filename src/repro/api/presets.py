@@ -360,8 +360,9 @@ def repair_spec(
     spread: float = 0.5,
     check: bool = True,
 ) -> ExperimentSpec:
-    """The overlay repair run (EXP-R1): ``repro repair`` and
-    :func:`~repro.experiments.overlay_repair.run_overlay_repair`.
+    """The overlay repair run (EXP-R1): ``repro repair``,
+    :func:`~repro.experiments.overlay_repair.run_overlay_repair` and each
+    point of :func:`repair_sweep_spec`.
 
     An arc of a Chord-like ring crashes over ``spread`` time units.  The
     ``ring`` topology is exactly
@@ -383,6 +384,38 @@ def repair_spec(
         },
         labels={"experiment": "EXP-R1", "arc_start": arc_start},
     )
+
+
+def repair_sweep_spec(
+    ring_sizes=(16, 32, 64),
+    arc_lengths=(2, 4, 6),
+    successors: int = 2,
+    seed: int = 0,
+) -> SweepSpec:
+    """EXP-R1: :func:`repair_spec` over a ring size × arc length grid.
+
+    Every arc starts at node 3.  The ring axis moves the topology and the
+    extractor's overlay in lockstep; the arc axis varies the crashed
+    members.  An arc must be shorter than half its ring, and a grid cannot
+    skip a point, so a ring size too small for one of the arcs is an error.
+    """
+    for ring_size in ring_sizes:
+        for arc_length in arc_lengths:
+            if arc_length >= ring_size // 2:
+                raise SpecError(
+                    f"an arc of {arc_length} nodes needs a ring of at least "
+                    f"{2 * arc_length + 2} nodes, got {ring_size}"
+                )
+    points = [
+        repair_spec(ring_sizes[0], successors, 3, arc_length, seed)
+        for arc_length in arc_lengths
+    ]
+    template = dataclasses.replace(points[0], name="exp-r1")
+    grid = {
+        "extract.params.ring_size|topology.params.size": list(ring_sizes),
+        "failure.params.members": [point.failure.params["members"] for point in points],
+    }
+    return SweepSpec(name="exp-r1-overlay-repair", experiment=template, grid=grid)
 
 
 #: Named link-fault configurations for ``--faults`` (see

@@ -117,9 +117,7 @@ class ExperimentSession:
         extractor = None
         decision_policy = None
         if spec.extract is not None:
-            from .extractors import get_extractor
-
-            extractor = get_extractor(spec.extract["kind"])
+            extractor = build_kind("extract", spec.extract["kind"], spec.extract.get("params", {}))
             decision_policy = extractor.decision_policy(spec, graph)
             if decision_policy is not None and (
                 runtime.engine != "sim"

@@ -336,6 +336,12 @@ _DETECTOR_KINDS = {
     "scripted": (_ADAPTERS, "scripted_detector"),
 }
 
+#: Result extractors (``ExperimentSpec.extract``): the class is the builder.
+_EXTRACT_KINDS = {
+    "locality": ("repro.api.extractors", "LocalityExtractor"),
+    "repair": ("repro.api.extractors", "RepairExtractor"),
+}
+
 #: what -> (kind table, the arguments the session supplies rather than the
 #: block, the builder exceptions that mean "bad block").  Crash and
 #: membership builders raise their own typed errors about the *scenario*
@@ -346,6 +352,7 @@ _KIND_TABLES = {
     "membership": (_MEMBERSHIP_KINDS, ("graph", "seed"), ()),
     "latency": (_LATENCY_KINDS, (), (TypeError, ValueError)),
     "failure-detector": (_DETECTOR_KINDS, (), (TypeError, ValueError)),
+    "extract": (_EXTRACT_KINDS, (), (TypeError, ValueError)),
 }
 
 #: Topology kinds resolvable by :meth:`TopologySpec.build`.
@@ -685,9 +692,9 @@ class ExperimentSpec(_SpecBase):
     early_termination: bool = False
     name: str = ""
     labels: Mapping[str, Any] = field(default_factory=dict)
-    #: Optional result extractor (``{"kind": ..., "params": {...}}``, see
-    #: :mod:`repro.api.extractors`): derives a domain row from the
-    #: finished run (locality cost point, overlay repair verdict) and may
+    #: Optional result extractor (``{"kind": ..., "params": {...}}``, a
+    #: kind of :data:`_EXTRACT_KINDS`): derives a domain row from the
+    #: finished run (locality cost row, overlay repair verdict) and may
     #: supply the run's decision policy.  ``None`` — the default — is not
     #: serialized, so pre-extractor documents and digests are unchanged.
     extract: Optional[Mapping[str, Any]] = field(default=None, metadata={"when_set": True})
@@ -698,8 +705,12 @@ class ExperimentSpec(_SpecBase):
         super().__post_init__()
         if self.extract is not None:
             _check_keys(self.extract, frozenset({"kind", "params"}), "ExperimentSpec.extract")
-            if not self.extract.get("kind"):
+            kind = self.extract.get("kind")
+            if not kind:
                 raise SpecError("ExperimentSpec.extract needs a non-empty 'kind'")
+            params = self.extract.get("params", {})
+            _require_mapping(params, "ExperimentSpec.extract.params")
+            check_kind("extract", kind, tuple(params))
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
         """The same experiment at a different seed."""
@@ -936,12 +947,6 @@ class SweepSpec(_SpecBase):
             for params, label in self.expand_family_params()
             for seed in self.seeds
         ]
-
-    def run(self):
-        """Execute the sweep (see :meth:`ExperimentSession.run_sweep`)."""
-        from .session import ExperimentSession
-
-        return ExperimentSession().run_sweep(self)
 
 
 def spec_from_dict(data: Mapping[str, Any]):

@@ -182,20 +182,20 @@ def _cmd_locality(args: argparse.Namespace, write: Callable[[str], object]) -> i
     if args.emit_spec:
         # One declarative document per experiment: EXP-L1 varies the
         # torus through a width|height-coupled axis, EXP-L2 the block.
-        write(locality_sweep_spec(args.exp, sides=sides, seed=args.seed).to_json())
+        write(locality_sweep_spec(args.exp or "l1", sides=sides, seed=args.seed).to_json())
         return 0
-    from .experiments import format_table, locality_is_flat, region_size_sweep, system_size_sweep
+    from .experiments import format_table, locality_is_flat
 
-    points = system_size_sweep(sides=sides, seed=args.seed)
-    write(format_table([p.as_row() for p in points], title="EXP-L1: cost vs system size"))
-    write(f"flat across system sizes: {locality_is_flat(points)}")
-    region_points = region_size_sweep(region_sides=(1, 2, 3, 4), seed=args.seed)
-    write("")
-    write(
-        format_table(
-            [p.as_row() for p in region_points], title="EXP-L2: cost vs region size"
-        )
-    )
+    titles = {"l1": "EXP-L1: cost vs system size", "l2": "EXP-L2: cost vs region size"}
+    session = ExperimentSession()
+    for index, exp in enumerate([args.exp] if args.exp else list(titles)):
+        report = session.run_sweep(locality_sweep_spec(exp, sides=sides, seed=args.seed))
+        rows = [outcome.labels["extract"] for outcome in report.outcomes]
+        if index:
+            write("")
+        write(format_table(rows, title=titles[exp]))
+        if exp == "l1":
+            write(f"flat across system sizes: {locality_is_flat(rows)}")
     return 0
 
 
@@ -392,15 +392,14 @@ def _cmd_churn(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     ok = all(r.specification.holds and r.quiescent for r in results)
     agree = None
     if len(results) >= 2:
-        # Distinct decided views must agree across runtimes.  The per-epoch
-        # decision counts may legitimately differ on racy scenarios: whether
-        # a recovery beats the in-flight agreement is a timing question, and
-        # both outcomes satisfy the epoch-quotiented specification.
+        # Whether the runtimes decided the same distinct views is an
+        # observation, not part of the verdict: under steady churn whether
+        # a cycle's crash is agreed before it recovers is a timing question,
+        # and either outcome satisfies the epoch-quotiented specification.
         agree = all(
             result.decided_views == results[0].decided_views
             for result in results[1:]
         )
-        ok = ok and agree
     if args.json:
         payload = {
             "scenario": spec.name,
@@ -715,9 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     locality.add_argument(
         "--exp",
         choices=["l1", "l2"],
-        default="l1",
-        help="which experiment --emit-spec describes: l1 (system size) "
-        "or l2 (region size)",
+        help="run (or, with --emit-spec, describe) one experiment: l1 "
+        "(system size) or l2 (region size); default: run both, describe l1",
     )
     locality.add_argument(
         "--emit-spec",
@@ -812,7 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="sim",
         help="engine: deterministic simulator, wall-clock asyncio, "
         "virtual-time asyncio, sim+asyncio ('both'), or all three "
-        "('all'); multi-engine runs cross-check decided views",
+        "('all'); multi-engine runs also report whether they decided the "
+        "same views",
     )
     # Accept --seed after the subcommand too (it is also a global option);
     # SUPPRESS keeps a pre-subcommand --seed intact when absent here.

@@ -1,6 +1,4 @@
-"""Experiment harness: figure runs, sweeps and table printers."""
-
-import sys
+"""Experiment harness: figure runs, baselines, ablations and table printers."""
 
 from .._lazy import facade
 
@@ -21,17 +19,7 @@ __all__, __getattr__, __dir__ = facade(
             "degradation_from_sweep", "excuse_set", "run_degradation",
             "sweep_fault_axes",
         ),
-        "locality": (
-            "LocalityPoint", "locality_is_flat", "region_size_sweep",
-            "run_torus_region_scenario", "system_size_sweep",
-        ),
-        "overlay_repair": (
-            "OverlayRepairPoint", "OverlayRepairRun", "overlay_repair_sweep",
-            "run_overlay_repair",
-        ),
-        "property_sweep": (
-            "case_row", "churn_property_sweep", "property_sweep", "sweep_summary",
-        ),
+        "overlay_repair": ("OverlayRepairRun", "run_overlay_repair"),
         "report": ("ReportSection", "build_report", "failed_claims", "render_report"),
         "runner": ("RunResult", "build_simulator", "run_cliff_edge"),
         "scenarios": (
@@ -40,8 +28,8 @@ __all__, __getattr__, __dir__ = facade(
             "run_fig1b", "run_fig2", "run_fig3",
         ),
         "tables": (
-            "format_markdown_table", "format_table", "rows_to_csv",
-            "summarise_numeric",
+            "case_row", "format_markdown_table", "format_table", "locality_is_flat",
+            "rows_to_csv", "summarise_numeric", "sweep_summary",
         ),
         "topologies": (
             "FIG1_F1", "FIG1_F1_BORDER", "FIG1_F2", "FIG1_F2_BORDER", "FIG1_F3",
@@ -50,24 +38,3 @@ __all__, __getattr__, __dir__ = facade(
         ),
     },
 )
-
-
-class _Package(type(sys)):
-    """``property_sweep`` is an export *and* the submodule that defines it.
-    The import system binds a submodule over its package's attribute the
-    moment anyone imports it, and ``__getattr__`` is never asked for a name
-    that exists — so the name is a data descriptor: always the function,
-    whoever imported what first, as the eager import used to leave it."""
-
-    @property
-    def property_sweep(self):
-        from .property_sweep import property_sweep
-
-        return property_sweep
-
-    @property_sweep.setter
-    def property_sweep(self, module):
-        pass
-
-
-sys.modules[__name__].__class__ = _Package

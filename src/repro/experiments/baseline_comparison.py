@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from ..api.presets import torus_region_spec
+from ..api.session import run_spec
 from ..baselines import (
     run_global_baseline,
     run_gossip_baseline,
@@ -28,7 +30,6 @@ from ..baselines import (
 )
 from ..failures import region_crash
 from ..graph.generators import square_region, torus
-from .locality import run_torus_region_scenario
 from .runner import run_cliff_edge
 
 
@@ -74,10 +75,9 @@ def global_consensus_comparison(
     """EXP-B1: message cost of cliff-edge vs. whole-network consensus."""
     points = []
     for side in sides:
-        cliff_result, region = run_torus_region_scenario(
-            side, region_side, seed=seed, check=False
-        )
-        schedule = region_crash(cliff_result.graph, region.members, at=1.0)
+        spec = torus_region_spec(side, region_side, seed=seed, check=False)
+        cliff_result, region = run_spec(spec), spec.failure.params["members"]
+        schedule = region_crash(cliff_result.graph, region, at=1.0)
         global_result = run_global_baseline(cliff_result.graph, schedule, seed=seed)
         points.append(
             BaselineComparisonPoint(
@@ -130,10 +130,9 @@ def gossip_comparison(
     """EXP-B2: explicit local agreement vs. network-wide eventual views."""
     points = []
     for side in sides:
-        cliff_result, region = run_torus_region_scenario(
-            side, region_side, seed=seed, check=False
-        )
-        schedule = region_crash(cliff_result.graph, region.members, at=1.0)
+        spec = torus_region_spec(side, region_side, seed=seed, check=False)
+        cliff_result, region = run_spec(spec), spec.failure.params["members"]
+        schedule = region_crash(cliff_result.graph, region, at=1.0)
         gossip_result = run_gossip_baseline(cliff_result.graph, schedule, seed=seed)
         points.append(
             GossipComparisonPoint(

@@ -4,6 +4,11 @@
 baselines, property sweep, overlay repair, ablations) and, under it, the
 paper's claims that table supports, each evaluated on this run.  A claim
 that stops holding fails the command and is named by :func:`failed_claims`.
+
+The EXP-L1/L2, EXP-C1 and EXP-R1 tables are sweep documents
+(:mod:`repro.api.presets`) run through the session: each row is read off
+a run of the :class:`~repro.scale.SweepReport` and carries that run's
+``digest``.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..api.presets import locality_sweep_spec, property_sweep_spec, repair_sweep_spec
 from ..api.session import run_spec
 from .ablation import (
     arbitration_ablation,
@@ -22,11 +28,14 @@ from .baseline_comparison import (
     gossip_comparison,
     uncoordinated_comparison,
 )
-from .locality import locality_is_flat, region_size_sweep, system_size_sweep
-from .overlay_repair import overlay_repair_sweep
-from .property_sweep import case_row, property_sweep, sweep_summary
 from .scenarios import fig1a_scenario, run_fig1b, run_fig2, run_fig3
-from .tables import format_markdown_table, format_table
+from .tables import (
+    case_row,
+    format_markdown_table,
+    format_table,
+    locality_is_flat,
+    sweep_summary,
+)
 
 
 @dataclass
@@ -58,6 +67,12 @@ def _columns(rows: Sequence[dict], **where: object) -> dict[str, list]:
 
 def _increasing(values: Sequence) -> bool:
     return all(low < high for low, high in zip(values, values[1:]))
+
+
+def _sweep_rows(outcomes, row=lambda outcome: outcome.labels["extract"]) -> list[dict]:
+    """One row per run of a sweep document: ``row(outcome)`` (by default the
+    run's extractor row), then the run's ``digest`` (its first 12 hex)."""
+    return [dict(row(outcome), digest=outcome.digest[:12]) for outcome in outcomes]
 
 
 def _spec_holds(rows: Sequence[dict]) -> tuple[str, bool]:
@@ -134,11 +149,12 @@ def _locality_sections(quick: bool) -> list[ReportSection]:
     sides = (8, 12, 16, 24) if quick else (8, 12, 16, 24, 32, 48, 64)
     region_sides = (1, 2, 3, 4) if quick else (1, 2, 3, 4, 5, 6)
     l1 = ReportSection("EXP-L1", "Cost vs. system size (fixed 3x3 crashed region)")
-    points = system_size_sweep(sides=sides)
-    l1.rows = [point.as_row() for point in points]
-    l1.claims = [("message cost flat across system sizes", locality_is_flat(points))]
+    l1.rows = _sweep_rows(run_spec(locality_sweep_spec("l1", sides=sides)).outcomes)
+    l1.claims = [("message cost flat across system sizes", locality_is_flat(l1.rows))]
     l2 = ReportSection("EXP-L2", "Cost vs. crashed-region size (fixed 32x32 torus)")
-    l2.rows = [point.as_row() for point in region_size_sweep(region_sides=region_sides)]
+    l2.rows = _sweep_rows(
+        run_spec(locality_sweep_spec("l2", region_sides=region_sides)).outcomes
+    )
     l2.claims = [("message cost grows with the region", _increasing(_columns(l2.rows)["messages"]))]
     for section in (l1, l2):
         cost = _columns(section.rows)
@@ -180,10 +196,9 @@ def _baseline_sections(quick: bool) -> list[ReportSection]:
 
 
 def _property_section(quick: bool) -> ReportSection:
-    seeds = tuple(range(10)) if quick else tuple(range(30))
     section = ReportSection("EXP-C1", "CD1–CD7 under adversarial crash schedules")
-    cases = property_sweep(seeds)
-    section.rows = [case_row(case) for case in cases]
+    cases = run_spec(property_sweep_spec(cases=10 if quick else 30)).outcomes
+    section.rows = _sweep_rows(cases, case_row)
     summary = sweep_summary(cases)
     section.notes = [f"violating seeds: {summary['violating_seeds']}"]
     section.claims = [
@@ -196,7 +211,7 @@ def _property_section(quick: bool) -> ReportSection:
 def _repair_section(quick: bool) -> ReportSection:
     ring_sizes = (16, 32) if quick else (16, 32, 64)
     section = ReportSection("EXP-R1", "End-to-end overlay repair")
-    section.rows = [point.as_row() for point in overlay_repair_sweep(ring_sizes=ring_sizes)]
+    section.rows = _sweep_rows(run_spec(repair_sweep_spec(ring_sizes=ring_sizes)).outcomes)
     repair = _columns(section.rows)
     section.claims = [
         ("the agreed plan restores the ring", all(repair["ring_restored"])),

@@ -9,7 +9,7 @@ results into an order-stable, digest-verifiable report.
 * :mod:`repro.scale.seeding` — hash-seed-independent seed derivation;
 * :mod:`repro.scale.families` — the named scenario-family registry
   (EXP-C1 property cases, adversarial churn cases, churn scenarios, the
-  large-torus block family) plus task-list builders;
+  large-torus block family) and :func:`run_task`, where a task runs;
 * :mod:`repro.scale.sweep` — :class:`ShardedSweepRunner` itself.
 
 Determinism invariants:
@@ -40,9 +40,8 @@ __all__, __getattr__, __dir__ = facade(
     __name__,
     {
         "families": (
-            "FamilyFn", "churn_property_tasks", "family_names", "get_family",
-            "outcome_from_result", "property_tasks", "register_family", "run_task",
-            "torus_scale_tasks", "unregister_family",
+            "FamilyFn", "family_names", "get_family", "outcome_from_result",
+            "register_family", "run_task", "unregister_family",
         ),
         "seeding": ("derive_seed",),
         "sweep": ("ShardedSweepRunner", "SweepReport", "resolve_workers"),

@@ -31,15 +31,15 @@ Built-in families:
 
 Every family is a view of a preset, so any task's document can be
 written down (``run_spec(property_case_spec(530))`` replays a case).
-The presets are imported inside the builders: :mod:`repro.experiments`
-itself uses the sweep runner, and the registry must stay importable from
-both directions.
+Task lists come from :meth:`repro.api.SweepSpec.tasks`, never from a
+builder here.  The presets are imported inside the builders, so loading
+the registry loads no preset.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from .seeding import derive_seed
 from .task import SweepOutcome, SweepTask, UnknownFamilyError
@@ -200,46 +200,3 @@ def load_run_path(tasks: Iterable[SweepTask]) -> None:
             # A malformed task is for the worker that runs it to report, with
             # its index and seed (``SweepTaskError``); not for this to pre-empt.
             continue
-
-
-# ---------------------------------------------------------------------------
-# Task-list builders
-# ---------------------------------------------------------------------------
-def property_tasks(seeds: Iterator[int] | range | tuple[int, ...]) -> list[SweepTask]:
-    """EXP-C1 tasks, one per seed."""
-    return [SweepTask("property", seed=seed) for seed in seeds]
-
-
-def churn_property_tasks(
-    seeds: Iterator[int] | range | tuple[int, ...]
-) -> list[SweepTask]:
-    """Adversarial churn EXP-C1 tasks, one per seed."""
-    return [SweepTask("churn-property", seed=seed) for seed in seeds]
-
-
-def torus_scale_tasks(
-    side: int = 32,
-    scenarios: int = 8,
-    block_side: int = 2,
-    check: bool = True,
-) -> list[SweepTask]:
-    """The large-torus scale family as sweep tasks (``side=64`` → 4096
-    nodes): ``scenarios`` blocks spread along the torus diagonal
-    (:func:`~repro.api.presets.torus_block_origins`), one ``torus-block``
-    task each, labelled with the name of the spec the task will run.
-    """
-    from ..api.presets import torus_block_origins, torus_block_spec
-
-    return [
-        SweepTask(
-            "torus-block",
-            params={
-                "side": side,
-                "block_side": block_side,
-                "origin": origin,
-                "check": check,
-            },
-            label=torus_block_spec(side, block_side, origin).name,
-        )
-        for origin in torus_block_origins(side, scenarios, block_side)
-    ]

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import property_sweep_spec, repair_sweep_spec, run_spec
 from repro.experiments import (
     arbitration_ablation,
-    overlay_repair_sweep,
-    property_sweep,
     ranking_ablation,
     run_overlay_repair,
     sweep_summary,
@@ -77,7 +76,7 @@ class TestRankingAblation:
 class TestPropertySweep:
     @pytest.fixture(scope="class")
     def cases(self):
-        return property_sweep(seeds=tuple(range(12)))
+        return run_spec(property_sweep_spec(cases=12)).outcomes
 
     def test_specification_holds_for_every_case(self, cases):
         failing = [case for case in cases if not case.spec_holds]
@@ -138,14 +137,21 @@ class TestOverlayRepair:
         assert len(plan.new_edges) == 1
 
     def test_point_summary(self, run):
-        row = run.point().as_row()
+        row = run.result.labels["extract"]
         assert row["ring_restored"] is True
         assert row["arc_length"] == 4
 
     def test_sweep_always_restores_the_ring(self):
-        points = overlay_repair_sweep(ring_sizes=(16, 32), arc_lengths=(2, 4))
-        assert points
-        for point in points:
-            assert point.ring_restored, point.as_row()
-            assert point.survivors_connected
-            assert point.specification_holds
+        sweep = run_spec(repair_sweep_spec(ring_sizes=(16, 32), arc_lengths=(2, 4)))
+        rows = [outcome.labels["extract"] for outcome in sweep.outcomes]
+        assert len(rows) == 4
+        for row in rows:
+            assert row["ring_restored"], row
+            assert row["survivors_connected"]
+            assert row["spec_holds"]
+
+    def test_a_grid_point_the_ring_cannot_hold_is_refused(self):
+        from repro.api import SpecError
+
+        with pytest.raises(SpecError, match="needs a ring of at least 10 nodes, got 8"):
+            repair_sweep_spec(ring_sizes=(8, 16), arc_lengths=(2, 4))

@@ -223,3 +223,16 @@ class TestChurnCli:
         )
         assert code == 0
         assert any("runtimes decided identical views: True" in line for line in lines)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cli_steady_disagreement_is_an_observation_not_a_failure(self, seed):
+        # Whether a steady cycle's crash is agreed before it recovers is a
+        # timing question: the simulator and the virtual-time runtime decide
+        # different sets of views here, and every run's spec still holds.
+        lines: list[str] = []
+        argv = ["--seed", str(seed), "churn", "--scenario", "steady", "--runtime", "all"]
+        code = cli_main(argv, write=lines.append)
+        output = "\n".join(lines)
+        assert output.count("epoch-quotiented specification CD1-CD7: holds") == 3
+        assert "runtimes decided identical views: False" in output
+        assert code == 0

@@ -79,6 +79,13 @@ class TestCommands:
         assert "flat across system sizes: True" in out.text
         assert "EXP-L2" in out.text
 
+    def test_locality_exp_runs_only_that_document(self):
+        for exp, shown, hidden in (("l1", "EXP-L1", "EXP-L2"), ("l2", "EXP-L2", "EXP-L1")):
+            out = _Capture()
+            assert main(["locality", "--exp", exp], write=out) == 0
+            assert shown in out.text and hidden not in out.text
+            assert ("flat across system sizes" in out.text) == (exp == "l1")
+
 
 class TestSpecLayerCommands:
     """The declarative front door: run, --emit-spec, --json."""

@@ -4,74 +4,80 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SpecError, locality_sweep_spec, run_spec, torus_region_spec
 from repro.experiments import (
     global_consensus_comparison,
     gossip_comparison,
     locality_is_flat,
-    region_size_sweep,
-    run_torus_region_scenario,
-    system_size_sweep,
     uncoordinated_comparison,
 )
+
+
+def _rows(sweep) -> list[dict]:
+    """The ``locality`` extractor's row of every run of a sweep document."""
+    return [outcome.labels["extract"] for outcome in run_spec(sweep).outcomes]
 
 
 class TestLocalitySystemSize:
     @pytest.fixture(scope="class")
     def points(self):
-        return system_size_sweep(sides=(8, 12, 16, 24), region_side=3)
+        return _rows(locality_sweep_spec("l1", sides=(8, 12, 16, 24), region_side=3))
 
     def test_specification_holds_everywhere(self, points):
-        assert all(point.specification_holds for point in points)
+        assert all(point["spec_holds"] for point in points)
 
     def test_message_cost_is_flat(self, points):
         assert locality_is_flat(points)
-        messages = {point.messages for point in points}
+        messages = {point["messages"] for point in points}
         # Identical seed and identical local scenario: exactly equal costs.
         assert len(messages) == 1
 
     def test_speaking_nodes_do_not_grow(self, points):
-        speaking = {point.speaking_nodes for point in points}
+        speaking = {point["speaking_nodes"] for point in points}
         assert len(speaking) == 1
-        assert speaking.pop() == points[0].border_size
+        assert speaking.pop() == points[0]["border_size"]
 
     def test_bytes_are_flat(self, points):
-        assert len({point.bytes_sent for point in points}) == 1
+        assert len({point["bytes"] for point in points}) == 1
 
     def test_system_sizes_really_grow(self, points):
-        sizes = [point.system_size for point in points]
+        sizes = [point["system_size"] for point in points]
         assert sizes == sorted(sizes)
         assert sizes[-1] > 8 * sizes[0]
 
     def test_decisions_match_border(self, points):
-        assert all(point.decisions == point.border_size for point in points)
+        assert all(point["decisions"] == point["border_size"] for point in points)
 
     def test_rows_have_expected_keys(self, points):
-        row = points[0].as_row()
-        assert {"system_size", "messages", "speaking_nodes", "spec_holds"} <= row.keys()
+        assert list(points[0]) == [
+            "system_size", "region_size", "border_size", "messages", "bytes",
+            "speaking_nodes", "decisions", "decided_views", "rejections",
+            "decision_time", "spec_holds",
+        ]  # fmt: skip
 
 
 class TestLocalityRegionSize:
     @pytest.fixture(scope="class")
     def points(self):
-        return region_size_sweep(region_sides=(1, 2, 3, 4), side=16)
+        return _rows(locality_sweep_spec("l2", region_sides=(1, 2, 3, 4), side=16))
 
     def test_specification_holds_everywhere(self, points):
-        assert all(point.specification_holds for point in points)
+        assert all(point["spec_holds"] for point in points)
 
     def test_cost_grows_with_region(self, points):
-        messages = [point.messages for point in points]
+        messages = [point["messages"] for point in points]
         assert messages == sorted(messages)
         assert messages[-1] > 10 * messages[0]
 
     def test_border_grows_linearly_with_side(self, points):
-        assert [point.border_size for point in points] == [4, 8, 12, 16]
+        assert [point["border_size"] for point in points] == [4, 8, 12, 16]
 
     def test_speaking_nodes_track_border(self, points):
-        assert all(point.speaking_nodes == point.border_size for point in points)
+        assert all(point["speaking_nodes"] == point["border_size"] for point in points)
 
     def test_region_side_validation(self):
-        with pytest.raises(ValueError):
-            run_torus_region_scenario(side=4, region_side=3)
+        with pytest.raises(SpecError, match="two nodes wider"):
+            torus_region_spec(side=4, region_side=3)
 
 
 class TestGlobalConsensusBaseline:

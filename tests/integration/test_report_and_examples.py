@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,14 +72,23 @@ class TestReportSections:
         assert failed_claims(list(quick_report.values())) == []
         assert "FAILED" not in render_report(list(quick_report.values()))
 
+    def test_sweep_rows_carry_their_run_digest(self, quick_report):
+        for experiment_id in ("EXP-L1", "EXP-L2", "EXP-C1", "EXP-R1"):
+            rows = quick_report[experiment_id].rows
+            assert all(list(row)[-1] == "digest" for row in rows), experiment_id
+            assert all(re.fullmatch("[0-9a-f]{12}", row["digest"]) for row in rows)
+        assert quick_report["EXP-L1"].rows[0]["digest"] == "a87e9c25da16"
+        assert not any("digest" in row for row in quick_report["EXP-B1"].rows)
+
     def test_failed_claim_exits_nonzero_and_is_named(self, monkeypatch, quick_report):
         """A locality sweep whose cost grows with the system fails the command."""
-        flat = report_module.system_size_sweep(sides=(8, 12))
+        real = report_module.locality_sweep_spec
 
-        def growing(sides):
-            return [flat[0], dataclasses.replace(flat[1], messages=2 * flat[1].messages)]
+        def growing(exp, **kwargs):
+            # EXP-L1's document swapped for one whose crashed block grows.
+            return real("l2", region_sides=(1, 2), side=8) if exp == "l1" else real(exp, **kwargs)
 
-        monkeypatch.setattr(report_module, "system_size_sweep", growing)
+        monkeypatch.setattr(report_module, "locality_sweep_spec", growing)
         lines: list[str] = []
         assert main(["report", "--quick"], write=lines.append) == 1
         output = "\n".join(lines)

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import SweepSpec, run_spec
+from repro.api import SweepSpec, property_sweep_spec, run_spec, torus_sweep_spec
 from repro.churn import crash_recover_recrash
 from repro.core import CliffEdgeNode
-from repro.experiments import churn_property_sweep, property_sweep, run_cliff_edge
+from repro.experiments import run_cliff_edge
 from repro.failures import region_crash
 from repro.graph.generators import grid, torus
-from repro.scale import ShardedSweepRunner, churn_property_tasks, property_tasks, torus_scale_tasks
+from repro.scale import ShardedSweepRunner
 from repro.sim import ConstantLatency, EventScheduler, PerfectFailureDetector, Simulator
 from repro.trace import collect_metrics
 
@@ -35,30 +35,27 @@ GOLDEN_SPEC_DIGEST = "59cc4ec8cd67e75be8ae211e740e86d1f1c4c00fd4da4efb887206d31d
 
 class TestShardedSweepDeterminism:
     def test_property_sweep_digest_equal_across_worker_counts(self):
-        seeds = tuple(range(4))
-        sequential = property_sweep(seeds=seeds, workers=1)
-        sharded = property_sweep(seeds=seeds, workers=2)
+        sequential = run_spec(property_sweep_spec(cases=4, workers=1)).outcomes
+        sharded = run_spec(property_sweep_spec(cases=4, workers=2)).outcomes
         assert [case.digest for case in sequential] == [case.digest for case in sharded]
         assert [case.as_row() for case in sequential] == [
             case.as_row() for case in sharded
         ]
 
     def test_churn_sweep_digest_equal_across_worker_counts(self):
-        seeds = tuple(range(3))
-        sequential = churn_property_sweep(seeds=seeds, workers=1)
-        sharded = churn_property_sweep(seeds=seeds, workers=2)
+        sequential = run_spec(property_sweep_spec(cases=3, workers=1, churn=True)).outcomes
+        sharded = run_spec(property_sweep_spec(cases=3, workers=2, churn=True)).outcomes
         assert [case.digest for case in sequential] == [case.digest for case in sharded]
 
     def test_torus_family_report_digest_equal_across_worker_counts(self):
-        tasks = torus_scale_tasks(side=8, scenarios=3)
-        one = ShardedSweepRunner(workers=1).run(tasks)
-        many = ShardedSweepRunner(workers=3).run(tasks)
+        one = run_spec(torus_sweep_spec(side=8, scenarios=3, workers=1))
+        many = run_spec(torus_sweep_spec(side=8, scenarios=3, workers=3))
         assert one.digest() == many.digest()
         assert [o.digest for o in one.outcomes] == [o.digest for o in many.outcomes]
         assert one.all_hold and one.all_quiescent
 
     def test_derived_seeds_do_not_depend_on_worker_count(self):
-        tasks = property_tasks(range(3)) + churn_property_tasks(range(2))
+        tasks = property_sweep_spec(cases=3).tasks() + property_sweep_spec(cases=2, churn=True).tasks()
         for workers in (1, 2, 4):
             runner = ShardedSweepRunner(workers=workers, base_seed=11)
             seeds = [runner.seed_for(task, i) for i, task in enumerate(tasks)]
@@ -194,8 +191,7 @@ class TestLargeTorusFamily:
     """The 4096-node scale family (ROADMAP item); slow-marked."""
 
     def test_4096_node_family_runs_and_verifies(self):
-        tasks = torus_scale_tasks(side=64, scenarios=4)
-        report = ShardedSweepRunner(workers=2).run(tasks)
+        report = run_spec(torus_sweep_spec(side=64, scenarios=4, workers=2))
         assert [outcome.nodes for outcome in report.outcomes] == [4096] * 4
         assert report.all_hold and report.all_quiescent
-        assert report.digest() == ShardedSweepRunner(workers=1).run(tasks).digest()
+        assert report.digest() == run_spec(torus_sweep_spec(side=64, scenarios=4)).digest()

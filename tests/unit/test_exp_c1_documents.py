@@ -39,11 +39,14 @@ RECORDED = json.loads((REPO / "tests" / "data" / "exp_c1_digests.json").read_tex
 #: ``str``, and what a run iterates over ``str`` ids may follow the hash seed.
 _CHILD = """
 import json
-from repro.scale import ShardedSweepRunner, churn_property_tasks, property_tasks
+from repro.api import SweepSpec, run_spec
 
-tasks = property_tasks(range(10)) + churn_property_tasks([*range(10), 59, 132, 134])
+sweeps = [
+    SweepSpec(family="property", seeds=tuple(range(10))),
+    SweepSpec(family="churn-property", seeds=(*range(10), 59, 132, 134)),
+]
 record = {}
-for outcome in ShardedSweepRunner(workers=1).run(tasks).outcomes:
+for outcome in (outcome for sweep in sweeps for outcome in run_spec(sweep).outcomes):
     row = {"digest": outcome.digest, "spec_holds": outcome.spec_holds, "quiescent": outcome.quiescent}
     if outcome.family == "churn-property":
         row["epochs"] = outcome.labels["epochs"]

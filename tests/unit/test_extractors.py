@@ -4,10 +4,11 @@ The contract under test: the ``extract`` block changes what is
 *observed*, never what *happens* — a spec with one runs digest-identically
 to the same experiment without it, and the extractor's row reproduces the
 classic experiment's numbers.  (The lone exception is ``repair``, whose
-decision policy legitimately shapes the run.)  The classic entry points
-run these presets themselves, so the digests they are held to are the
-ones recorded while ``experiments/`` still called ``run_cliff_edge``
-directly (tests/unit/test_one_description.py has the full battery).
+decision policy legitimately shapes the run.)  The digests they are held to
+are the ones recorded while ``experiments/`` still called ``run_cliff_edge``
+directly (tests/unit/test_one_description.py has the full battery).  An
+extractor is a kind like any other: its block is checked where the spec is
+written.
 """
 
 from __future__ import annotations
@@ -18,47 +19,39 @@ from dataclasses import replace
 import pytest
 
 from repro.api import (
-    EXTRACTOR_KINDS,
     ExperimentSpec,
     RuntimeSpec,
     SpecError,
-    get_extractor,
     locality_sweep_spec,
     quickstart_spec,
     repair_spec,
     run_spec,
+    torus_region_spec,
 )
+from repro.experiments import run_overlay_repair
 
 
 class TestLocalityExtractor:
     def test_l1_point_is_digest_identical_to_classic_sweep(self):
-        from repro.experiments.locality import run_torus_region_scenario
-
         sweep = locality_sweep_spec("l1", sides=(8,), region_side=3)
         (spec,) = list(sweep.expand())
         result = run_spec(spec)
-        classic, region = run_torus_region_scenario(8, 3)
+        plain = run_spec(torus_region_spec(8, 3))
         assert result.digest().startswith("a87e9c25da16a977")
-        assert classic.digest() == result.digest()
+        assert plain.digest() == result.digest()
         assert run_spec(replace(spec, extract=None)).digest() == result.digest()
         row = result.labels["extract"]
         assert row["system_size"] == 64
-        assert row["region_size"] == len(region) == 9
-        assert row["messages"] == classic.metrics.messages_sent == 3679
+        assert row["region_size"] == len(spec.failure.params["members"]) == 9
+        assert row["messages"] == plain.metrics.messages_sent == 3679
 
     def test_l2_rows_match_classic_region_sweep(self):
-        from repro.experiments.locality import region_size_sweep
-
         sweep = locality_sweep_spec("l2", side=8, region_sides=(1, 2))
         report = run_spec(sweep)
-        classic = region_size_sweep(region_sides=(1, 2), side=8)
         rows = [run["extract"] for run in report.as_dict()["runs"]]
-        assert [row["messages"] for row in rows] == [
-            point.messages for point in classic
-        ]
-        assert [row["border_size"] for row in rows] == [
-            point.border_size for point in classic
-        ]
+        # What the region-size loop printed at the commit it was removed.
+        assert [row["messages"] for row in rows] == [48, 576]
+        assert [row["border_size"] for row in rows] == [4, 8]
 
     def test_coupled_axis_moves_width_and_height_together(self):
         sweep = locality_sweep_spec("l1", sides=(8, 12))
@@ -72,15 +65,13 @@ class TestLocalityExtractor:
 
 class TestRepairExtractor:
     def test_run_is_digest_identical_to_classic_repair(self):
-        from repro.experiments.overlay_repair import run_overlay_repair
-
         spec = repair_spec(ring_size=16, arc_start=3, arc_length=3)
         result = run_spec(spec)
         classic = run_overlay_repair(ring_size=16, arc_start=3, arc_length=3)
         assert result.digest().startswith("74b4d0f70a2113d6")
         assert classic.result.digest() == result.digest()
         row = result.labels["extract"]
-        assert row == classic.point().as_row()
+        assert classic.outcome.ring_restored == row["ring_restored"]
         assert row == {
             "ring_size": 16,
             "successors": 2,
@@ -101,17 +92,9 @@ class TestRepairExtractor:
             run_spec(partitioned)
 
     def test_unknown_extract_kind_is_rejected(self):
-        assert set(EXTRACTOR_KINDS) == {"locality", "repair"}
-        with pytest.raises(SpecError):
-            get_extractor("phrenology")
         base = quickstart_spec()
-        unknown = ExperimentSpec(
-            topology=base.topology,
-            failure=base.failure,
-            extract={"kind": "phrenology"},
-        )
-        with pytest.raises(SpecError):
-            run_spec(unknown)
+        with pytest.raises(SpecError, match="unknown extract kind 'phrenology'; known: locality, repair"):
+            ExperimentSpec(topology=base.topology, failure=base.failure, extract={"kind": "phrenology"})
 
 
 class TestExtractField:

@@ -164,14 +164,13 @@ def test_every_export_of_every_package_resolves_to_what_its_submodule_defines():
                 except AttributeError as error:
                     problems.append(f"{{package_name}}.{{name}}: {{error}}")
                     continue
-                if name != "property_sweep" and vars(package).get(name) is not value:
+                if vars(package).get(name) is not value:
                     # Trap (a): the perf ledger wraps vars(package)[name].
                     problems.append(f"{{package_name}}.{{name}} is not cached in the package's globals")
                 if name == "__version__":
                     continue
                 if value is sys.modules.get(f"{{package_name}}.{{name}}"):
-                    # The module is the export (repro.graph.generators) —
-                    # unless it defines the name itself (trap (c)).
+                    # The module is the export (repro.graph.generators).
                     defined = not hasattr(value, name)
                 else:
                     defined = any(
@@ -185,34 +184,6 @@ def test_every_export_of_every_package_resolves_to_what_its_submodule_defines():
         """
     )
     assert problems == []
-
-
-@pytest.mark.parametrize(
-    "first",
-    [
-        "import repro.experiments.property_sweep",  # the submodule binds itself on the package
-        "from repro.experiments import property_sweep",  # the facade resolves the function
-        "from repro.scale import SweepTask, run_task; run_task(SweepTask('property', seed=1))",
-    ],
-)
-def test_property_sweep_is_the_function_whoever_imported_what_first(first):
-    # The one export that is also the name of the submodule defining it.
-    kinds = fresh(
-        f"""
-        {first}
-        import repro.experiments
-        from repro.experiments import churn_property_sweep, property_sweep
-        import repro.experiments.property_sweep as bound
-        print(json.dumps([
-            type(property_sweep).__name__,
-            type(repro.experiments.property_sweep).__name__,
-            type(bound).__name__,
-            type(sys.modules["repro.experiments.property_sweep"]).__name__,
-            property_sweep.__module__,
-        ]))
-        """
-    )
-    assert kinds == ["function"] * 3 + ["module", "repro.experiments.property_sweep"]
 
 
 def test_a_forked_sweep_worker_imports_nothing_while_it_runs_a_task():

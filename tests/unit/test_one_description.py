@@ -23,7 +23,9 @@ The second part replays ``tests/data/removed_entry_points.json``: the
 digest, verdict and quiescence of every call a test or example made
 through the asyncio wrappers, the churn forwarder and the scenario
 wrappers that were folded into ``run_asyncio``, ``run_cliff_edge`` and
-plain specs — recorded through the removed calls, replayed through the
+plain specs, and the runs and rows of every call of the EXP-L1/L2, EXP-R1
+and EXP-C1 sweep loops and task builders that the sweep documents
+replaced — recorded through the removed calls, replayed through the
 surviving ones.
 
 Figure runs use ``str`` node ids, so their trace digests depend on
@@ -53,16 +55,23 @@ import pytest
 from repro import CliffEdgeNode, region_crash, run_cliff_edge
 from repro.api import (
     ExperimentSession,
+    SpecError,
+    SweepSpec,
     build_topology,
     churn_scenario_spec,
     json_safe,
     load_spec,
     locality_sweep_spec,
+    property_sweep_spec,
     repair_spec,
+    repair_sweep_spec,
+    run_spec,
     torus_block_spec,
     torus_region_spec,
+    torus_sweep_spec,
 )
 from repro.api.presets import torus_block_origins
+from repro.api.specs import _KIND_TABLES
 from repro.churn import (
     MembershipSchedule,
     crash_recover_recrash,
@@ -75,26 +84,20 @@ from repro.churn.membership import MembershipError
 from repro.cli import main
 from repro.experiments import (
     case_row,
-    churn_property_sweep,
     fig1a_scenario,
     fig1b_scenario,
     fig2_scenario,
     fig3_scenario,
-    overlay_repair_sweep,
-    property_sweep,
-    region_size_sweep,
     run_fig1b,
     run_fig2,
     run_fig3,
     run_overlay_repair,
-    run_torus_region_scenario,
-    system_size_sweep,
 )
 from repro.failures import CrashSchedule, growing_region_crash
-from repro.graph import KnowledgeGraph
+from repro.graph import KnowledgeGraph, Region
 from repro.graph.generators import grid, ring, torus
 from repro.runtime import AsyncRuntime, run_asyncio
-from repro.scale import SweepTask, run_task, torus_scale_tasks
+from repro.scale import SweepTask, run_task
 from repro.sim import ScriptedFailureDetector
 
 REPO = Path(__file__).resolve().parents[2]
@@ -299,12 +302,21 @@ def _torus_block():
 
 
 def _torus_scale():
-    family = [
-        torus_block_spec(side=12, block_side=3, origin=origin)
-        for origin in torus_block_origins(12, 3, 3)
+    origins = torus_block_origins(12, 3, 3)
+    family = [torus_block_spec(side=12, block_side=3, origin=origin) for origin in origins]
+    # The ``torus-block`` family's tasks, one per block of the scale sweep.
+    tasks = [
+        SweepTask(
+            "torus-block",
+            params={"side": 12, "block_side": 3, "origin": origin, "check": False},
+            label=spec.name,
+        )
+        for origin, spec in zip(origins, family)
     ]
-    tasks = torus_scale_tasks(side=12, scenarios=3, block_side=3, check=False)
     outcome = run_task(tasks[1], seed=5)
+    # The sweep document lists the same blocks, and runs the same trace.
+    document = dataclasses.replace(torus_sweep_spec(12, 3, 3, check=False), seeds=(5,))
+    assert run_spec(document).outcomes[1].digest == outcome.digest
     return {
         "family": [_spec_record(spec) for spec in family],
         "tasks": json_safe(
@@ -316,19 +328,23 @@ def _torus_scale():
 
 def _torus_region(**kwargs):
     def observe():
-        result, region = run_torus_region_scenario(8, 3, seed=2, **kwargs)
+        spec = torus_region_spec(8, 3, seed=2, **kwargs)
+        result = run_spec(spec)
+        region = Region.of(result.graph, spec.failure.params["members"])
         return {"region": json_safe(region), "run": _result_record(result)}
 
     return observe
 
 
+def _extracted(sweep) -> list:
+    """The extractor row of every run of the sweep document ``sweep``."""
+    return [outcome.labels["extract"] for outcome in run_spec(sweep).outcomes]
+
+
 def _locality_sweeps():
     return {
-        "l1": [point.as_row() for point in system_size_sweep(sides=(8, 12), seed=1)],
-        "l2": [
-            point.as_row()
-            for point in region_size_sweep(region_sides=(1, 3), side=10, seed=1)
-        ],
+        "l1": _extracted(locality_sweep_spec("l1", sides=(8, 12), seed=1)),
+        "l2": _extracted(locality_sweep_spec("l2", region_sides=(1, 3), side=10, seed=1)),
     }
 
 
@@ -343,7 +359,7 @@ def _overlay_repair(**kwargs):
                 "arc": run.arc,
                 "overlay": [run.overlay.size, run.overlay.successors],
                 "run": record,
-                "point": run.point().as_row(),
+                "point": run.result.labels["extract"],
                 "outcome": run.outcome.summary(),
             }
         )
@@ -352,19 +368,18 @@ def _overlay_repair(**kwargs):
 
 
 def _overlay_sweep():
-    points = overlay_repair_sweep(ring_sizes=(16, 24), arc_lengths=(2, 4), seed=1)
-    return json_safe([point.as_row() for point in points])
+    return json_safe(_extracted(repair_sweep_spec(ring_sizes=(16, 24), arc_lengths=(2, 4), seed=1)))
 
 
 def _property_sweeps():
-    def rows(sweep, workers):
-        cases = sweep(seeds=(0, 1, 2), workers=workers)
-        return [dict(case_row(case), digest=case.digest[:16]) for case in cases]
+    def rows(churn, workers):
+        sweep = property_sweep_spec(cases=3, workers=workers, churn=churn)
+        return [dict(case_row(case), digest=case.digest[:16]) for case in run_spec(sweep).outcomes]
 
     record = {}
-    for name, sweep in (("static", property_sweep), ("churn", churn_property_sweep)):
-        inline = rows(sweep, workers=1)
-        assert inline == rows(sweep, workers=2)
+    for name, churn in (("static", False), ("churn", True)):
+        inline = rows(churn, workers=1)
+        assert inline == rows(churn, workers=2)
         record[name] = json_safe(inline)
     return record
 
@@ -750,10 +765,113 @@ def _replay_record(name: str) -> dict:
     return record
 
 
+def _runs(sweep, row=lambda outcome: outcome.labels["extract"]) -> list:
+    """Each run of a sweep document: its digest and its table row (by
+    default the run's extractor row)."""
+    return [{"digest": o.digest[:16], "row": row(o)} for o in run_spec(sweep).outcomes]
+
+
+def _cases(churn: bool, cases: int, workers: int = 1) -> list:
+    return _runs(property_sweep_spec(cases=cases, workers=workers, churn=churn), case_row)
+
+
+def _region_run(side, region_side, **kwargs) -> dict:
+    try:
+        spec = torus_region_spec(side, region_side, **kwargs)
+    except SpecError as exc:
+        return {"raises": f"SpecError: {exc}"}
+    result = run_spec(spec)
+    return {
+        "digest": result.digest()[:16],
+        "holds": result.specification.holds if result.specification else None,
+        "messages": result.metrics.messages_sent,
+        "region": Region.of(result.graph, spec.failure.params["members"]),
+    }
+
+
+def _torus_scale(side: int, scenarios: int) -> dict:
+    report = run_spec(torus_sweep_spec(side, scenarios))
+    return {
+        "runs": [
+            {
+                "digest": o.digest[:16],
+                "nodes": o.nodes,
+                "spec_holds": o.spec_holds,
+                "quiescent": o.quiescent,
+                "messages": o.messages,
+            }
+            for o in report.outcomes
+        ],
+        "digest": report.digest()[:16],
+    }
+
+
+def _family_tasks(base_seed: int) -> list:
+    """EXP-C1 tasks as ``property_sweep_spec`` lists them, with the seed each
+    runs at (a task pins its seed, so ``base_seed`` does not move it)."""
+    from repro.scale import ShardedSweepRunner
+
+    tasks = property_sweep_spec(cases=3).tasks() + property_sweep_spec(cases=2, churn=True).tasks()
+    runner = ShardedSweepRunner(workers=1, base_seed=base_seed)
+    return [
+        [task.family, task.params, task.seed, task.label, runner.seed_for(task, index)]
+        for index, task in enumerate(tasks)
+    ]
+
+
+def _unknown_extract_kind() -> dict:
+    try:
+        dataclasses.replace(torus_block_spec(side=8), extract={"kind": "phrenology"})
+    except SpecError as exc:
+        return {"raises": f"SpecError: {exc}"}
+    raise AssertionError("an unknown extract kind constructed")
+
+
+#: The sweep loops, ``Point`` rows and task builders that the sweep
+#: documents replaced, as the document run that replaces each call shape.
+SURVIVING_SWEEPS = {
+    "locality/l1-sides8-24": lambda: _runs(locality_sweep_spec("l1", sides=(8, 12, 16, 24))),
+    "locality/l2-torus16": lambda: _runs(locality_sweep_spec("l2", region_sides=(1, 2, 3, 4), side=16)),
+    "locality/torus4-block3": lambda: _region_run(4, 3),
+    "locality/torus8-block3": lambda: _region_run(8, 3),
+    "locality/l2-torus8": lambda: _runs(locality_sweep_spec("l2", region_sides=(1, 2), side=8)),
+    "locality/l1-sides8-12": lambda: _runs(locality_sweep_spec("l1", sides=(8, 12))),
+    "locality/l1-sides8-32": lambda: _runs(locality_sweep_spec("l1", sides=(8, 12, 16, 24, 32))),
+    "locality/l2-blocks1-4": lambda: _runs(locality_sweep_spec("l2", region_sides=(1, 2, 3, 4))),
+    "locality/l1-sides8-64": lambda: _runs(
+        locality_sweep_spec("l1", sides=(8, 12, 16, 24, 32, 48, 64))
+    ),
+    "locality/l2-blocks1-6": lambda: _runs(
+        locality_sweep_spec("l2", region_sides=(1, 2, 3, 4, 5, 6))
+    ),
+    "locality/l1-sides8-12-block2-seed1": lambda: _runs(
+        locality_sweep_spec("l1", sides=(8, 12), region_side=2, seed=1)
+    ),
+    "locality/l2-torus8-seed1": lambda: _runs(
+        locality_sweep_spec("l2", region_sides=(1, 2), side=8, seed=1)
+    ),
+    "locality/torus8-block3-seed2-no-jitter": lambda: _region_run(
+        8, 3, seed=2, jittered_detection=False, check=False
+    ),
+    "repair/rings16-32-arcs2-4": lambda: _runs(
+        repair_sweep_spec(ring_sizes=(16, 32), arc_lengths=(2, 4))
+    ),
+    "property/seeds0-11": lambda: _cases(churn=False, cases=12),
+    "property/seeds0-3-workers2": lambda: _cases(churn=False, cases=4, workers=2),
+    "churn-property/seeds0-2-workers2": lambda: _cases(churn=True, cases=3, workers=2),
+    "torus-scale/side8-3": lambda: _torus_scale(8, 3),
+    "torus-scale/side64-4": lambda: _torus_scale(64, 4),
+    "tasks/property3-churn2-base11": lambda: _family_tasks(base_seed=11),
+    "extract/kinds": lambda: list(_KIND_TABLES["extract"][0]),
+    "extract/unknown-kind": _unknown_extract_kind,
+}
+
+
 def replay_removed_entry_points() -> dict:
     """Every recorded call shape, replayed (run in a ``PYTHONHASHSEED=0``
     child: the figure and ``str``-id scripts are hash-seed dependent)."""
     replayed = {name: _replay_record(name) for name in SURVIVING_CALLS}
+    replayed.update({name: json_safe(call()) for name, call in SURVIVING_SWEEPS.items()})
     replayed["family/torus64-4-nodes"] = {
         "nodes": [
             len(build_topology(torus_block_spec(side=64, origin=origin).topology))
@@ -768,7 +886,9 @@ REMOVED = json.loads((REPO / "tests" / "data" / "removed_entry_points.json").rea
 
 class TestRemovedEntryPoints:
     def test_every_recorded_call_shape_is_replayed(self):
-        assert sorted(REMOVED) == sorted([*SURVIVING_CALLS, "family/torus64-4-nodes"])
+        assert sorted(REMOVED) == sorted(
+            [*SURVIVING_CALLS, *SURVIVING_SWEEPS, "family/torus64-4-nodes"]
+        )
 
     def test_the_surviving_calls_reproduce_the_record(self):
         script = (
@@ -793,9 +913,7 @@ SRC = REPO / "src" / "repro"
 #: The modules that used to call the runners themselves.
 FORMER_IMPERATIVE_PATH = (
     "experiments/scenarios.py",
-    "experiments/locality.py",
     "experiments/overlay_repair.py",
-    "experiments/property_sweep.py",
     "scale/families.py",
     "cli.py",
 )
@@ -813,11 +931,6 @@ def session_runs(monkeypatch):
 
     monkeypatch.setattr(ExperimentSession, "run", run)
     return specs
-
-
-def _experiment_only(spec):
-    """``spec`` without what names and post-processes it."""
-    return dataclasses.replace(spec, name="", labels={}, extract=None)
 
 
 def _constructions(tree: ast.AST, classes: frozenset) -> list[tuple[str, str]]:
@@ -906,13 +1019,11 @@ class TestOneRunPath:
             "fig1b_scenario",
             "fig2_scenario",
             "fig3_scenario",
-            "run_torus_region_scenario",
         }
-        # The torus experiments are spec builders and the sweep's tasks.
+        # The torus experiments are spec builders.
         assert {name for name in exported if name.startswith("torus_")} == {
             "torus_block_spec",
             "torus_region_spec",
-            "torus_scale_tasks",
             "torus_sweep_spec",
         }
         assert not {name for name in exported if name.endswith("Mixin")}
@@ -925,7 +1036,6 @@ class TestOneRunPath:
         }
 
     def test_wrappers_and_families_run_their_preset(self, session_runs):
-        run_torus_region_scenario(8, 3, seed=2, jittered_detection=False, check=False)
         run_overlay_repair(
             ring_size=16, arc_start=3, arc_length=3, spread=0.0, check=False, seed=2
         )
@@ -936,7 +1046,6 @@ class TestOneRunPath:
             )
         )
         assert session_runs == [
-            torus_region_spec(8, 3, seed=2, jittered_detection=False, check=False),
             repair_spec(
                 ring_size=16, arc_start=3, arc_length=3, seed=2, spread=0.0, check=False
             ),
@@ -955,22 +1064,38 @@ class TestOneRunPath:
             ["repair", "--ring-size", "16", "--arc-start", "3", "--arc-length", "3"],
             ["churn", "--scenario", "flash", "--nodes", "16", "--seed", "2"],
             ["churn", "--nodes", "16", "--churn-rate", "0.1", "--duration", "20"],
+            ["locality", "--exp", "l1"],
+            ["locality", "--exp", "l2"],
         ],
     )
     def test_cli_runs_the_document_it_emits(self, argv, session_runs):
         assert main(argv, write=lambda line: None) == 0
-        assert [spec.digest()[:16] for spec in session_runs] == [_emit_spec_digest(argv)]
+        lines: list[str] = []
+        assert main([*argv, "--emit-spec"], write=lines.append) == 0
+        document = load_spec("\n".join(lines))
+        listed = document.expand() if isinstance(document, SweepSpec) else [document]
+        assert [spec.digest() for spec in session_runs] == [spec.digest() for spec in listed]
 
     def test_locality_sweeps_run_the_points_the_documents_list(self, session_runs):
-        system_size_sweep(sides=(8, 12), region_side=2, seed=1)
-        region_size_sweep(region_sides=(1, 2), side=8, seed=1)
-        listed = [
-            *locality_sweep_spec("l1", sides=(8, 12), region_side=2, seed=1).expand(),
-            *locality_sweep_spec("l2", region_sides=(1, 2), side=8, seed=1).expand(),
+        sweeps = [
+            locality_sweep_spec("l1", sides=(8, 12), region_side=2, seed=1),
+            locality_sweep_spec("l2", region_sides=(1, 2), side=8, seed=1),
         ]
-        assert list(map(_experiment_only, session_runs)) == list(
-            map(_experiment_only, listed)
-        )
+        for sweep in sweeps:
+            run_spec(sweep)
+        assert session_runs == [spec for sweep in sweeps for spec in sweep.expand()]
+
+    def test_only_the_session_builds_a_sweep_runner(self):
+        # Every EXP sweep is a SweepSpec run by ExperimentSession.run_sweep:
+        # seeding, the worker count and the merge are decided there once.
+        built = [
+            (path.relative_to(SRC).as_posix(), scope, name)
+            for path in sorted(SRC.rglob("*.py"))
+            for scope, name in _constructions(
+                ast.parse(path.read_text()), frozenset({"ShardedSweepRunner"})
+            )
+        ]
+        assert built == [("api/session.py", "ExperimentSession.run_sweep", "ShardedSweepRunner")]
 
     def test_a_sweep_row_counts_the_nodes_the_run_started_on(self):
         # A 16-node torus and two joiners: the run ends on 18 nodes, which

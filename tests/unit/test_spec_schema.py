@@ -371,6 +371,12 @@ MALFORMED = {
     "extract-not-a-mapping": lambda: ExperimentSpec.from_dict(_document(extract="locality")),
     "extract-key": lambda: ExperimentSpec.from_dict(_document(extract={"kind": "locality", "parms": {}})),
     "extract-needs-kind": lambda: ExperimentSpec.from_dict(_document(extract={"params": {}})),
+    # Extractors became a kind table: refused where written, not in a worker.
+    "extract-kind": lambda: ExperimentSpec.from_dict(_document(extract={"kind": "phrenology"})),
+    "extract-param": lambda: ExperimentSpec.from_dict(
+        _document(extract={"kind": "locality", "params": {"side": 8}})
+    ),
+    "extract-repair-needs-ring-size": lambda: ExperimentSpec.from_dict(_document(extract={"kind": "repair"})),
     "membership-row-kind": lambda: _membership("explicit", rows=[["teleport", [1, 1], 3.0]]),
     "membership-row-join-short": lambda: _membership("explicit", rows=[["join", "joiner-0", 3.0]]),
     "membership-row-time-str": lambda: _membership("explicit", rows=[["leave", [1, 1], "3"]]),
@@ -493,6 +499,10 @@ LAX = {
     "topology-dict": (
         lambda: ExperimentSpec(topology={"kind": "grid"}),
         "ExperimentSpec.topology must be TopologySpec",
+    ),
+    "extract-params-not-a-mapping": (
+        lambda: dataclasses.replace(_run_spec(), extract={"kind": "locality", "params": [1]}),
+        "ExperimentSpec.extract.params must be a mapping",
     ),
     "workers-negative": (lambda: _sweep(workers=-3), "workers must be >= 0"),
     "workers-str": (lambda: _sweep(workers="two"), "SweepSpec.workers must be int, got 'two'"),
